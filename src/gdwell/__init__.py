@@ -33,7 +33,6 @@ from .quadrature import PanelSamples, QuadratureRule, integrate, nested_origin, 
 from .region import (
     ACResult,
     RegionReport,
-    eval_region_polys,
     eval_u_prime,
     find_a_c,
     find_a_g,
@@ -81,7 +80,6 @@ __all__ = [
     "OracleResult",
     "oracle_ground_state",
     "peak_census",
-    "eval_region_polys",
     "eval_u_prime",
     "find_a_c",
     "find_a_g",

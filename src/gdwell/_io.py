@@ -3,11 +3,13 @@
 JSON is emitted by a small recursive serializer so every float is printed
 with 17 significant digits (lossless round-trip) and identical configs
 produce byte-identical files.  CSV files start with a schema/config comment
-line followed by a header row; table cells carry 4 decimals.
+line followed by a header row; table cells carry 4 decimals, and a cell that
+holds a comma or a quote is quoted.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from typing import Any
 
@@ -62,7 +64,8 @@ def csv_preamble(config: dict) -> str:
 
 
 def write_csv(path: str, config: dict, header: list[str], rows: list[list[str]]) -> None:
-    lines = [csv_preamble(config), ",".join(header)]
-    lines += [",".join(r) for r in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_preamble(config) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

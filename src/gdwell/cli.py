@@ -187,7 +187,7 @@ def cmd_region(args) -> int:
     path = os.path.join(out_dir, "region.json")
     _io.write_json(path, doc)
     print(f"wrote {path}")
-    print(f"a_c = {rep.a_c:.4f} (bisection width {rep.a_c_width:.1e})")
+    print(f"a_c = {rep.a_c:.4f} (bracket width {rep.a_c_width:.1e})")
     return EXIT_OK
 
 
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
         ok_u = ok_u and bool(np.all(u > 0.0))
     _check("u-positive-all-a", ok_u, f"min u over sweeps {worst:.3e}", results)
 
-    ac = region.find_a_c(tol=1e-4)
+    ac = region.find_a_c()
     _check("critical-shape-value", 0.654 <= ac.a_c <= 0.674 and ac.width <= 1e-3,
            f"a_c = {ac.a_c:.4f}, width {ac.width:.1e}", results)
 
@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
            f"|E-1| = {abs(res.energy - 1.0):.1e}, max|psi-exact| = {dev:.1e}", results)
 
     # demonstration of the guard outside the region (not counted as a failure)
-    sup = region._sup_u_prime(0.3)
+    sup = float(region.eval_u_prime(0.3, xs).max())
     print(f"EXPECTED-FAIL (demo) uprime-negative at a=0.3: sup u' = {sup:.3e} > 0 "
           "(outside the monotone region, as it should be)")
 

@@ -39,7 +39,8 @@ class DiscretizationError(GdwellError):
 
 
 class BracketError(GdwellError):
-    """A bisection bracket does not enclose a sign change."""
+    """A root bracket does not enclose a sign change, or no root of a
+    discriminant factor is a fold of its curve."""
 
 
 class NonConvergenceWarning(UserWarning):

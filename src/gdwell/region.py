@@ -6,22 +6,23 @@ The slope of u factors through pairs of polynomials in (x^2, a): the pair
 and each pair satisfies a difference-of-squares identity that cancels the
 (x^2-1) pole/zero so signs can be read off polynomial loci.  This module
 evaluates all of them (Horner in x^2, exact integer coefficients times powers
-of a), traces their zero curves, verifies the a=2 positivity chain, and
-computes the critical shape value a_c below which u' turns positive
-somewhere.
+of a), traces their zero curves as companion-matrix eigenvalues, verifies the
+a=2 positivity chain, and computes the critical shape value a_c below which
+u' turns positive somewhere, as a root of a discriminant factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import BracketError
 
 __all__ = [
-    "A_C_NOMINAL",
+    "A_C",
     "X_G1_ROOT",
     "alpha",
     "beta",
@@ -36,8 +37,6 @@ __all__ = [
     "poly_B",
     "poly_C1",
     "poly_C2",
-    "RegionPolyValues",
-    "eval_region_polys",
     "eval_u_prime",
     "u_prime_a2",
     "Section3Report",
@@ -49,17 +48,15 @@ __all__ = [
     "trace_curves",
 ]
 
-# nominal critical shape value (find_a_c recomputes it with an error bar)
-A_C_NOMINAL = 0.664
-
 # positive root of g1: x^2 = (-9 + sqrt(96))/15; above it g1 > 0 and the
 # gamma = 0 locus cannot exist
 X_G1_ROOT = math.sqrt((-9.0 + math.sqrt(96.0)) / 15.0)
 
 
 def _horner_x2(x2, coeffs_low_to_high):
-    """Polynomial in x^2, Horner form, lowest coefficient first."""
-    acc = np.zeros_like(np.asarray(x2, dtype=float))
+    """Polynomial in x^2, Horner form, lowest coefficient first; exact when
+    x2 and the coefficients are Fractions and ints."""
+    acc = 0 * x2
     for c in reversed(coeffs_low_to_high):
         acc = acc * x2 + c
     return acc
@@ -103,33 +100,43 @@ def gamma_poly(a, x):
     return g1(x) * (15.0 * x2 * x2 + 36.0 * a * x2) + g2(a, x)
 
 
+# coefficient of s^i a^j in gamma, s = x^2: its rows give gamma as a quartic
+# in s at fixed a, its columns as a quartic in a at fixed s
+_GAMMA_SA = np.array([
+    [0, 0, 4, 32, 64],
+    [0, -36, 360, 288, 0],
+    [-15, 648, 564, 0, 0],
+    [270, 540, 0, 0, 0],
+    [225, 0, 0, 0, 0],
+], dtype=float)
+
+
+def _gamma_coeffs(a) -> np.ndarray:
+    """gamma as a polynomial in s = x^2 (low to high), one column per a."""
+    return _GAMMA_SA @ np.asarray(a, dtype=float) ** np.arange(5)[:, None]
+
+
 def alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
-    return x * _alpha_tilde_reduced(a, x * x)
+    return x * _horner_x2(x * x, _alpha_tilde_coeffs(a))
 
 
-def _alpha_tilde_reduced(a, x2):
-    """alpha_tilde / x as a polynomial in x^2."""
-    c0 = -6.0 * a - 48.0 * a**3
-    c1 = 14.0 + 18.0 * a - 144.0 * a * a - 16.0 * a**3
-    c2 = -42.0 - 162.0 * a - 48.0 * a * a
-    c3 = -6.0 - 42.0 * a
-    return _horner_x2(x2, [c0, c1, c2, c3, -30.0])
+def _alpha_tilde_coeffs(a) -> list:
+    """alpha_tilde / x as a polynomial in x^2 (low to high)."""
+    return [-6.0 * a - 48.0 * a**3, 14.0 + 18.0 * a - 144.0 * a * a - 16.0 * a**3,
+            -42.0 - 162.0 * a - 48.0 * a * a, -6.0 - 42.0 * a, -30.0]
 
 
 def beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _beta_tilde_reduced(a, x2)
+    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner_x2(x2, _beta_tilde_coeffs(a))
 
 
-def _beta_tilde_reduced(a, x2):
-    """beta_tilde / sqrt(a+1) as a polynomial in x^2."""
-    return _horner_x2(
-        x2,
-        [a - 2.0 * a * a, -2.0 - 2.0 * a - 6.0 * a * a, 6.0 - 15.0 * a, -12.0],
-    )
+def _beta_tilde_coeffs(a) -> list:
+    """beta_tilde / sqrt(a+1) as a polynomial in x^2 (low to high)."""
+    return [a - 2.0 * a * a, -2.0 - 2.0 * a - 6.0 * a * a, 6.0 - 15.0 * a, -12.0]
 
 
 def gamma_tilde_coeffs(a) -> np.ndarray:
@@ -151,12 +158,7 @@ def gamma_tilde_coeffs(a) -> np.ndarray:
 
 
 def gamma_tilde(a, x):
-    x2 = np.asarray(x, dtype=float) ** 2
-    coeffs = gamma_tilde_coeffs(a)
-    acc = np.zeros_like(x2 + coeffs[0])
-    for i in range(6, -1, -1):
-        acc = acc * x2 + coeffs[i]
-    return acc
+    return _horner_x2(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a))
 
 
 # ---- a = 2 positivity chain -------------------------------------------------
@@ -198,36 +200,6 @@ def u_prime_a2(x):
     r = np.sqrt(x * x + 2.0)
     denom_core = (x * x + 2.0) ** 2 * (poly_A(x) + poly_B(x))
     return -0.375 * (poly_C1(x) * r + poly_C2(x)) / (r * denom_core**2)
-
-
-@dataclass(frozen=True)
-class RegionPolyValues:
-    a: float
-    x: float
-    alpha: float
-    beta: float
-    g1: float
-    g2: float
-    gamma: float
-    alpha_tilde: float
-    beta_tilde: float
-    gamma_tilde: float
-
-
-def eval_region_polys(a: float, x: float) -> RegionPolyValues:
-    """All sign-analysis polynomials at one point."""
-    return RegionPolyValues(
-        a=a,
-        x=x,
-        alpha=float(alpha(a, x)),
-        beta=float(beta(a, x)),
-        g1=float(g1(x)),
-        g2=float(g2(a, x)),
-        gamma=float(gamma_poly(a, x)),
-        alpha_tilde=float(alpha_tilde(a, x)),
-        beta_tilde=float(beta_tilde(a, x)),
-        gamma_tilde=float(gamma_tilde(a, x)),
-    )
 
 
 def eval_u_prime(a, x):
@@ -304,15 +276,49 @@ def verify_section3_positivity(x_grid: np.ndarray | None = None) -> Section3Repo
 
 # ---- critical values ---------------------------------------------------------
 
+# a root counts as real when its imaginary part is below this, relative: at a
+# fold a double root comes out split by about sqrt(eps), maybe off the axis
+_ROOT_TOL = 1e-6
 
-def _sup_u_prime(a: float, n_scan: int = 4000, x_hi: float = 5.0) -> float:
-    x = np.linspace(x_hi / n_scan, x_hi, n_scan)
-    v = eval_u_prime(a, x)
-    i = int(np.argmax(v))
-    lo = x[max(i - 1, 0)]
-    hi = x[min(i + 1, n_scan - 1)]
-    fine = np.linspace(lo, hi, 2001)
-    return max(float(v[i]), float(eval_u_prime(a, fine).max()))
+# the tilde curves live in the (z, a) plane, z = x^2/a, on this window of z
+_Z_WINDOW = (0.0, 4.0)
+
+# Integer factors of disc_s of the curve polynomials (low to high in a), found
+# with sympy's factor_list.  At a root of the factor two real roots of the
+# curve meet and leave the real axis; the last such root ends the curve.
+_GAMMA_FOLD = (1, 66, -2436, 6760)
+_ALPHA_TILDE_FOLD = (1715, -588, -88896, -253892, 3975, -4728, 398)
+_GAMMA_TILDE_FOLD = (295, 3390, 751812, -790006, 160852605, -512297472, 405514240)
+
+
+def _real_roots(coeffs, lo: float, hi: float) -> list[np.ndarray]:
+    """Sorted real roots in [lo, hi] of the polynomials whose coefficients
+    (low to high) run down the columns of coeffs, one array per column, from
+    the eigenvalues of their stacked companion matrices."""
+    c = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
+    deg = c.shape[0] - 1
+    comp = np.zeros((c.shape[1], deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -(c[:-1] / c[-1]).T
+    lam = np.linalg.eigvals(comp)
+    real = np.abs(lam.imag) <= _ROOT_TOL * (1.0 + np.abs(lam.real))
+    keep = real & (lam.real >= lo) & (lam.real <= hi)
+    return [np.sort(row.real[k]) for row, k in zip(lam, keep)]
+
+
+def _in_z(coeffs_in_s, a) -> list:
+    """Coefficients in s = a z turned into coefficients in z."""
+    return [c * a**k for k, c in enumerate(coeffs_in_s(a))]
+
+
+def _fold(factor, coeffs_at, lo: float, hi: float) -> float:
+    """The largest root in (0, 1] of an integer discriminant factor at which
+    the curve polynomial coeffs_at(a) has a real double root in [lo, hi]."""
+    candidates = _real_roots(factor, 0.0, 1.0)[0][::-1]
+    for a, roots in zip(candidates, _real_roots(coeffs_at(candidates), lo, hi)):
+        if np.any(np.diff(roots) <= _ROOT_TOL * (1.0 + np.abs(roots[1:]))):
+            return float(a)
+    raise BracketError(f"no root of the factor {factor} is a fold on [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -325,29 +331,27 @@ class ACResult:
         return self.a_c
 
 
-def find_a_c(
-    bracket: tuple[float, float] = (0.3, 1.0),
-    tol: float = 1e-4,
-    n_scan: int = 4000,
-    x_hi: float = 5.0,
-) -> ACResult:
+def find_a_c() -> ACResult:
     """Critical shape value: the infimum of a for which u'(x; a) < 0 at every
-    x > 0, located by bisection on the sign of sup_x u' (dense scan plus
-    local refinement).  The bisection width is reported, never hidden."""
-    lo, hi = bracket
-    s_lo = _sup_u_prime(lo, n_scan, x_hi)
-    s_hi = _sup_u_prime(hi, n_scan, x_hi)
-    if not (s_lo > 0.0 > s_hi):
-        raise BracketError(
-            f"sup u' does not change sign on [{lo}, {hi}]: {s_lo:.3e}, {s_hi:.3e}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _sup_u_prime(mid, n_scan, x_hi) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ACResult(a_c=0.5 * (lo + hi), width=hi - lo, bracket=(lo, hi))
+    x > 0.  There gamma_tilde gains a real double root, so a_c is the root of
+    gamma_tilde's degree-6 discriminant factor that is a fold of the
+    gamma_tilde curve.  It is polished by Newton steps in exact rational
+    arithmetic, rounded to a double after each step; the bracket is its two
+    neighbouring doubles, at which the factor's exact signs must differ."""
+    r = _fold(_GAMMA_TILDE_FOLD, lambda a: _in_z(gamma_tilde_coeffs, a), *_Z_WINDOW)
+    p = _GAMMA_TILDE_FOLD
+    dp = [k * c for k, c in enumerate(p)][1:]
+    for _ in range(3):  # the eigenvalue is good to ~1e-15; Newton squares that
+        t = Fraction(r)
+        r = float(t - _horner_x2(t, p) / _horner_x2(t, dp))
+    lo, hi = math.nextafter(r, 0.0), math.nextafter(r, 1.0)
+    if (_horner_x2(Fraction(lo), p) > 0) == (_horner_x2(Fraction(hi), p) > 0):
+        raise BracketError(f"the a_c factor does not change sign on [{lo!r}, {hi!r}]")
+    return ACResult(a_c=r, width=hi - lo, bracket=(lo, hi))
+
+
+# critical shape value: at or below it monotone convergence is not guaranteed
+A_C = find_a_c().a_c
 
 
 def find_a_g(g: float) -> float:
@@ -359,61 +363,6 @@ def find_a_g(g: float) -> float:
 
 
 # ---- curve tracing ------------------------------------------------------------
-
-
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(fn, grid: np.ndarray) -> list[float]:
-    """All bisected roots between sign changes of fn sampled on grid."""
-    vals = fn(grid)
-    roots = []
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        roots.append(_bisect(lambda t: float(fn(np.asarray([t]))[0]), float(grid[i]), float(grid[i + 1])))
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
-    return sorted(roots)
-
-
-def _largest_a_with_root(fn_of_a_grid, a_hi: float = 0.5, a_lo: float = 1e-6) -> float:
-    """Binary search for the largest a in (a_lo, a_hi] at which the sampled
-    polynomial still changes sign; returns a_lo if none is found anywhere."""
-
-    def has_root(a: float) -> bool:
-        return len(fn_of_a_grid(a)) > 0
-
-    if has_root(a_hi):
-        return a_hi
-    if not has_root(a_lo):
-        return a_lo
-    lo, hi = a_lo, a_hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if has_root(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass
@@ -447,94 +396,56 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     In the (x, a) plane: beta = 0 (exists for a < 1/2) and gamma = 0 (exists
     for small a, at x below the positive root of g1).  In the (z, a) plane
     with z = x^2/a: the zero loci of alpha_tilde, beta_tilde and gamma_tilde.
-    Each locus is sampled on a log-spaced a sweep sized so the curve itself
-    carries at least `resolution` points; sweep values with no bracketed root
-    are recorded as misses, not errors.  Also verifies the stated geometry:
-    the beta curve lies above the gamma curve, and just above each tilde
-    curve the signs are alpha_tilde < 0, beta_tilde < 0, gamma_tilde > 0.
+    Each locus is sampled on a log-spaced a sweep that ends where the curve
+    does, so it carries at least `resolution` points; sweep values with no
+    root are recorded as misses, not errors.  Also verifies the stated
+    geometry: the beta curve lies above the gamma curve, and just above each
+    tilde curve the signs are alpha_tilde < 0, beta_tilde < 0, gamma_tilde > 0.
     """
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
     curves: dict[str, list[tuple[float, float]]] = {}
-    misses: dict[str, int] = {}
+    misses: dict[str, int] = {"beta_zero": 0}
 
-    # beta = 0: root of 3x^2 + 2a - 1 in x, present exactly when a < 1/2
-    pts = []
-    miss = 0
-    for a in np.geomspace(1e-4, 0.4999, resolution):
-        try:
-            x_root = _bisect(lambda t: 3.0 * t * t + 2.0 * a - 1.0, 0.0, 1.0)
-            pts.append((float(a), x_root))
-        except BracketError:
-            miss += 1
-    curves["beta_zero"] = pts
-    misses["beta_zero"] = miss
+    # beta = 0: x = sqrt((1 - 2a)/3), present exactly when a < 1/2
+    a = np.geomspace(1e-4, 0.4999, resolution)
+    curves["beta_zero"] = [(float(p), float(q)) for p, q in zip(a, np.sqrt((1.0 - 2.0 * a) / 3.0))]
 
-    # gamma = 0: roots in x on (0, x0); find the largest a carrying a root,
-    # then sweep below it
-    x_scan = np.linspace(X_G1_ROOT * 1e-3, X_G1_ROOT * 0.9999, 400)
+    # gamma = 0: roots in s = x^2 on (0, x0^2), where g1 < 0
+    s_hi = X_G1_ROOT**2
+    a = np.geomspace(1e-5, _fold(_GAMMA_FOLD, _gamma_coeffs, 0.0, s_hi), resolution)
+    roots = _real_roots(_gamma_coeffs(a), 0.0, s_hi)
+    curves["gamma_zero"] = [(float(p), math.sqrt(s)) for p, r in zip(a, roots) for s in r]
+    misses["gamma_zero"] = sum(r.size == 0 for r in roots)
 
-    def gamma_roots(a: float) -> list[float]:
-        return _scan_roots(lambda t: gamma_poly(a, t), x_scan)
-
-    a_top = _largest_a_with_root(gamma_roots)
-    pts = []
-    miss = 0
-    for a in np.geomspace(1e-5, a_top, resolution):
-        roots = gamma_roots(float(a))
-        if not roots:
-            miss += 1
-        for x_root in roots:
-            pts.append((float(a), x_root))
-    curves["gamma_zero"] = pts
-    misses["gamma_zero"] = miss
-
-    # tilde curves in the (z, a) plane, z = x^2/a
-    z_scan = np.geomspace(1e-4, 4.0, 600)
-    reduced = {
-        "alpha_tilde_zero": lambda a, z: _alpha_tilde_reduced(a, a * z),
-        "beta_tilde_zero": lambda a, z: _beta_tilde_reduced(a, a * z),
-        "gamma_tilde_zero": lambda a, z: _horner_x2(a * z, gamma_tilde_coeffs(a).tolist()),
+    # tilde curves in the (z, a) plane: beta_tilde's root reaches z = 0 at
+    # a = 1/2, where its constant term a (1 - 2a) vanishes
+    ac = find_a_c()
+    a_top_alpha = _fold(_ALPHA_TILDE_FOLD, lambda a: _in_z(_alpha_tilde_coeffs, a), *_Z_WINDOW)
+    tilde = {  # coefficients in s, sign just above the curve, end of the sweep
+        "alpha_tilde_zero": (_alpha_tilde_coeffs, -1.0, a_top_alpha),
+        "beta_tilde_zero": (_beta_tilde_coeffs, -1.0, 0.5),
+        "gamma_tilde_zero": (gamma_tilde_coeffs, 1.0, ac.a_c),
     }
-    sign_above = {"alpha_tilde_zero": -1.0, "beta_tilde_zero": -1.0, "gamma_tilde_zero": 1.0}
     sign_violations: dict[str, int] = {}
-    for name, fn in reduced.items():
-        def roots_at(a: float, fn=fn) -> list[float]:
-            return _scan_roots(lambda z: fn(a, z), z_scan)
+    for name, (coeffs, sign_above, a_top) in tilde.items():
+        a = np.geomspace(1e-4, a_top, resolution)
+        roots = _real_roots(_in_z(coeffs, a), *_Z_WINDOW)
+        curves[name] = [(float(p), float(z)) for p, r in zip(a, roots) for z in r]
+        found = [r.size > 0 for r in roots]
+        misses[name] = found.count(False)
+        # just above the outermost root the region sign must hold
+        a_up = 1.05 * a[found]
+        probe = _horner_x2(a_up * [r[-1] for r in roots if r.size], coeffs(a_up))
+        sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
-        a_top = _largest_a_with_root(roots_at, a_hi=1.0)
-        pts = []
-        miss = 0
-        bad = 0
-        for a in np.geomspace(1e-4, a_top, resolution):
-            roots = roots_at(float(a))
-            if not roots:
-                miss += 1
-                continue
-            for z_root in roots:
-                pts.append((float(a), z_root))
-            # just above the outermost root the region sign must hold
-            z_top = roots[-1]
-            probe = fn(float(a) * 1.05, np.asarray([z_top]))[0]
-            if probe * sign_above[name] < 0.0:
-                bad += 1
-        curves[name] = pts
-        misses[name] = miss
-        sign_violations[name] = bad
+    # geometry of the (x, a) curves: beta curve above gamma curve, with
+    # gamma as a quartic in a at fixed x
+    x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, max(resolution, 200))
+    a_gamma = _real_roots(_GAMMA_SA.T @ (x * x) ** np.arange(5)[:, None], 1e-9, 1.0)
+    a_beta = (1.0 - 3.0 * x * x) / 2.0
+    ordering_bad = sum(bool(r.size == 0 or not ab > r[-1]) for ab, r in zip(a_beta, a_gamma))
 
-    # geometry of the (x, a) curves: beta curve above gamma curve
-    ordering_bad = 0
-    for x in np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, max(resolution, 200)):
-        a_beta = (1.0 - 3.0 * x * x) / 2.0
-        try:
-            a_gamma = _bisect(lambda a: float(gamma_poly(a, x)), 1e-9, 1.0)
-        except BracketError:
-            ordering_bad += 1
-            continue
-        if not a_beta > a_gamma:
-            ordering_bad += 1
-
-    ac = find_a_c(tol=1e-4)
     return RegionReport(
         resolution=resolution,
         curves=curves,

@@ -39,7 +39,7 @@ from .quadrature import (
     nested_origin,
     nested_tail,
 )
-from .region import A_C_NOMINAL
+from .region import A_C
 from .trial import Grid, TrialFunction, build_trial
 
 __all__ = [
@@ -250,9 +250,9 @@ def solve(
     if grid is None:
         grid = Grid()
     report = SolveReport(params=p, bc=bc, grid=grid, rule_kind=rule_kind, tol=tol)
-    if p.a <= A_C_NOMINAL:
+    if p.a <= A_C:
         msg = (
-            f"a = {p.a} is at or below the critical shape value ~{A_C_NOMINAL}; "
+            f"a = {p.a} is at or below the critical shape value {A_C:.9f}; "
             "monotone convergence is not guaranteed"
         )
         warnings.warn(msg, OutsideRegionWarning)

@@ -196,7 +196,7 @@ def test_criterion_6_factorization_identities():
 
 
 def test_criterion_7_critical_shape_value():
-    res = find_a_c(tol=1e-4)
+    res = find_a_c()
     ok = 0.654 <= res.a_c <= 0.674 and res.width <= 1e-3
     record("7 (critical value)", ok, f"a_c = {res.a_c:.4f}, width {res.width:.1e}")
 

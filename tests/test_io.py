@@ -1,5 +1,6 @@
 """Deterministic report writers: float precision, schema lines, structure."""
 
+import csv
 import json
 
 import pytest
@@ -42,3 +43,12 @@ def test_csv_preamble_and_rows(tmp_path):
     assert lines[0].startswith("# schema=gdwell-csv-v1")
     assert lines[1] == "a,b"
     assert lines[2:] == ["1,2", "3,4"]
+
+
+def test_csv_cell_with_comma_reads_back_intact(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), {"g": 1.0}, ["a", "note"], [["1", "p, q"], ["2", "r"]])
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()  # schema/config comment line
+        rows = list(csv.reader(fh))
+    assert rows == [["a", "note"], ["1", "p, q"], ["2", "r"]]

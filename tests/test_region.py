@@ -2,13 +2,15 @@
 the a=2 positivity chain, critical values, and curve tracing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdwell import BracketError, PotentialParams
+from gdwell import PotentialParams, region
 from gdwell.closed_forms import eval_u
 from gdwell.region import (
     X_G1_ROOT,
@@ -16,7 +18,6 @@ from gdwell.region import (
     alpha_tilde,
     beta,
     beta_tilde,
-    eval_region_polys,
     eval_u_prime,
     find_a_c,
     find_a_g,
@@ -30,7 +31,6 @@ from gdwell.region import (
     trace_curves,
     u_prime_a2,
     verify_section3_positivity,
-    _sup_u_prime,
 )
 
 finite_a = st.floats(min_value=1e-3, max_value=5.0, allow_nan=False)
@@ -40,13 +40,26 @@ finite_x = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 class TestPolynomials:
     def test_values_at_origin(self):
         for a in (0.3, 1.0, 2.0, 4.5):
-            v = eval_region_polys(a, 0.0)
-            assert v.alpha == pytest.approx(8.0 * a * a + 2.0 * a, rel=1e-14)
-            assert v.beta == 0.0
-            assert v.gamma_tilde == pytest.approx(
+            assert float(alpha(a, 0.0)) == pytest.approx(8.0 * a * a + 2.0 * a, rel=1e-14)
+            assert float(beta(a, 0.0)) == 0.0
+            assert float(gamma_tilde(a, 0.0)) == pytest.approx(
                 a**3 * (64.0 - 192.0 * a + 256.0 * a**3), rel=1e-13
             )
-        assert eval_region_polys(2.0, 0.0).alpha == 36.0
+        assert float(alpha(2.0, 0.0)) == 36.0
+
+    def test_gamma_table_matches_gamma_poly(self):
+        # the (s, a) coefficient table behind the gamma curve and the
+        # ordering check, read along both of its axes
+        rng = np.random.default_rng(13)
+        a = rng.uniform(1e-3, 2.0, 2000)
+        x = rng.uniform(0.0, 2.0, 2000)
+        ref = gamma_poly(a, x)
+        scale = np.abs(ref) + 1.0
+        in_s = np.polynomial.polynomial.polyval(x * x, region._gamma_coeffs(a), tensor=False)
+        in_a = np.polynomial.polynomial.polyval(a, region._GAMMA_SA.T @ np.vstack(
+            [(x * x) ** k for k in range(5)]), tensor=False)
+        assert float(np.max(np.abs(in_s - ref) / scale)) <= 1e-12
+        assert float(np.max(np.abs(in_a - ref) / scale)) <= 1e-12
 
     def test_g2_positive(self):
         a_vals = np.geomspace(1e-3, 10.0, 200)
@@ -161,18 +174,27 @@ class TestSection3:
 
 class TestCriticalValues:
     def test_a_c_bracket_and_width(self):
-        res = find_a_c(tol=1e-4)
+        res = find_a_c()
         assert 0.654 <= res.a_c <= 0.674
         assert res.width <= 1e-3
         assert 0.5 < res.a_c < 0.8
 
-    def test_sup_signs_at_bracket_probes(self):
-        assert _sup_u_prime(1.0) < 0.0
-        assert _sup_u_prime(0.3) > 0.0
+    def test_a_c_is_the_polished_sextic_root(self):
+        res = find_a_c()
+        assert res.a_c == 0.663770717811756
+        assert region.A_C == res.a_c
+        lo, hi = res.bracket
+        assert lo < res.a_c < hi
+        assert 0.0 < res.width == hi - lo <= 1e-15
 
-    def test_bad_bracket_raises(self):
-        with pytest.raises(BracketError):
-            find_a_c(bracket=(1.0, 2.0))
+        def sextic(t):
+            return sum(c * Fraction(t) ** k for k, c in enumerate(region._GAMMA_TILDE_FOLD))
+
+        assert (sextic(lo) > 0) != (sextic(hi) > 0)
+        # and sup u' changes sign across it
+        x = np.linspace(1e-3, 5.0, 20001)
+        assert float(eval_u_prime(res.a_c - 1e-6, x).max()) > 0.0
+        assert float(eval_u_prime(res.a_c + 1e-6, x).max()) < 0.0
 
     def test_a_g_values(self):
         assert find_a_g(1.0) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
@@ -187,6 +209,41 @@ class TestCriticalValues:
 @pytest.fixture(scope="module")
 def report():
     return trace_curves(resolution=60)
+
+
+def _exact_in_s(coeffs_at, a, s):
+    """A curve polynomial in s whose coefficients are integer polynomials in
+    a of degree <= 7, recovered exactly from the package's coefficient
+    function by interpolation at a = 0..7."""
+    cols = [[float(np.ravel(c)[0]) for c in coeffs_at(float(i))] for i in range(8)]
+    return sp.Poly(sum(
+        sp.interpolate([(i, sp.Integer(round(col[k]))) for i, col in enumerate(cols)], a) * s**k
+        for k in range(len(cols[0]))), s)
+
+
+# the scan-and-bisect code these roots replace found a_c in a bracket of
+# width 8.5e-5 and the gamma fold at 0.0417631688; its 600-point z scan
+# skips root pairs closer than one sample, so it stopped 2.8e-6 short of
+# the alpha_tilde fold, at 0.1177274195
+@pytest.mark.parametrize("curve, coeffs_at, frozen, bisected, tol", [
+    ("gamma_zero", region._gamma_coeffs, region._GAMMA_FOLD, 0.0417631688, 1e-8),
+    ("alpha_tilde_zero", region._alpha_tilde_coeffs, region._ALPHA_TILDE_FOLD,
+     0.1177274195, 1e-5),
+    ("gamma_tilde_zero", region.gamma_tilde_coeffs, region._GAMMA_TILDE_FOLD,
+     0.66380005, 8.5e-5),
+])
+def test_fold_factors_rederived_with_sympy(report, curve, coeffs_at, frozen, bisected, tol):
+    a, s = sp.symbols("a s")
+    disc = sp.discriminant(_exact_in_s(coeffs_at, a, s))
+    factors = [sp.Poly(f, a) for f, _ in sp.factor_list(disc)[1]]
+    # the sweep ends where the curve does
+    fold = max(p for p, _ in report.curves[curve])
+    if curve == "gamma_tilde_zero":
+        assert fold == find_a_c().a_c
+    (factor,) = [f for f in factors
+                 if any(abs(complex(r) - fold) < 1e-12 for r in f.nroots(n=30))]
+    assert tuple(factor.all_coeffs()[::-1]) == frozen
+    assert abs(fold - bisected) <= tol
 
 
 class TestCurves:
@@ -224,6 +281,23 @@ class TestCurves:
     def test_report_carries_a_c(self, report):
         assert 0.5 < report.a_c < 0.8
         assert report.a_c_width <= 1e-3
+
+    def test_no_sweep_sample_misses_its_curve(self, report):
+        assert all(v == 0 for v in report.misses.values())
+
+    def test_close_root_pair_is_found(self):
+        # at a = 0.0488 gamma_tilde has two roots in z that no sample of a
+        # 600-point geometric z scan separates
+        a = 0.0488
+        (roots,) = region._real_roots(region._in_z(gamma_tilde_coeffs, a), 0.0, 4.0)
+        pair = roots[np.abs(roots - 0.45) < 0.01]
+        assert len(pair) == 2
+        z_scan = np.geomspace(1e-4, 4.0, 600)
+        assert not np.any((z_scan > pair[0]) & (z_scan < pair[1]))
+        for z in pair:
+            below = gamma_tilde(a, math.sqrt(a * z * (1.0 - 1e-9)))
+            above = gamma_tilde(a, math.sqrt(a * z * (1.0 + 1e-9)))
+            assert below * above < 0.0
 
 
 def test_default_resolution_meets_density_contract():

@@ -2,6 +2,7 @@
 boundary-value exactness, hierarchy checking, and failure modes."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestSolve:
         with pytest.warns(OutsideRegionWarning):
             rep = solve(p, Grid(4.0, 400), max_iter=2, tol=0.0)
         assert rep.warnings
+
+    def test_warning_threshold_is_a_c(self):
+        # a_c = 0.66377...: just above it no warning, just below it one
+        def region_warnings(a):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve(PotentialParams(2.0, a), Grid(4.0, 200), max_iter=1, tol=0.0)
+            return [w for w in caught if issubclass(w.category, OutsideRegionWarning)]
+
+        assert not region_warnings(0.6639)
+        assert region_warnings(0.6637)
 
     def test_positivity_loss_deep_outside_region(self):
         # far outside, the iterate turns negative and the run must stop

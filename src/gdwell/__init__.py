@@ -29,7 +29,7 @@ from .errors import (
     PositivityLossError,
 )
 from .oracle import OracleConfig, OracleResult, oracle_ground_state, peak_census
-from .quadrature import PanelSamples, QuadratureRule, integrate, nested_origin, nested_tail
+from .quadrature import PanelSamples, QuadratureRule, nested_origin, nested_tail
 from .region import (
     ACResult,
     RegionReport,
@@ -46,7 +46,7 @@ from .solver import (
     check_hierarchy,
     solve,
 )
-from .trial import Grid, LogGridFunction, TrialFunction, build_trial, trial_log_ratio
+from .trial import Grid, TrialFunction, build_trial
 
 __version__ = "0.1.0"
 
@@ -62,13 +62,10 @@ __all__ = [
     "eval_ghat",
     "eval_w",
     "Grid",
-    "LogGridFunction",
     "TrialFunction",
     "build_trial",
-    "trial_log_ratio",
     "PanelSamples",
     "QuadratureRule",
-    "integrate",
     "nested_tail",
     "nested_origin",
     "BoundaryCondition",

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_KEYS = ("g", "a", "bc", "x_max", "n_points", "tol", "max_iter", "out", "format")
+# the keys that decide the computed numbers; where and how a run is written
+# (out, format) stay out of file preambles, so one run gives one file content
+_RUN_KEYS = ("g", "a", "bc", "x_max", "n_points", "tol", "max_iter")
+_CONFIG_KEYS = _RUN_KEYS + ("out", "format")
+# JSON types a config file may give for each RunConfig field type
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "str | None": (str, type(None))}
 
 
 @dataclass
@@ -53,7 +58,8 @@ class RunConfig:
     format: str = "json"
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _CONFIG_KEYS}
+        """The run keys, as written to CSV preambles."""
+        return {k: getattr(self, k) for k in _RUN_KEYS}
 
 
 def _load_run_config(args) -> RunConfig:
@@ -61,10 +67,16 @@ def _load_run_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, got {data!r}")
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        types = {f.name: f.type for f in fields(RunConfig)}
         for k, v in data.items():
+            # bool is an int subclass in Python, but true is never a number here
+            if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[types[k]]):
+                raise ValueError(f"config key {k!r} must be {types[k]}, got {v!r}")
             setattr(cfg, k, v)
     for k in _CONFIG_KEYS:
         v = getattr(args, k, None)

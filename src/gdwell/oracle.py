@@ -1,20 +1,19 @@
 """Independent reference ground-state solver.
 
 Discretizes -(1/2) d^2/dx^2 + V on [-L, L] with Dirichlet ends using
-second-order central differences, locates the smallest eigenvalue of the
-symmetric tridiagonal matrix by Sturm-sequence bisection, recovers the
-eigenvector by shifted inverse iteration, and estimates the discretization
-error from a grid doubling (Richardson).  Nothing here touches the trial
+second-order central differences, takes the smallest eigenpair of the
+symmetric tridiagonal matrix from LAPACK (``stebz`` Sturm-sequence bisection
+for the eigenvalue, ``stein`` inverse iteration for the eigenvector, through
+``scipy.linalg.eigh_tridiagonal``), and estimates the discretization error
+from a grid doubling (Richardson).  Nothing here touches the trial
 function or the iteration; this solver exists purely to validate them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .closed_forms import PotentialParams, eval_potential
 from .errors import DiscretizationError
@@ -25,12 +24,10 @@ __all__ = ["OracleConfig", "OracleResult", "oracle_ground_state", "PeakReport", 
 @dataclass(frozen=True)
 class OracleConfig:
     """L: half-domain (must exceed the iteration grid's x_max); n: requested
-    interior point count (rounded up to odd so x=0 is a node); the method tag
-    is fixed."""
+    interior point count (rounded up to odd so x=0 is a node)."""
 
     L: float = 6.0
     n: int = 4000
-    method: str = "finite-difference"
 
     def __post_init__(self):
         if self.n < 500:
@@ -50,73 +47,22 @@ class OracleResult:
     energy_fine: float
 
 
-def _sturm_count_below(diag: list[float], off2: float, lam: float) -> int:
-    """Number of eigenvalues below lam, via the LDL^T pivot sign count.
-
-    off2 is the squared (constant) off-diagonal entry.  Zero pivots are
-    nudged by a tiny amount, the standard safeguard.
-    """
-    count = 0
-    q = diag[0] - lam
-    if q < 0.0:
-        count = 1
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        if q == 0.0:
-            q = tiny
-        q = (diag[i] - lam) - off2 / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _smallest_eigenvalue(diag: np.ndarray, off: float) -> float:
-    """Sturm-sequence bisection for the smallest eigenvalue."""
-    d = diag.tolist()
-    off2 = off * off
-    lo = 0.0  # H = (positive kinetic) + (nonnegative diagonal) => spectrum >= 0
-    hi = 1.0
-    while _sturm_count_below(d, off2, hi) < 1:
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover
-            raise RuntimeError("failed to bracket the smallest eigenvalue")
-    target = 1e-13
-    while hi - lo > target * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _sturm_count_below(d, off2, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _inverse_iteration(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
-    """Eigenvector by inverse iteration at a slightly shifted eigenvalue."""
-    m = diag.size
-    shift = lam * (1.0 - 1e-10) - 1e-14
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1, :] = diag - shift
-    ab[2, :-1] = off
-    v = np.ones(m)
-    v /= math.sqrt(m)
-    for _ in range(3):
-        v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
-    # deterministic sign: positive at the center
-    if v[m // 2] < 0.0:
-        v = -v
-    return v
-
-
 def _solve_once(p: PotentialParams, L: float, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smallest eigenpair of the order-m finite-difference Hamiltonian."""
+    # imported here so that `import gdwell` and the solve, table and region
+    # commands never load scipy, which costs more to import than the package
+    from scipy.linalg import eigh_tridiagonal
+
     h = 2.0 * L / (m + 1)
     x = -L + h * np.arange(1, m + 1)
     diag = 1.0 / h**2 + eval_potential(p, x)
     off = -0.5 / h**2
-    lam = _smallest_eigenvalue(diag, off)
-    psi = _inverse_iteration(diag, off, lam)
-    return lam, x, psi
+    lam, vec = eigh_tridiagonal(diag, np.full(m - 1, off), select="i", select_range=(0, 0))
+    psi = vec[:, 0]
+    # deterministic sign: positive at the center
+    if psi[m // 2] < 0.0:
+        psi = -psi
+    return float(lam[0]), x, psi
 
 
 def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> OracleResult:

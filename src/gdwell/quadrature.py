@@ -17,7 +17,6 @@ intermediates once 2 g |S0| per window grows large).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +28,6 @@ from .trial import Grid, TrialFunction
 __all__ = [
     "PanelSamples",
     "QuadratureRule",
-    "integrate",
     "integrate_against_phi2",
     "nested_tail",
     "nested_origin",
@@ -67,60 +65,21 @@ def _as_panel_samples(grid: Grid, values) -> PanelSamples:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite rule on the two-panel grid: 'simpson' (default) or 'trapezoid'.
+    """Composite rule on the two-panel grid.
 
-    For plain integrals the Simpson rule uses the classic 1,4,2,...,4,1 panel
-    weights; the nested operators use the matching interval family (cubic
-    4-point intervals for 'simpson', 2-point for 'trapezoid') so cumulative
-    values exist at every node at the same order of accuracy.
+    Every interval [x_k, x_{k+1}] is integrated with the cubic through the
+    four nearest nodes (exact on cubics, the open-ended counterpart of
+    composite Simpson), so cumulative values exist at every node at the same
+    order of accuracy.
     """
 
     grid: Grid
-    kind: str = "simpson"
-
-    def __post_init__(self):
-        if self.kind not in ("simpson", "trapezoid"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-
-    def panel_weights(self, panel: int) -> np.ndarray:
-        n = self.grid.n_per_panel
-        h = self.grid.panel_h(panel)
-        w = np.empty(n + 1)
-        if self.kind == "simpson":
-            w[0] = w[-1] = h / 3.0
-            w[1:-1:2] = 4.0 * h / 3.0
-            w[2:-1:2] = 2.0 * h / 3.0
-        else:
-            w[:] = h
-            w[0] = w[-1] = h / 2.0
-        return w
 
 
-def integrate(rule: QuadratureRule, values) -> float:
-    """Composite quadrature of node samples over [0, x_max].
-
-    `values` is either a flat array over all nodes (continuous integrand) or
-    a PanelSamples pair (two-sided values at x=1).  Summation uses math.fsum,
-    so the result is exactly rounded and bit-reproducible.
-    """
-    samples = _as_panel_samples(rule.grid, values)
-    terms = []
-    for panel, y in enumerate(samples):
-        w = rule.panel_weights(panel)
-        terms.extend((w * y).tolist())
-    return math.fsum(terms)
-
-
-def _interval_integrals(y: np.ndarray, h: float, kind: str) -> np.ndarray:
-    """Integral of the sampled function over each interval [x_k, x_{k+1}].
-
-    'simpson' uses the cubic interpolant through the four nearest nodes
-    (exact on cubics, the open-ended counterpart of composite Simpson);
-    'trapezoid' uses the chord.
-    """
+def _interval_integrals(y: np.ndarray, h: float) -> np.ndarray:
+    """Integral of the sampled function over each interval [x_k, x_{k+1}],
+    from the cubic interpolant through the four nearest nodes."""
     n = y.size - 1
-    if kind == "trapezoid" or n < 3:
-        return 0.5 * h * (y[:-1] + y[1:])
     out = np.empty(n)
     out[0] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
     out[-1] = h * (y[n - 3] - 5.0 * y[n - 2] + 19.0 * y[n - 1] + 9.0 * y[n]) / 24.0
@@ -131,12 +90,8 @@ def _interval_integrals(y: np.ndarray, h: float, kind: str) -> np.ndarray:
 def _guard_exponents(dlp: np.ndarray) -> None:
     # stencils reach at most three intervals, so the largest folded exponent
     # is a sum of at most three adjacent log-phi^2 increments
-    if dlp.size == 0:
-        return
-    worst = float(np.max(np.abs(dlp)))
-    if dlp.size >= 3:
-        tri = np.abs(dlp[:-2] + dlp[1:-1] + dlp[2:])
-        worst = max(worst, float(np.max(tri)))
+    tri = np.abs(dlp[:-2] + dlp[1:-1] + dlp[2:])
+    worst = max(float(np.max(np.abs(dlp))), float(np.max(tri)))
     if worst > MAX_FOLDED_EXPONENT:
         raise OverflowGuardError(
             f"folded log-ratio exponent {worst:.1f} exceeds +{MAX_FOLDED_EXPONENT:g}; "
@@ -144,9 +99,7 @@ def _guard_exponents(dlp: np.ndarray) -> None:
         )
 
 
-def _scaled_interval_integrals(
-    y: np.ndarray, lp: np.ndarray, h: float, kind: str
-) -> np.ndarray:
+def _scaled_interval_integrals(y: np.ndarray, lp: np.ndarray, h: float) -> np.ndarray:
     """Interval integrals of y * phi^2, each scaled by phi^2(left node).
 
     y holds plain samples, lp the log of phi at the same nodes; the phi^2
@@ -157,8 +110,6 @@ def _scaled_interval_integrals(
     dlp = 2.0 * np.diff(lp)
     _guard_exponents(dlp)
     up = np.exp(dlp)  # phi^2(k+1)/phi^2(k)
-    if kind == "trapezoid" or n < 3:
-        return 0.5 * h * (y[:-1] + y[1:] * up)
     out = np.empty(n)
     e01 = up[0]
     e02 = up[0] * up[1]
@@ -171,16 +122,15 @@ def _scaled_interval_integrals(
         * (y[n - 3] * em3 - 5.0 * y[n - 2] * em2 + 19.0 * y[n - 1] + 9.0 * y[n] * up[n - 1])
         / 24.0
     )
-    if n > 2:
-        k = np.arange(1, n - 1)
-        prev = np.exp(-dlp[k - 1])          # phi^2(k-1)/phi^2(k)
-        nxt = up[k]                         # phi^2(k+1)/phi^2(k)
-        nxt2 = np.exp(dlp[k] + dlp[k + 1])  # phi^2(k+2)/phi^2(k)
-        out[1:-1] = (
-            h
-            * (-y[k - 1] * prev + 13.0 * y[k] + 13.0 * y[k + 1] * nxt - y[k + 2] * nxt2)
-            / 24.0
-        )
+    k = np.arange(1, n - 1)
+    prev = np.exp(-dlp[k - 1])          # phi^2(k-1)/phi^2(k)
+    nxt = up[k]                         # phi^2(k+1)/phi^2(k)
+    nxt2 = np.exp(dlp[k] + dlp[k + 1])  # phi^2(k+2)/phi^2(k)
+    out[1:-1] = (
+        h
+        * (-y[k - 1] * prev + 13.0 * y[k] + 13.0 * y[k + 1] * nxt - y[k + 2] * nxt2)
+        / 24.0
+    )
     return out
 
 
@@ -191,7 +141,7 @@ def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> fl
     total = 0.0
     for panel, y in enumerate(samples):
         lp = t.log_phi[rule.grid.panel_slice(panel)]
-        iv = _scaled_interval_integrals(y, lp, rule.grid.panel_h(panel), rule.kind)
+        iv = _scaled_interval_integrals(y, lp, rule.grid.panel_h(panel))
         # un-scale each interval by its anchor; exponents are <= 0 by the
         # peak normalization, so this can only underflow, never overflow
         total += float(np.sum(iv * np.exp(2.0 * lp[:-1])))
@@ -208,7 +158,7 @@ def _suffix_scaled(t: TrialFunction, rule: QuadratureRule, samples: PanelSamples
         sl = grid.panel_slice(panel)
         lp = t.log_phi[sl]
         y = samples[panel]
-        iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel), rule.kind)
+        iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel))
         up = np.exp(2.0 * np.diff(lp)).tolist()
         ivl = iv.tolist()
         seg = [0.0] * (y.size)
@@ -222,7 +172,7 @@ def _suffix_scaled(t: TrialFunction, rule: QuadratureRule, samples: PanelSamples
     return tt
 
 
-def _node_cumulative(grid: Grid, tt: np.ndarray, kind: str, suffix: bool) -> np.ndarray:
+def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
     (suffix=True) or from 0 up (suffix=False), chained across the panels."""
     out = np.empty(grid.n_points)
@@ -230,7 +180,7 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, kind: str, suffix: bool) -> np.
         carry = 0.0
         for panel in (1, 0):
             sl = grid.panel_slice(panel)
-            iv = _interval_integrals(tt[sl], grid.panel_h(panel), kind)
+            iv = _interval_integrals(tt[sl], grid.panel_h(panel))
             rev = np.concatenate([[0.0], np.cumsum(iv[::-1])])[::-1]
             out[sl] = rev + carry
             carry = out[sl.start]
@@ -238,7 +188,7 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, kind: str, suffix: bool) -> np.
         carry = 0.0
         for panel in (0, 1):
             sl = grid.panel_slice(panel)
-            iv = _interval_integrals(tt[sl], grid.panel_h(panel), kind)
+            iv = _interval_integrals(tt[sl], grid.panel_h(panel))
             out[sl] = np.concatenate([[0.0], np.cumsum(iv)]) + carry
             carry = out[sl.stop - 1]
     return out
@@ -250,7 +200,7 @@ def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray
     exactly, which pins the boundary value of the iterates."""
     samples = _as_panel_samples(rule.grid, h_samples)
     tt = _suffix_scaled(t, rule, samples)
-    return _node_cumulative(rule.grid, tt, rule.kind, suffix=True)
+    return _node_cumulative(rule.grid, tt, suffix=True)
 
 
 def nested_origin(
@@ -275,8 +225,8 @@ def nested_origin(
         total = 0.0
         for panel, y in enumerate(samples):
             lp = t.log_phi[grid.panel_slice(panel)]
-            iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel), rule.kind)
+            iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel))
             total += float(np.sum(iv * np.exp(2.0 * lp[:-1])))
         with np.errstate(over="ignore"):
             btilde = total * np.exp(-2.0 * t.log_phi) - tt
-    return _node_cumulative(grid, btilde, rule.kind, suffix=False)
+    return _node_cumulative(grid, btilde, suffix=False)

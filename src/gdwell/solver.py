@@ -44,7 +44,6 @@ from .trial import Grid, TrialFunction, build_trial
 
 __all__ = [
     "BoundaryCondition",
-    "IterationState",
     "HierarchyViolation",
     "SolveReport",
     "w_samples",
@@ -66,14 +65,6 @@ class BoundaryCondition(enum.Enum):
     II = "II"
 
 
-@dataclass
-class IterationState:
-    n: int
-    f: np.ndarray
-    curly_E: float
-    E: float
-
-
 @dataclass(frozen=True)
 class HierarchyViolation:
     check: str
@@ -89,9 +80,7 @@ class SolveReport:
     params: PotentialParams
     bc: BoundaryCondition
     grid: Grid
-    rule_kind: str
     tol: float
-    states: list[IterationState] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)   # E_0 = g*E0 first
     curly_energies: list[float] = field(default_factory=list)
     f_history: list[np.ndarray] = field(default_factory=list)  # f_1, f_2, ...
@@ -131,7 +120,7 @@ class SolveReport:
                 "bc": self.bc.value,
                 "x_max": self.grid.x_max,
                 "n_per_panel": self.grid.n_per_panel,
-                "rule": self.rule_kind,
+                "rule": "simpson",  # the one rule; the key stays for schema v1
                 "tol": self.tol,
             },
             "derived": {
@@ -235,7 +224,6 @@ def solve(
     bc: BoundaryCondition = BoundaryCondition.II,
     max_iter: int = 20,
     tol: float = 1e-6,
-    rule_kind: str = "simpson",
 ) -> SolveReport:
     """Run the iteration from f_0 = 1 until |E_n - E_{n-1}| < tol or max_iter.
 
@@ -249,7 +237,7 @@ def solve(
         bc = BoundaryCondition(bc)
     if grid is None:
         grid = Grid()
-    report = SolveReport(params=p, bc=bc, grid=grid, rule_kind=rule_kind, tol=tol)
+    report = SolveReport(params=p, bc=bc, grid=grid, tol=tol)
     if p.a <= A_C:
         msg = (
             f"a = {p.a} is at or below the critical shape value {A_C:.9f}; "
@@ -259,9 +247,9 @@ def solve(
         report.warnings.append(msg)
 
     t = build_trial(p, grid)
-    rule = QuadratureRule(grid, rule_kind)
+    rule = QuadratureRule(grid)
     w = w_samples(p, grid)
-    report.psi0 = t.psi0.values()
+    report.psi0 = t.psi0
 
     g_e0 = p.g * p.E0
     report.energies.append(g_e0)
@@ -279,7 +267,6 @@ def solve(
                     f"{ratio:.2e} of the peak inner integral (> {TAIL_RATIO_BOUND:g}); "
                     "increase x_max"
                 )
-        report.states.append(IterationState(n=n, f=f_prev, curly_E=curly, E=g_e0 - curly))
         report.curly_energies.append(curly)
         report.energies.append(g_e0 - curly)
         report.f_history.append(f_prev)

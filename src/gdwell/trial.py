@@ -3,8 +3,8 @@
 The grid puts x = 1 exactly on a node shared by two uniform panels [0, 1]
 and [1, x_max], so the downward jump of the mixing term never sits inside a
 quadrature stencil.  The trial function spans a dynamic range of order
-exp(-2 g S0(x_max)) (e^-120 and beyond), so it is stored as (sign, log
-magnitude) per node and all ratios are formed from log differences.
+exp(-2 g S0(x_max)) (e^-120 and beyond), and it is positive, so it is stored
+as its logarithm per node and all ratios are formed from log differences.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import closed_forms as cf
 from .closed_forms import PotentialParams
 from .errors import GridError
 
-__all__ = ["Grid", "LogGridFunction", "TrialFunction", "build_trial", "trial_log_ratio"]
+__all__ = ["Grid", "TrialFunction", "build_trial"]
 
 
 @dataclass(frozen=True)
@@ -81,59 +81,23 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class LogGridFunction:
-    """Grid samples stored as sign * exp(log_mag).
-
-    Ratios must be formed as sign ratios times exp(log_mag difference); two
-    separate exponentials would overflow/underflow long before the ratio does.
-    """
-
-    grid: Grid
-    log_mag: np.ndarray
-    sign: np.ndarray
-
-    def __post_init__(self):
-        if self.log_mag.shape != self.grid.nodes.shape or self.sign.shape != self.grid.nodes.shape:
-            raise GridError("log_mag/sign arrays must match the grid nodes")
-
-    def values(self) -> np.ndarray:
-        """Reconstructed values; underflows to 0 harmlessly in the far tail."""
-        return self.sign * np.exp(self.log_mag)
-
-    def value(self, i: int) -> float:
-        return float(self.sign[i]) * math.exp(float(self.log_mag[i]))
-
-    def ratio(self, i: int, j: int) -> float:
-        """value(i) / value(j) via a single exponential of the log difference."""
-        if self.sign[j] == 0:
-            raise ZeroDivisionError("ratio against a zero sample")
-        return float(self.sign[i] * self.sign[j]) * math.exp(
-            float(self.log_mag[i] - self.log_mag[j])
-        )
-
-
-@dataclass(frozen=True)
 class TrialFunction:
-    """Even trial function phi and companions on the grid, in log space.
+    """Even trial function phi on the grid, in log space.
 
-    phi_plus/phi_minus are the decaying/growing branches exp(-g S0(+-x) - S1);
-    phi mixes them with coefficient Gamma below x=1 and continues as a
-    constant multiple of phi_plus above (the multiple is fixed from the node
-    values at x=1, which makes phi exactly C^1 there since S0'(+-1) = 0).
-    psi0 is phi normalized so psi0(0) = 1.  log_mag of phi peaks at exactly 0
-    to maximize floating-point headroom downstream.
+    Below x=1, phi = phi_+ (1 + Gamma phi_-/phi_+) mixes the decaying and
+    growing branches phi_+- = exp(-g S0(+-x) - S1); above, it continues as
+    phi_+ times that factor frozen at the x=1 node values, which makes phi
+    exactly C^1 there since S0'(+-1) = 0.  log_phi peaks at exactly 0 to
+    maximize floating-point headroom downstream; every phi^2 ratio is formed
+    as a single exponential of a log_phi difference.  psi0 is phi at the
+    nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
+    far tail).
     """
 
     params: PotentialParams
     grid: Grid
-    phi: LogGridFunction
-    phi_plus: LogGridFunction
-    phi_minus: LogGridFunction
-    psi0: LogGridFunction
-
-    @property
-    def log_phi(self) -> np.ndarray:
-        return self.phi.log_mag
+    log_phi: np.ndarray
+    psi0: np.ndarray
 
 
 def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
@@ -159,20 +123,5 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     match_log = math.log1p(p.Gamma * math.exp(float(log_minus[i1] - log_plus[i1])))
     log_phi[outer] = log_plus[outer] + match_log
 
-    offset = float(log_phi.max())
-    ones = np.ones_like(x, dtype=np.int8)
-    phi = LogGridFunction(grid, log_phi - offset, ones)
-    phi_plus = LogGridFunction(grid, log_plus - offset, ones)
-    phi_minus = LogGridFunction(grid, log_minus - offset, ones)
-    psi0 = LogGridFunction(grid, log_phi - log_phi[0], ones)
-    return TrialFunction(p, grid, phi, phi_plus, phi_minus, psi0)
-
-
-def trial_log_ratio(t: TrialFunction, i: int, j: int) -> float:
-    """log of phi^2(x_i)/phi^2(x_j) = 2 (log phi_i - log phi_j).
-
-    Callers fold this into quadrature weights and exponentiate once; i and j
-    are node indices.
-    """
-    lm = t.phi.log_mag
-    return 2.0 * float(lm[i] - lm[j])
+    psi0 = np.exp(log_phi - log_phi[0])
+    return TrialFunction(p, grid, log_phi - float(log_phi.max()), psi0)

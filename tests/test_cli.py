@@ -3,9 +3,14 @@ determinism, and config handling."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gdwell
 from gdwell.cli import main
 
 
@@ -73,6 +78,45 @@ class TestSolveCommand:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("bad", [
+        {"n_points": "2000"},
+        {"n_points": 2000.0},
+        {"n_points": True},
+        {"g": True},
+        {"g": "1"},
+        {"bc": 2},
+        {"format": None},
+        {"out": 1.5},
+        [1.0, 2.0],
+    ], ids=repr)
+    def test_config_value_of_wrong_type_exit_2(self, capsys, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_config_file_takes_int_for_float_and_null_out(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": 1, "a": 2, "out": None}))
+        code, out, _ = run(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        assert out.split()[:2] == ["1.7321", "1.0163"]
+
+    def test_same_run_to_two_paths_gives_identical_csv(self, capsys, tmp_path):
+        # the preamble holds the run keys, not where or how the run is written
+        for d in ("d1", "d2"):
+            (tmp_path / d).mkdir()
+            code, _, _ = run(capsys, "solve", "--n-points", "400", "--format", "csv",
+                             "--out", str(tmp_path / d / "s.csv"),
+                             "--dump-psi", str(tmp_path / d / "psi.csv"))
+            assert code == 0
+        for name in ("s.csv", "psi.csv"):
+            b1 = (tmp_path / "d1" / name).read_bytes()
+            assert b1 == (tmp_path / "d2" / name).read_bytes()
+            assert b1.startswith(b"# schema=gdwell-csv-v1 g=1.0,a=2.0,bc=II,x_max=4.0,"
+                                 b"n_points=400,tol=1e-06,max_iter=20\n")
+
     def test_psi_dump(self, capsys, tmp_path):
         out = tmp_path / "psi.csv"
         code, _, _ = run(capsys, "solve", "--g", "1", "--a", "2", "--bc", "II",
@@ -84,6 +128,23 @@ class TestSolveCommand:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1.0  # psi0(0)
         assert abs(float(first[4]) - 1.0) < 1e-12  # oracle psi normalized at 0
+
+
+def test_import_solve_and_region_never_load_scipy(tmp_path):
+    # only the oracle needs scipy; it is imported when the oracle first runs
+    code = (
+        "import sys, gdwell, gdwell.cli\n"
+        "assert gdwell.cli.main(['solve', '--n-points', '200']) == 0\n"
+        f"assert gdwell.cli.main(['region', '--resolution', '50', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(gdwell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
 class TestTableCommand:

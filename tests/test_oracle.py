@@ -1,11 +1,11 @@
-"""Reference eigensolver: the exactly solvable case, a library cross-check
-of the Sturm bisection, evenness, and shape classification."""
+"""Reference eigensolver: the exactly solvable case, a dense cross-check of
+the tridiagonal eigensolve, evenness, and shape classification."""
 
 import numpy as np
 import pytest
 
 from gdwell import DiscretizationError, OracleConfig, PotentialParams, oracle_ground_state
-from gdwell.oracle import _smallest_eigenvalue, peak_census
+from gdwell.oracle import _solve_once, peak_census
 
 
 class TestEigensolver:
@@ -25,7 +25,8 @@ class TestEigensolver:
         assert float(np.max(np.abs(res.psi - res.psi[::-1]))) <= 1e-8
 
     def test_sturm_bisection_against_library(self):
-        # small dense problem, compare against the direct dense eigensolve
+        # small problem: the oracle's LAPACK bisection (stebz) against the
+        # direct dense eigensolve of the same matrix, built here independently
         p = PotentialParams(1.0, 2.0)
         m = 601
         L = 6.0
@@ -33,10 +34,15 @@ class TestEigensolver:
         x = -L + h * np.arange(1, m + 1)
         diag = 1.0 / h**2 + 0.5 * (x * x - 1.0) ** 2 * (x * x + 2.0)
         off = -0.5 / h**2
-        lam = _smallest_eigenvalue(diag, off)
+        lam, x_oracle, psi = _solve_once(p, L, m)
+        np.testing.assert_array_equal(x_oracle, x)
         T = np.diag(diag) + np.diag(np.full(m - 1, off), 1) + np.diag(np.full(m - 1, off), -1)
-        ref = float(np.linalg.eigvalsh(T)[0])
-        assert lam == pytest.approx(ref, abs=1e-10)
+        evals, evecs = np.linalg.eigh(T)
+        assert lam == pytest.approx(float(evals[0]), abs=1e-10)
+        # the eigenvector (stein) with the deterministic sign: positive at x = 0
+        ref_vec = evecs[:, 0] * np.sign(evecs[m // 2, 0])
+        assert psi[m // 2] > 0.0
+        assert float(np.max(np.abs(psi - ref_vec))) <= 1e-8
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,79 +11,75 @@ from gdwell import GridMismatchError, OverflowGuardError, PotentialParams
 from gdwell.quadrature import (
     PanelSamples,
     QuadratureRule,
-    integrate,
     integrate_against_phi2,
     nested_origin,
     nested_tail,
 )
 from gdwell.quadrature import _interval_integrals
 from gdwell.solver import w_samples
-from gdwell.trial import Grid, LogGridFunction, TrialFunction, build_trial
+from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 
 
 def mock_trial(grid: Grid, log_phi: np.ndarray) -> TrialFunction:
-    ones = np.ones(grid.n_points, dtype=np.int8)
-    lgf = LogGridFunction(grid, log_phi, ones)
-    return TrialFunction(P12, grid, lgf, lgf, lgf, lgf)
+    return TrialFunction(P12, grid, log_phi, np.exp(log_phi - log_phi[0]))
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
     return mock_trial(grid, np.zeros(grid.n_points))
 
 
+def plain_integral(grid: Grid, values) -> float:
+    """Plain integral over [0, x_max]: the phi^2 integral with phi = 1."""
+    return integrate_against_phi2(flat_trial(grid), QuadratureRule(grid), values)
+
+
 class TestIntegrate:
     def test_simpson_exact_on_cubics_unit_panel(self):
         g = Grid(4.0, 64)
-        rule = QuadratureRule(g)
-        vals = PanelSamples(g.panel_nodes(0) ** 3, np.zeros(g.n_per_panel + 1))
-        assert integrate(rule, vals) == pytest.approx(0.25, abs=1e-15)
+        x = g.panel_nodes(0)
+        iv = _interval_integrals(x**3, g.panel_h(0))
+        # every interval, end stencils included, and the panel total
+        np.testing.assert_allclose(iv, (x[1:] ** 4 - x[:-1] ** 4) / 4.0, rtol=0.0, atol=1e-15)
+        assert float(iv.sum()) == pytest.approx(0.25, abs=1e-15)
 
     def test_constant(self):
         g = Grid(4.0, 64)
-        assert integrate(QuadratureRule(g), np.ones(g.n_points)) == pytest.approx(4.0, abs=1e-13)
+        assert plain_integral(g, np.ones(g.n_points)) == pytest.approx(4.0, abs=1e-13)
 
     def test_gaussian_against_known_integral(self):
         # x_max = 5 so the neglected analytic tail (~1.4e-11) sits below the
         # 1e-8 bar; at x_max = 4 the tail alone is 1.4e-8
         g = Grid(5.0, 2000)
-        got = integrate(QuadratureRule(g), np.exp(-g.nodes**2))
+        got = plain_integral(g, np.exp(-g.nodes**2))
         assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
 
     def test_weights_sum_to_panel_lengths(self):
         g = Grid(4.0, 100)
-        for kind in ("simpson", "trapezoid"):
-            rule = QuadratureRule(g, kind)
-            assert float(rule.panel_weights(0).sum()) == pytest.approx(1.0, abs=1e-13)
-            assert float(rule.panel_weights(1).sum()) == pytest.approx(3.0, abs=1e-13)
-
-    def test_trapezoid_exact_on_linear(self):
-        g = Grid(3.0, 16)
-        rule = QuadratureRule(g, "trapezoid")
-        assert integrate(rule, 2.0 * g.nodes) == pytest.approx(9.0, abs=1e-13)
+        for panel, length in ((0, 1.0), (1, 3.0)):
+            ones = np.ones(g.n_per_panel + 1)
+            total = float(_interval_integrals(ones, g.panel_h(panel)).sum())
+            assert total == pytest.approx(length, abs=1e-13)
 
     def test_mismatched_samples_rejected(self):
         g = Grid(4.0, 64)
         rule = QuadratureRule(g)
+        t = flat_trial(g)
         with pytest.raises(GridMismatchError):
-            integrate(rule, np.ones(g.n_points + 1))
+            integrate_against_phi2(t, rule, np.ones(g.n_points + 1))
         with pytest.raises(GridMismatchError):
-            integrate(rule, PanelSamples(np.ones(3), np.ones(3)))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(Grid(4.0, 16), "gauss")
+            integrate_against_phi2(t, rule, PanelSamples(np.ones(3), np.ones(3)))
 
     def test_interval_rule_total_matches_simpson_order(self):
-        # both composite schemes integrate smooth functions at O(h^4)
+        # the cubic interval rule integrates smooth functions at O(h^4), with
+        # and without phi^2 folded into its stencils
         g = Grid(4.0, 512)
         y = np.sin(g.nodes)
-        rule = QuadratureRule(g)
         exact = 1.0 - math.cos(4.0)
-        assert integrate(rule, y) == pytest.approx(exact, abs=1e-10)
+        assert plain_integral(g, y) == pytest.approx(exact, abs=1e-10)
         total = sum(
-            _interval_integrals(y[g.panel_slice(p)], g.panel_h(p), "simpson").sum()
+            _interval_integrals(y[g.panel_slice(p)], g.panel_h(p)).sum()
             for p in (0, 1)
         )
         assert total == pytest.approx(exact, abs=1e-10)
@@ -137,7 +133,7 @@ class TestNestedOperators:
 
         phi2 = {p: np.exp(2.0 * t.log_phi[g.panel_slice(p)]) for p in (0, 1)}
         iv_parts = [
-            _interval_integrals(h_samp[p] * phi2[p], g.panel_h(p), "simpson") for p in (0, 1)
+            _interval_integrals(h_samp[p] * phi2[p], g.panel_h(p)) for p in (0, 1)
         ]
         # T at each node of each panel by full re-summation
         t_nodes = np.empty(g.n_points)
@@ -156,13 +152,13 @@ class TestNestedOperators:
         F_naive = np.empty(g.n_points)
         for p in (0, 1):
             sl = g.panel_slice(p)
-            iv2 = _interval_integrals(tt[sl], g.panel_h(p), "simpson")
+            iv2 = _interval_integrals(tt[sl], g.panel_h(p))
             n = g.n_per_panel
             for j in range(n + 1):
                 val = iv2[j:].sum()
                 if p == 0:
                     val += _interval_integrals(
-                        tt[g.panel_slice(1)], g.panel_h(1), "simpson"
+                        tt[g.panel_slice(1)], g.panel_h(1)
                     ).sum()
                 F_naive[sl.start + j] = val
         scale = np.abs(F).max()

@@ -24,15 +24,13 @@ from gdwell.solver import (
     solve,
     w_samples,
 )
-from gdwell.trial import Grid, LogGridFunction, TrialFunction, build_trial
+from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
-    ones = np.ones(grid.n_points, dtype=np.int8)
-    lgf = LogGridFunction(grid, np.zeros(grid.n_points), ones)
-    return TrialFunction(P12, grid, lgf, lgf, lgf, lgf)
+    return TrialFunction(P12, grid, np.zeros(grid.n_points), np.ones(grid.n_points))
 
 
 def const_samples(grid: Grid, c: float) -> PanelSamples:

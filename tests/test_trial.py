@@ -7,12 +7,17 @@ import pytest
 
 from conftest import one_sided_deriv5
 from gdwell import ConvergenceDomainError, GridError, PotentialParams
-from gdwell.closed_forms import eval_S0, eval_S1
+from gdwell.closed_forms import eval_S0, eval_S0_mirror, eval_S1
 from gdwell.quadrature import QuadratureRule
 from gdwell.solver import energy_step, w_samples
-from gdwell.trial import Grid, LogGridFunction, build_trial, trial_log_ratio
+from gdwell.trial import Grid, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
+
+
+def branch_log_ratio(p: PotentialParams, x) -> np.ndarray:
+    """log(phi_-/phi_+) = -g (S0(-x) - S0(x)); the S1 factors cancel."""
+    return -p.g * (eval_S0_mirror(p, x) - eval_S0(p, x))
 
 
 class TestGrid:
@@ -35,23 +40,6 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(4.0, 4)   # too few for the cubic stencils
 
-    def test_log_grid_function_ratio(self):
-        g = Grid(4.0, 16)
-        lgf = LogGridFunction(g, np.linspace(0.0, -300.0, g.n_points),
-                              np.ones(g.n_points, dtype=np.int8))
-        # ratio across a 300-e-fold range must not overflow/underflow
-        r = lgf.ratio(0, g.n_points - 1)
-        assert r == pytest.approx(math.exp(300.0), rel=1e-12)
-
-    def test_ratio_against_zero_sample_rejected(self):
-        g = Grid(4.0, 16)
-        sign = np.ones(g.n_points, dtype=np.int8)
-        sign[3] = 0
-        lgf = LogGridFunction(g, np.zeros(g.n_points), sign)
-        assert lgf.value(3) == 0.0
-        with pytest.raises(ZeroDivisionError):
-            lgf.ratio(0, 3)
-
 
 class TestBuildTrial:
     def test_requires_positive_mixing(self):
@@ -59,31 +47,26 @@ class TestBuildTrial:
             build_trial(PotentialParams(0.5, 2.0), Grid(4.0, 16))
 
     def test_branches_coincide_at_origin(self):
-        t = build_trial(P12, Grid(4.0, 200))
-        assert t.phi_minus.log_mag[0] == pytest.approx(t.phi_plus.log_mag[0], abs=1e-13)
+        assert float(branch_log_ratio(P12, 0.0)) == pytest.approx(0.0, abs=1e-13)
 
     def test_branch_ratio_at_one(self):
-        t = build_trial(P12, Grid(4.0, 200))
-        i1 = t.grid.i_one
-        got = math.exp(float(t.phi_minus.log_mag[i1] - t.phi_plus.log_mag[i1]))
+        got = math.exp(float(branch_log_ratio(P12, 1.0)))
         expect = math.exp(2.0 * float(eval_S0(P12, 1.0) - eval_S0(P12, 0.0)))
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(0.13876, abs=1e-4)
 
     def test_branch_ratio_decreasing_inside_well(self):
-        t = build_trial(P12, Grid(4.0, 500))
-        sl = t.grid.panel_slice(0)
-        log_ratio = t.phi_minus.log_mag[sl] - t.phi_plus.log_mag[sl]
+        log_ratio = branch_log_ratio(P12, Grid(4.0, 500).panel_nodes(0))
         assert float(np.diff(log_ratio).max()) < 0.0
 
     def test_phi_positive_and_peak_normalized(self):
         t = build_trial(P12, Grid())
-        assert np.all(t.phi.sign == 1)
-        assert float(t.phi.log_mag.max()) == 0.0
+        assert np.all(np.isfinite(t.log_phi))  # phi = exp(log_phi) > 0
+        assert float(t.log_phi.max()) == 0.0
 
     def test_psi0_normalization_and_peak(self):
         t = build_trial(P12, Grid())
-        psi0 = t.psi0.values()
+        psi0 = t.psi0
         assert psi0[0] == 1.0
         i = int(np.argmax(psi0))
         x_peak = float(t.grid.nodes[i])
@@ -94,13 +77,13 @@ class TestBuildTrial:
 
     def test_phi_prime_zero_at_origin(self):
         t = build_trial(P12, Grid())
-        ph = t.phi.values()
+        ph = np.exp(t.log_phi)
         d0 = one_sided_deriv5(ph[:5], t.grid.h_inner, forward=True)
         assert abs(d0) <= 1e-8 * ph[0]
 
     def test_c1_continuity_at_matching_point(self):
         t = build_trial(P12, Grid())
-        ph = t.phi.values()
+        ph = np.exp(t.log_phi)
         i1 = t.grid.i_one
         d_left = one_sided_deriv5(ph[i1 - 4 : i1 + 1][::-1], t.grid.h_inner, forward=True)
         d_right = one_sided_deriv5(ph[i1 : i1 + 5], t.grid.h_outer, forward=True)
@@ -109,21 +92,17 @@ class TestBuildTrial:
     def test_value_continuity_at_matching_point_is_exact(self):
         t = build_trial(P12, Grid(4.0, 64))
         # the outer branch is pinned to the inner value at the shared node
-        inner_val = t.phi.log_mag[t.grid.i_one]
-        outer_first = t.phi.log_mag[t.grid.panel_slice(1)][0]
+        inner_val = t.log_phi[t.grid.i_one]
+        outer_first = t.log_phi[t.grid.panel_slice(1)][0]
         assert inner_val == outer_first
 
 
 class TestTrialLogRatio:
-    def test_identity(self):
-        t = build_trial(P12, Grid(4.0, 64))
-        assert trial_log_ratio(t, 10, 10) == 0.0
-
     def test_decay_beyond_the_well(self):
         t = build_trial(P12, Grid(4.0, 600))
         i3 = int(np.argmin(np.abs(t.grid.nodes - 3.0)))
         i2 = int(np.argmin(np.abs(t.grid.nodes - 2.0)))
-        assert trial_log_ratio(t, i3, i2) < 0.0
+        assert 2.0 * (t.log_phi[i3] - t.log_phi[i2]) < 0.0
 
     def test_matches_direct_evaluation_at_moderate_x(self):
         t = build_trial(P12, Grid(4.0, 600))
@@ -134,7 +113,7 @@ class TestTrialLogRatio:
                 -2.0 * P12.g * float(eval_S0(P12, xz) - eval_S0(P12, xy))
                 - 2.0 * float(eval_S1(P12, xz) - eval_S1(P12, xy))
             )
-            got = math.exp(trial_log_ratio(t, i + 1, i))
+            got = math.exp(2.0 * float(t.log_phi[i + 1] - t.log_phi[i]))
             assert got == pytest.approx(direct, rel=1e-12)
 
 

@@ -2,21 +2,41 @@
 nested double-integral operators used by the iteration, stabilized in log
 space.
 
-The nested operators never form phi^2 or 1/phi^2 directly.  The inner
-integral is carried as T~(y) = T(y)/phi^2(y) via a backward recurrence that
-re-anchors the log reference at every node,
+Nothing here forms phi^2 or 1/phi^2 directly.  Each interval integral of
+h phi^2 over [x_k, x_{k+1}] is carried scaled by phi^2(x_k), with the phi^2
+ratios of its stencil folded into single exponentials of log differences
+between nodes at most three intervals apart; an overflow guard trips if any
+of those exponents exceeds MAX_FOLDED_EXPONENT.  These stencil factors, and
+the anchors phi^2(x_k) that un-scale the interval integrals for the phi^2
+integral, depend only on the trial function: they are built once per
+TrialFunction, on first use, and kept on it.
 
-    T~_k = T~_{k+1} * exp(2(L_{k+1}-L_k)) + iv~_k ,
+The inner integral of the nested operators is split at the phi^2 peak so that
+it is always summed from the side where phi^2 is small, and never formed as a
+difference against the peak mass (whose rounding, divided by phi^2 far from
+the peak, would be amplified by up to e^{+2 g |S0|}):
 
-where iv~_k is the interval integral of h phi^2 over [x_k, x_{k+1}] scaled by
-phi^2(x_k).  Every exponent that is actually evaluated is a log difference
-between nodes at most three intervals apart, so nothing can overflow no
-matter how deep the well (window-based anchoring would underflow its
-intermediates once 2 g |S0| per window grows large).
+    right of the peak   suffix(x_k) = integral_{x_k}^{x_max} h phi^2 / phi^2(x_k)
+    left of the peak    prefix(x_k) = integral_0^{x_k} h phi^2 / phi^2(x_k)
+
+Both are blocked scans: contiguous runs of nodes whose 2 log phi lies in one
+band [m M, (m+1) M), M = MAX_FOLDED_EXPONENT, are summed by one numpy cumsum
+in the units of e^{m M}, and the running sum is carried to the next band by a
+factor e^{+-M}.  No exponent the scan evaluates exceeds 2 M, however deep the
+well, and the only Python loop runs over the bands.  The band layout and its
+exponentials are trial-only factors too.
+
+The other side of each operator is the total minus the scan.  The iteration
+zeroes the total of h phi^2 in this rule's sense through curly_E, so the
+solver passes assume_zero_total=True and gets the bounded branch; any other
+h keeps the exact total, which raises OverflowGuardError where total/phi^2
+is not a finite double.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +54,8 @@ __all__ = [
 ]
 
 MAX_FOLDED_EXPONENT = 30.0
+# log of the largest finite double
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class PanelSamples(NamedTuple):
@@ -99,77 +121,190 @@ def _guard_exponents(dlp: np.ndarray) -> None:
         )
 
 
-def _scaled_interval_integrals(y: np.ndarray, lp: np.ndarray, h: float) -> np.ndarray:
-    """Interval integrals of y * phi^2, each scaled by phi^2(left node).
+class _Stencil(NamedTuple):
+    """Trial-only factors of one panel's scaled interval stencils (n
+    intervals): phi^2 ratios between nearby nodes, and the anchors phi^2(x_k)
+    relative to the peak for k < n."""
 
-    y holds plain samples, lp the log of phi at the same nodes; the phi^2
-    ratios are folded into the stencil weights through single exponentials of
-    nearby-node log differences.
-    """
-    n = y.size - 1
+    up: np.ndarray    # phi^2(k+1)/phi^2(k), k < n
+    prev: np.ndarray  # phi^2(k-1)/phi^2(k), 1 <= k <= n-2
+    nxt2: np.ndarray  # phi^2(k+2)/phi^2(k), 1 <= k <= n-2
+    e02: float        # phi^2(2)/phi^2(0)
+    e03: float        # phi^2(3)/phi^2(0)
+    em2: float        # phi^2(n-2)/phi^2(n-1)
+    em3: float        # phi^2(n-3)/phi^2(n-1)
+    anchor: np.ndarray
+
+
+def _stencil(lp: np.ndarray) -> _Stencil:
+    n = lp.size - 1
     dlp = 2.0 * np.diff(lp)
     _guard_exponents(dlp)
-    up = np.exp(dlp)  # phi^2(k+1)/phi^2(k)
-    out = np.empty(n)
-    e01 = up[0]
+    up = np.exp(dlp)
     e02 = up[0] * up[1]
-    e03 = e02 * up[2]
-    out[0] = h * (9.0 * y[0] + 19.0 * y[1] * e01 - 5.0 * y[2] * e02 + y[3] * e03) / 24.0
-    em3 = np.exp(-(dlp[n - 2] + dlp[n - 3]))  # phi^2(n-3)/phi^2(n-1)
-    em2 = np.exp(-dlp[n - 2])
+    return _Stencil(
+        up=up,
+        prev=np.exp(-dlp[0 : n - 2]),
+        nxt2=np.exp(dlp[1 : n - 1] + dlp[2:n]),
+        e02=e02,
+        e03=e02 * up[2],
+        em2=np.exp(-dlp[n - 2]),
+        em3=np.exp(-(dlp[n - 2] + dlp[n - 3])),
+        # exponents are <= 0 by the peak normalization, so this can only
+        # underflow, never overflow
+        anchor=np.exp(2.0 * lp[:-1]),
+    )
+
+
+class _Scan(NamedTuple):
+    """Layout of one blocked scan out_i = sum_{j<=i} c_j exp(l2c_j - l2n_i):
+    each block shares one anchor A = m M, its band's lower edge."""
+
+    into: np.ndarray  # exp(l2c_j - A) of term j's block, in [1, e^M)
+    out: np.ndarray   # exp(A - l2n_i) of output i's block, in (e^{-2M}, e^M]
+    blocks: list[tuple[int, int, float]]  # (start, stop, exp(A_previous - A))
+
+
+def _scan_layout(l2c: np.ndarray, l2n: np.ndarray) -> _Scan:
+    band = np.floor(l2c / MAX_FOLDED_EXPONENT)
+    anchor = band * MAX_FOLDED_EXPONENT
+    starts = np.flatnonzero(np.diff(band, prepend=np.nan))  # 0 and each band change
+    stops = [*starts[1:].tolist(), l2c.size]
+    # adjacent bands differ by one, as the guard caps every step of 2 log phi
+    # at M; the first block has nothing to carry
+    carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
+    return _Scan(np.exp(l2c - anchor), np.exp(anchor - l2n),
+                 list(zip(starts.tolist(), stops, carry)))
+
+
+def _run_scan(c: np.ndarray, scan: _Scan) -> np.ndarray:
+    x = c * scan.into
+    carry = 0.0
+    for start, stop, factor in scan.blocks:
+        seg = x[start:stop]
+        seg[0] += carry * factor
+        np.cumsum(seg, out=seg)
+        carry = seg[-1]
+    x *= scan.out
+    return x
+
+
+class _Factors(NamedTuple):
+    """Everything the rule needs from one trial function: the two panels'
+    stencil factors, the phi^2 peak node and the layouts of the prefix scan
+    (left of the peak) and of the suffix scan (from the peak on, in reverse
+    node order)."""
+
+    stencils: tuple[_Stencil, _Stencil]
+    peak: int
+    prefix: _Scan
+    suffix: _Scan
+
+
+def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
+    """The trial-only factors of t, built on first use and kept on t."""
+    if (rule.grid.x_max, rule.grid.n_per_panel) != (t.grid.x_max, t.grid.n_per_panel):
+        raise GridMismatchError(
+            f"rule grid ({rule.grid.x_max}, {rule.grid.n_per_panel}) differs from "
+            f"the trial function's ({t.grid.x_max}, {t.grid.n_per_panel})"
+        )
+    if t.quadrature_factors is None:
+        grid = t.grid
+        stencils = tuple(_stencil(t.log_phi[grid.panel_slice(p)]) for p in (0, 1))
+        l2 = 2.0 * t.log_phi
+        peak = int(np.argmax(l2))
+        m = max(peak - 1, 0)
+        tail = l2[peak:-1][::-1]
+        object.__setattr__(t, "quadrature_factors", _Factors(
+            stencils, peak, _scan_layout(l2[:m], l2[1 : m + 1]), _scan_layout(tail, tail)
+        ))
+    return t.quadrature_factors
+
+
+def _scaled_interval_integrals(y: np.ndarray, s: _Stencil, h: float) -> np.ndarray:
+    """Interval integrals of y * phi^2, each scaled by phi^2(left node), with
+    the phi^2 ratios folded into the stencil weights."""
+    n = y.size - 1
+    out = np.empty(n)
+    out[0] = h * (9.0 * y[0] + 19.0 * y[1] * s.up[0] - 5.0 * y[2] * s.e02 + y[3] * s.e03) / 24.0
     out[-1] = (
         h
-        * (y[n - 3] * em3 - 5.0 * y[n - 2] * em2 + 19.0 * y[n - 1] + 9.0 * y[n] * up[n - 1])
+        * (y[n - 3] * s.em3 - 5.0 * y[n - 2] * s.em2 + 19.0 * y[n - 1] + 9.0 * y[n] * s.up[n - 1])
         / 24.0
     )
-    k = np.arange(1, n - 1)
-    prev = np.exp(-dlp[k - 1])          # phi^2(k-1)/phi^2(k)
-    nxt = up[k]                         # phi^2(k+1)/phi^2(k)
-    nxt2 = np.exp(dlp[k] + dlp[k + 1])  # phi^2(k+2)/phi^2(k)
     out[1:-1] = (
         h
-        * (-y[k - 1] * prev + 13.0 * y[k] + 13.0 * y[k + 1] * nxt - y[k + 2] * nxt2)
+        * (-y[0 : n - 2] * s.prev + 13.0 * y[1 : n - 1] + 13.0 * y[2:n] * s.up[1 : n - 1]
+           - y[3 : n + 1] * s.nxt2)
         / 24.0
     )
     return out
 
 
-def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
-    """Integral of values * phi^2 over [0, x_max], with phi^2 folded in log
-    space (log phi peaks at 0, so the weights lie in (0, 1])."""
-    samples = _as_panel_samples(rule.grid, values)
+def _panel_integrals(f: _Factors, grid: Grid, samples: PanelSamples) -> list[np.ndarray]:
+    return [
+        _scaled_interval_integrals(y, s, grid.panel_h(panel))
+        for panel, (y, s) in enumerate(zip(samples, f.stencils))
+    ]
+
+
+def _total(f: _Factors, ivs: list[np.ndarray]) -> float:
     total = 0.0
-    for panel, y in enumerate(samples):
-        lp = t.log_phi[rule.grid.panel_slice(panel)]
-        iv = _scaled_interval_integrals(y, lp, rule.grid.panel_h(panel))
-        # un-scale each interval by its anchor; exponents are <= 0 by the
-        # peak normalization, so this can only underflow, never overflow
-        total += float(np.sum(iv * np.exp(2.0 * lp[:-1])))
+    for iv, s in zip(ivs, f.stencils):
+        total += float(np.sum(iv * s.anchor))
     return total
 
 
-def _suffix_scaled(t: TrialFunction, rule: QuadratureRule, samples: PanelSamples) -> np.ndarray:
-    """T~(x_k) = [integral_{x_k}^{x_max} h(z) phi^2(z) dz] / phi^2(x_k) at
-    every node, by the per-node re-anchored backward recurrence."""
-    grid = rule.grid
-    tt = np.empty(grid.n_points)
-    carry = 0.0
-    for panel in (1, 0):
-        sl = grid.panel_slice(panel)
-        lp = t.log_phi[sl]
-        y = samples[panel]
-        iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel))
-        up = np.exp(2.0 * np.diff(lp)).tolist()
-        ivl = iv.tolist()
-        seg = [0.0] * (y.size)
-        seg[-1] = carry
-        acc = carry
-        for k in range(y.size - 2, -1, -1):
-            acc = acc * up[k] + ivl[k]
-            seg[k] = acc
-        tt[sl] = seg
-        carry = seg[0]
-    return tt
+def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
+    """Integral of values * phi^2 over [0, x_max], with phi^2 folded in log
+    space (log phi peaks at 0, so the weights lie in (0, 1])."""
+    f = _factors(t, rule)
+    samples = _as_panel_samples(rule.grid, values)
+    return _total(f, _panel_integrals(f, rule.grid, samples))
+
+
+def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:
+    """prefix(x_k) at the nodes left of the phi^2 peak and suffix(x_k) from
+    the peak on, given the scaled interval integrals of both panels in node
+    order."""
+    out = np.zeros(iv.size + 1)
+    m = max(f.peak - 1, 0)
+    out[1 : m + 1] = _run_scan(iv[:m], f.prefix)
+    out[f.peak : -1] = _run_scan(iv[f.peak :][::-1], f.suffix)[::-1]
+    return out
+
+
+def _total_over_phi2(t: TrialFunction, total: float, sl: slice) -> np.ndarray | float:
+    neg_l2 = -2.0 * t.log_phi[sl]
+    if total == 0.0 or neg_l2.size == 0:
+        return 0.0
+    exponent = neg_l2 + max(0.0, math.log(abs(total)))
+    k = int(np.argmax(exponent))
+    if exponent[k] > _LOG_DBL_MAX:
+        raise OverflowGuardError(
+            f"total/phi^2 of the inner integral overflows at x = "
+            f"{t.grid.nodes[sl][k]:.4f}: exponent {exponent[k]:.1f} exceeds "
+            f"{_LOG_DBL_MAX:.1f}"
+        )
+    return total * np.exp(neg_l2)
+
+
+def _inner_scaled(
+    t: TrialFunction, rule: QuadratureRule, h_samples, tail: bool, assume_zero_total: bool
+) -> np.ndarray:
+    """The inner integral over [x, x_max] (tail) or [0, x] in units of the
+    local phi^2, at every node."""
+    f = _factors(t, rule)
+    ivs = _panel_integrals(f, rule.grid, _as_panel_samples(rule.grid, h_samples))
+    inner = _peak_split(f, np.concatenate([ivs[0], ivs[1]]))
+    # on the other side of the peak the scan covers the complement of the
+    # inner range, so the inner integral there is total minus the scan
+    other = slice(0, f.peak) if tail else slice(f.peak, None)
+    if assume_zero_total:
+        inner[other] = -inner[other]
+    else:
+        inner[other] = _total_over_phi2(t, _total(f, ivs), other) - inner[other]
+    return inner
 
 
 def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
@@ -194,13 +329,21 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     return out
 
 
-def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
+def nested_tail(
+    t: TrialFunction, rule: QuadratureRule, h_samples, *, assume_zero_total: bool = False
+) -> np.ndarray:
     """F(x) = integral_x^xmax dy/phi^2(y) integral_y^xmax h(z) phi^2(z) dz
     at every node (the tail-normalized double integral).  F(x_max) = 0
-    exactly, which pins the boundary value of the iterates."""
-    samples = _as_panel_samples(rule.grid, h_samples)
-    tt = _suffix_scaled(t, rule, samples)
-    return _node_cumulative(rule.grid, tt, suffix=True)
+    exactly, which pins the boundary value of the iterates.
+
+    Left of the phi^2 peak the inner integral is (total - prefix) in units of
+    the local phi^2.  When the caller knows the total integral of h phi^2
+    vanishes in this rule's sense (the iteration arranges exactly that), pass
+    assume_zero_total=True: the inner integral there is then -prefix, and
+    the O(eps) rounding residual of the total is not amplified by 1/phi^2.
+    """
+    inner = _inner_scaled(t, rule, h_samples, True, assume_zero_total)
+    return _node_cumulative(rule.grid, inner, suffix=True)
 
 
 def nested_origin(
@@ -209,24 +352,12 @@ def nested_origin(
     """F(x) = integral_0^x dy/phi^2(y) integral_0^y h(z) phi^2(z) dz at every
     node (the origin-normalized double integral).  F(0) = 0 exactly.
 
-    The inner prefix integral is formed as (total - tail), both carried in
-    units of the local phi^2.  When the caller knows the total integral of
-    h phi^2 vanishes in this rule's sense (the iteration arranges exactly
-    that), pass assume_zero_total=True: this selects the bounded solution
-    branch and avoids amplifying the O(eps) rounding residual of the total by
-    1/phi^2, which grows like e^{+2g|S0|} in the tail.
+    Right of the phi^2 peak the inner integral is (total - suffix) in units
+    of the local phi^2, and 1/phi^2 grows like e^{+2g|S0|} in the tail.  When
+    the caller knows the total integral of h phi^2 vanishes in this rule's
+    sense, pass assume_zero_total=True: this selects the bounded solution
+    branch, -suffix.  Otherwise OverflowGuardError is raised where
+    total/phi^2 is not a finite double.
     """
-    samples = _as_panel_samples(rule.grid, h_samples)
-    grid = rule.grid
-    tt = _suffix_scaled(t, rule, samples)
-    if assume_zero_total:
-        btilde = -tt
-    else:
-        total = 0.0
-        for panel, y in enumerate(samples):
-            lp = t.log_phi[grid.panel_slice(panel)]
-            iv = _scaled_interval_integrals(y, lp, grid.panel_h(panel))
-            total += float(np.sum(iv * np.exp(2.0 * lp[:-1])))
-        with np.errstate(over="ignore"):
-            btilde = total * np.exp(-2.0 * t.log_phi) - tt
-    return _node_cumulative(grid, btilde, suffix=False)
+    inner = _inner_scaled(t, rule, h_samples, False, assume_zero_total)
+    return _node_cumulative(rule.grid, inner, suffix=False)

@@ -183,10 +183,11 @@ def f_step(
         (w.inner - curly_e) * rule.grid.split(f_prev)[0],
         (w.outer - curly_e) * rule.grid.split(f_prev)[1],
     )
+    # curly_e zeroes the total of h phi^2 (up to rounding), so both operators
+    # take the inner integral from the side of the phi^2 peak where it is small
     if bc is BoundaryCondition.I:
-        F = nested_tail(t, rule, h)
+        F = nested_tail(t, rule, h, assume_zero_total=True)
     else:
-        # curly_e zeroes the total of h phi^2, which selects the bounded branch
         F = nested_origin(t, rule, h, assume_zero_total=True)
     f = 1.0 - 2.0 * F
     fmin = float(f.min())
@@ -230,8 +231,11 @@ def solve(
     Raises ConvergenceDomainError when the mixing coefficient is not
     positive.  When the shape parameter is at or below the critical value the
     run proceeds but an OutsideRegionWarning is issued and recorded
-    (monotone convergence is then not guaranteed).
+    (monotone convergence is then not guaranteed).  max_iter must be at
+    least 1 (ValueError otherwise).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p.require_mixing_positive()
     if isinstance(bc, str):
         bc = BoundaryCondition(bc)

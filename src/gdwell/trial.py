@@ -91,13 +91,16 @@ class TrialFunction:
     maximize floating-point headroom downstream; every phi^2 ratio is formed
     as a single exponential of a log_phi difference.  psi0 is phi at the
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
-    far tail).
+    far tail).  quadrature_factors holds what gdwell.quadrature derives from
+    log_phi alone (stencil ratios, anchors, scan layout); it builds them on
+    first use.
     """
 
     params: PotentialParams
     grid: Grid
     log_phi: np.ndarray
     psi0: np.ndarray
+    quadrature_factors: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:

@@ -40,6 +40,14 @@ class TestSolveCommand:
         assert code == 2
         assert "g*a > sqrt(1+a)" in err
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exit_2(self, capsys, tmp_path, max_iter):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "solve", "--max-iter", max_iter, "--out", str(out))
+        assert code == 2
+        assert "configuration error" in err and "max_iter" in err
+        assert not out.exists()
+
     def test_json_report_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdwell import GridMismatchError, OverflowGuardError, PotentialParams
 from gdwell.quadrature import (
@@ -15,7 +17,7 @@ from gdwell.quadrature import (
     nested_origin,
     nested_tail,
 )
-from gdwell.quadrature import _interval_integrals
+from gdwell.quadrature import _factors, _interval_integrals, _peak_split
 from gdwell.solver import w_samples
 from gdwell.trial import Grid, TrialFunction, build_trial
 
@@ -70,6 +72,8 @@ class TestIntegrate:
             integrate_against_phi2(t, rule, np.ones(g.n_points + 1))
         with pytest.raises(GridMismatchError):
             integrate_against_phi2(t, rule, PanelSamples(np.ones(3), np.ones(3)))
+        with pytest.raises(GridMismatchError):
+            integrate_against_phi2(t, QuadratureRule(Grid(5.0, 64)), np.ones(g.n_points))
 
     def test_interval_rule_total_matches_simpson_order(self):
         # the cubic interval rule integrates smooth functions at O(h^4), with
@@ -179,6 +183,20 @@ class TestNestedOperators:
         with pytest.raises(OverflowGuardError):
             nested_tail(t, rule, np.ones(g.n_points))
 
+    @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])
+    def test_total_over_phi2_overflow_raises(self, op, peak):
+        # 2 log phi falls by 9.5 per interval away from the peak, so total/phi^2
+        # on the far side of the peak reaches e^{+1200}: no finite double
+        g = Grid(4.0, 64)
+        k = np.arange(g.n_points, dtype=float)
+        dist = k if peak == "first" else k[::-1]
+        t = mock_trial(g, -4.75 * dist)
+        rule = QuadratureRule(g)
+        with pytest.raises(OverflowGuardError, match=r"at x = .*exponent"):
+            op(t, rule, np.ones(g.n_points))
+        # the zero-total branch never forms total/phi^2
+        assert np.all(np.isfinite(op(t, rule, np.ones(g.n_points), assume_zero_total=True)))
+
     def test_deterministic(self):
         g = Grid(4.0, 128)
         rule = QuadratureRule(g)
@@ -203,3 +221,61 @@ def test_grid_convergence_of_nested_outputs():
         h_samp = PanelSamples(w.inner - 0.7, w.outer - 0.7)
         vals[n] = nested_tail(t, rule, h_samp)[0]
     assert abs(vals[2000] - vals[4000]) <= 1e-7 * max(1.0, abs(vals[4000]))
+
+
+def reference_scans(log_phi: np.ndarray, iv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prefix(x_k) and suffix(x_k) at every node by per-node recurrences that
+    re-anchor at each node: suffix_k = suffix_{k+1} phi^2_{k+1}/phi^2_k + iv_k
+    and prefix_{k+1} = (prefix_k + iv_k) phi^2_k/phi^2_{k+1}."""
+    up = np.exp(2.0 * np.diff(log_phi)).tolist()
+    ivl = iv.tolist()
+    n = len(ivl)
+    suffix = [0.0] * (n + 1)
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        acc = acc * up[k] + ivl[k]
+        suffix[k] = acc
+    prefix = [0.0] * (n + 1)
+    acc = 0.0
+    for k in range(n):
+        acc = (acc + ivl[k]) / up[k]
+        prefix[k + 1] = acc
+    return np.array(prefix), np.array(suffix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 64, 128]),
+    peak=st.sampled_from(["first", "last", "x=1", "interior"]),
+    slope_left=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    slope_right=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    seed=st.integers(0, 2**16),
+)
+@example(n=128, peak="x=1", slope_left=5.0, slope_right=5.0, seed=0)
+@example(n=128, peak="first", slope_left=0.0, slope_right=5.0, seed=1)
+@example(n=128, peak="last", slope_left=5.0, slope_right=0.0, seed=2)
+def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_right, seed):
+    # 2 log phi rises by up to 9.5 per interval to the peak and falls after
+    # it (three-interval sums stay below the guard's 30); steep slopes cross
+    # a 30-wide band every few nodes and so force many blocks
+    g = Grid(4.0, n)
+    rng = np.random.default_rng(seed)
+    n_iv = g.n_points - 1
+    i_peak = {"first": 0, "last": n_iv, "x=1": g.i_one,
+              "interior": int(rng.integers(1, n_iv))}[peak]
+    rise = slope_left * (1.0 + 0.9 * rng.uniform(-1.0, 1.0, n_iv))
+    fall = slope_right * (1.0 + 0.9 * rng.uniform(-1.0, 1.0, n_iv))
+    d2 = np.where(np.arange(n_iv) < i_peak, rise, -fall)
+    log_phi = np.concatenate([[0.0], np.cumsum(d2)]) / 2.0
+    log_phi -= log_phi.max()
+    t = mock_trial(g, log_phi)
+    f = _factors(t, QuadratureRule(g))
+    if slope_left > 0.0 and slope_right > 0.0:
+        assert f.peak == i_peak
+    iv = rng.uniform(0.1, 1.0, n_iv)
+    got = _peak_split(f, iv)
+    prefix, suffix = reference_scans(log_phi, iv)
+    np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
+    if min(slope_left, slope_right) == 5.0 and n == 128:
+        assert len(f.prefix.blocks) + len(f.suffix.blocks) >= 40

@@ -152,6 +152,11 @@ class TestSolve:
             with pytest.raises(PositivityLossError):
                 solve(PotentialParams(5.0, 0.6), Grid(4.0, 200), max_iter=4, tol=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(P12, Grid(4.0, 64), max_iter=max_iter)
+
     def test_warns_on_nonconvergence(self):
         with pytest.warns(NonConvergenceWarning):
             rep = solve(P12, Grid(4.0, 200), max_iter=2, tol=1e-12)
@@ -193,6 +198,21 @@ class TestSolve:
         assert doc["schema"] == "gdwell-solve-report-v1"
         assert doc["config"]["g"] == 1.0
         assert len(doc["energies"]) == rep.iterations + 1
+
+
+# deep double wells: phi^2(0)/phi^2(peak) reaches e^-53 here, so an inner
+# integral formed from the peak side would amplify its rounding near x = 0
+STRONG_CASES = [(8.0, 12.0), (12.0, 6.0), (12.0, 12.0), (20.0, 3.0), (20.0, 6.0)]
+
+
+@pytest.mark.parametrize("bc", ["I", "II"])
+@pytest.mark.parametrize("g,a", STRONG_CASES)
+def test_strong_coupling_agrees_with_oracle(g, a, bc, oracle_cache):
+    rep = solve(PotentialParams(g, a), Grid(4.0, 8000), BoundaryCondition(bc))
+    assert rep.converged
+    assert not rep.violations, [str(v) for v in rep.violations]
+    res = oracle_cache(g, a, L=3.0, n=6000)
+    assert abs(rep.energies[-1] - res.energy) <= res.error_estimate + rep.tol
 
 
 class TestHierarchy:

@@ -29,7 +29,6 @@ from .errors import (
     PositivityLossError,
 )
 from .oracle import OracleConfig, OracleResult, oracle_ground_state, peak_census
-from .quadrature import PanelSamples, QuadratureRule, nested_origin, nested_tail
 from .region import (
     ACResult,
     RegionReport,
@@ -64,10 +63,6 @@ __all__ = [
     "Grid",
     "TrialFunction",
     "build_trial",
-    "PanelSamples",
-    "QuadratureRule",
-    "nested_tail",
-    "nested_origin",
     "BoundaryCondition",
     "SolveReport",
     "HierarchyViolation",

@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", type=float)
     s.add_argument("--bc", choices=["I", "II"])
     s.add_argument("--x-max", dest="x_max", type=float)
-    s.add_argument("--n-points", dest="n_points", type=int)
+    s.add_argument("--n-points", dest="n_points", type=int,
+                   help="intervals per panel (even, >= 8); the grid has 2n+1 nodes")
     s.add_argument("--tol", type=float)
     s.add_argument("--max-iter", dest="max_iter", type=int)
     s.add_argument("--out")

@@ -26,17 +26,16 @@ factor e^{+-M}.  No exponent the scan evaluates exceeds 2 M, however deep the
 well, and the only Python loop runs over the bands.  The band layout and its
 exponentials are trial-only factors too.
 
-The other side of each operator is the total minus the scan.  The iteration
-zeroes the total of h phi^2 in this rule's sense through curly_E, so the
-solver passes assume_zero_total=True and gets the bounded branch; any other
-h keeps the exact total, which raises OverflowGuardError where total/phi^2
-is not a finite double.
+Both nested operators take one inner integral, the tail one: the suffix sum
+from the peak on, and minus the prefix sum left of it.  That rests on one
+precondition, that the integral of h phi^2 over [0, x_max] vanishes in this
+rule's sense up to rounding; curly_E arranges exactly that for every integrand
+the iteration builds.  The total is never formed, so its rounding residual is
+never divided by phi^2, and nested_origin uses the same array negated.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,8 +53,6 @@ __all__ = [
 ]
 
 MAX_FOLDED_EXPONENT = 30.0
-# log of the largest finite double
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class PanelSamples(NamedTuple):
@@ -203,7 +200,7 @@ class _Factors(NamedTuple):
 
 def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
     """The trial-only factors of t, built on first use and kept on t."""
-    if (rule.grid.x_max, rule.grid.n_per_panel) != (t.grid.x_max, t.grid.n_per_panel):
+    if rule.grid != t.grid:
         raise GridMismatchError(
             f"rule grid ({rule.grid.x_max}, {rule.grid.n_per_panel}) differs from "
             f"the trial function's ({t.grid.x_max}, {t.grid.n_per_panel})"
@@ -248,19 +245,12 @@ def _panel_integrals(f: _Factors, grid: Grid, samples: PanelSamples) -> list[np.
     ]
 
 
-def _total(f: _Factors, ivs: list[np.ndarray]) -> float:
-    total = 0.0
-    for iv, s in zip(ivs, f.stencils):
-        total += float(np.sum(iv * s.anchor))
-    return total
-
-
 def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
     """Integral of values * phi^2 over [0, x_max], with phi^2 folded in log
     space (log phi peaks at 0, so the weights lie in (0, 1])."""
     f = _factors(t, rule)
-    samples = _as_panel_samples(rule.grid, values)
-    return _total(f, _panel_integrals(f, rule.grid, samples))
+    ivs = _panel_integrals(f, rule.grid, _as_panel_samples(rule.grid, values))
+    return sum(float(np.sum(iv * s.anchor)) for iv, s in zip(ivs, f.stencils))
 
 
 def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:
@@ -274,36 +264,15 @@ def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _total_over_phi2(t: TrialFunction, total: float, sl: slice) -> np.ndarray | float:
-    neg_l2 = -2.0 * t.log_phi[sl]
-    if total == 0.0 or neg_l2.size == 0:
-        return 0.0
-    exponent = neg_l2 + max(0.0, math.log(abs(total)))
-    k = int(np.argmax(exponent))
-    if exponent[k] > _LOG_DBL_MAX:
-        raise OverflowGuardError(
-            f"total/phi^2 of the inner integral overflows at x = "
-            f"{t.grid.nodes[sl][k]:.4f}: exponent {exponent[k]:.1f} exceeds "
-            f"{_LOG_DBL_MAX:.1f}"
-        )
-    return total * np.exp(neg_l2)
-
-
-def _inner_scaled(
-    t: TrialFunction, rule: QuadratureRule, h_samples, tail: bool, assume_zero_total: bool
-) -> np.ndarray:
-    """The inner integral over [x, x_max] (tail) or [0, x] in units of the
-    local phi^2, at every node."""
+def _inner_scaled(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
+    """The tail inner integral, integral_x^xmax h phi^2, in units of the local
+    phi^2 at every node: suffix from the peak on and -prefix left of it (the
+    total of h phi^2 is zero, so the part over [x, x_max] is minus the part
+    over [0, x])."""
     f = _factors(t, rule)
     ivs = _panel_integrals(f, rule.grid, _as_panel_samples(rule.grid, h_samples))
     inner = _peak_split(f, np.concatenate([ivs[0], ivs[1]]))
-    # on the other side of the peak the scan covers the complement of the
-    # inner range, so the inner integral there is total minus the scan
-    other = slice(0, f.peak) if tail else slice(f.peak, None)
-    if assume_zero_total:
-        inner[other] = -inner[other]
-    else:
-        inner[other] = _total_over_phi2(t, _total(f, ivs), other) - inner[other]
+    inner[: f.peak] = -inner[: f.peak]
     return inner
 
 
@@ -311,53 +280,37 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
     (suffix=True) or from 0 up (suffix=False), chained across the panels."""
     out = np.empty(grid.n_points)
-    if suffix:
-        carry = 0.0
-        for panel in (1, 0):
-            sl = grid.panel_slice(panel)
-            iv = _interval_integrals(tt[sl], grid.panel_h(panel))
-            rev = np.concatenate([[0.0], np.cumsum(iv[::-1])])[::-1]
-            out[sl] = rev + carry
-            carry = out[sl.start]
-    else:
-        carry = 0.0
-        for panel in (0, 1):
-            sl = grid.panel_slice(panel)
-            iv = _interval_integrals(tt[sl], grid.panel_h(panel))
-            out[sl] = np.concatenate([[0.0], np.cumsum(iv)]) + carry
-            carry = out[sl.stop - 1]
+    carry = 0.0
+    for panel in (1, 0) if suffix else (0, 1):
+        sl = grid.panel_slice(panel)
+        iv = _interval_integrals(tt[sl], grid.panel_h(panel))
+        cum = np.concatenate([[0.0], np.cumsum(iv[::-1] if suffix else iv)]) + carry
+        out[sl] = cum[::-1] if suffix else cum
+        carry = cum[-1]
     return out
 
 
-def nested_tail(
-    t: TrialFunction, rule: QuadratureRule, h_samples, *, assume_zero_total: bool = False
-) -> np.ndarray:
+def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
     """F(x) = integral_x^xmax dy/phi^2(y) integral_y^xmax h(z) phi^2(z) dz
     at every node (the tail-normalized double integral).  F(x_max) = 0
     exactly, which pins the boundary value of the iterates.
 
-    Left of the phi^2 peak the inner integral is (total - prefix) in units of
-    the local phi^2.  When the caller knows the total integral of h phi^2
-    vanishes in this rule's sense (the iteration arranges exactly that), pass
-    assume_zero_total=True: the inner integral there is then -prefix, and
-    the O(eps) rounding residual of the total is not amplified by 1/phi^2.
+    Precondition: the integral of h phi^2 over [0, x_max] vanishes in this
+    rule's sense, up to rounding, as it does for every integrand the
+    iteration builds.  Left of the phi^2 peak the inner integral is then
+    minus the prefix sum, so the O(eps) residual of the total is never
+    divided by phi^2.
     """
-    inner = _inner_scaled(t, rule, h_samples, True, assume_zero_total)
-    return _node_cumulative(rule.grid, inner, suffix=True)
+    return _node_cumulative(rule.grid, _inner_scaled(t, rule, h_samples), suffix=True)
 
 
-def nested_origin(
-    t: TrialFunction, rule: QuadratureRule, h_samples, *, assume_zero_total: bool = False
-) -> np.ndarray:
+def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
     """F(x) = integral_0^x dy/phi^2(y) integral_0^y h(z) phi^2(z) dz at every
     node (the origin-normalized double integral).  F(0) = 0 exactly.
 
-    Right of the phi^2 peak the inner integral is (total - suffix) in units
-    of the local phi^2, and 1/phi^2 grows like e^{+2g|S0|} in the tail.  When
-    the caller knows the total integral of h phi^2 vanishes in this rule's
-    sense, pass assume_zero_total=True: this selects the bounded solution
-    branch, -suffix.  Otherwise OverflowGuardError is raised where
-    total/phi^2 is not a finite double.
+    Precondition as for nested_tail: the integral of h phi^2 over [0, x_max]
+    vanishes up to rounding.  Right of the phi^2 peak, where 1/phi^2 grows
+    like e^{+2g|S0|}, the inner integral is then minus the suffix sum: the
+    bounded solution branch.
     """
-    inner = _inner_scaled(t, rule, h_samples, False, assume_zero_total)
-    return _node_cumulative(rule.grid, inner, suffix=False)
+    return _node_cumulative(rule.grid, -_inner_scaled(t, rule, h_samples), suffix=False)

@@ -183,12 +183,12 @@ def f_step(
         (w.inner - curly_e) * rule.grid.split(f_prev)[0],
         (w.outer - curly_e) * rule.grid.split(f_prev)[1],
     )
-    # curly_e zeroes the total of h phi^2 (up to rounding), so both operators
-    # take the inner integral from the side of the phi^2 peak where it is small
+    # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
+    # both nested operators
     if bc is BoundaryCondition.I:
-        F = nested_tail(t, rule, h, assume_zero_total=True)
+        F = nested_tail(t, rule, h)
     else:
-        F = nested_origin(t, rule, h, assume_zero_total=True)
+        F = nested_origin(t, rule, h)
     f = 1.0 - 2.0 * F
     fmin = float(f.min())
     if fmin <= 0.0:
@@ -232,10 +232,13 @@ def solve(
     positive.  When the shape parameter is at or below the critical value the
     run proceeds but an OutsideRegionWarning is issued and recorded
     (monotone convergence is then not guaranteed).  max_iter must be at
-    least 1 (ValueError otherwise).
+    least 1 and tol at least 0, where tol = 0 runs exactly max_iter
+    iterations (ValueError otherwise, also for a NaN tol).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     p.require_mixing_positive()
     if isinstance(bc, str):
         bc = BoundaryCondition(bc)

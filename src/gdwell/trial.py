@@ -25,13 +25,15 @@ __all__ = ["Grid", "TrialFunction", "build_trial"]
 class Grid:
     """Two uniform panels [0, 1] and [1, x_max] with shared node x = 1.
 
-    n_per_panel is the number of intervals in each panel (must be even so the
-    composite Simpson rule applies; >= 8 so the cubic interval stencils fit).
+    n_per_panel is the number of intervals in each panel: at least 8, so the
+    four-node cubic interval stencils fit, and even (the cubic rule does not
+    need evenness; the check keeps the set of accepted grids unchanged).
+    Grids compare and hash by (x_max, n_per_panel), as nodes follows from them.
     """
 
     x_max: float = 4.0
     n_per_panel: int = 2000
-    nodes: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_max > 1.0:
@@ -80,7 +82,7 @@ class Grid:
         return values[self.panel_slice(0)], values[self.panel_slice(1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialFunction:
     """Even trial function phi on the grid, in log space.
 
@@ -93,14 +95,14 @@ class TrialFunction:
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
     log_phi alone (stencil ratios, anchors, scan layout); it builds them on
-    first use.
+    first use.  Trial functions compare and hash by identity.
     """
 
     params: PotentialParams
     grid: Grid
     log_phi: np.ndarray
     psi0: np.ndarray
-    quadrature_factors: object = field(default=None, init=False, repr=False, compare=False)
+    quadrature_factors: object = field(default=None, init=False, repr=False)
 
 
 def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:

@@ -48,6 +48,14 @@ class TestSolveCommand:
         assert "configuration error" in err and "max_iter" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tol_exit_2(self, capsys, tmp_path, tol):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "solve", "--tol", tol, "--out", str(out))
+        assert code == 2
+        assert "configuration error" in err and "tol" in err
+        assert not out.exists()
+
     def test_json_report_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

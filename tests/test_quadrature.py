@@ -1,6 +1,6 @@
 """Quadrature layer: exactness, analytic double-integral oracles against a
-mocked trial function, the naive-summation cross-check, and the overflow
-guard."""
+mocked trial function, the naive-summation cross-check on a zero-total
+integrand, and the overflow guard."""
 
 import math
 
@@ -35,6 +35,15 @@ def flat_trial(grid: Grid) -> TrialFunction:
 def plain_integral(grid: Grid, values) -> float:
     """Plain integral over [0, x_max]: the phi^2 integral with phi = 1."""
     return integrate_against_phi2(flat_trial(grid), QuadratureRule(grid), values)
+
+
+def zero_total(t: TrialFunction, h: PanelSamples) -> PanelSamples:
+    """h - <h>_phi^2: the integrand with its phi^2-weighted mean removed, as
+    the nested operators require."""
+    rule = QuadratureRule(t.grid)
+    mean = integrate_against_phi2(t, rule, h) / integrate_against_phi2(
+        t, rule, np.ones(t.grid.n_points))
+    return PanelSamples(h.inner - mean, h.outer - mean)
 
 
 class TestIntegrate:
@@ -108,13 +117,19 @@ class TestNestedOperators:
         np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
         assert F[-1] == 0.0
 
-    def test_constant_integrand_flat_trial_origin(self):
+    def test_zero_total_linear_integrand_flat_trial(self):
+        # h = x - L/2 integrates to zero over [0, L]; the cubic rule is exact
+        # on both double integrals
         g = Grid(4.0, 200)
         rule = QuadratureRule(g)
         t = flat_trial(g)
-        c = -0.3
-        F = nested_origin(t, rule, np.full(g.n_points, c))
-        expect = c * g.nodes**2 / 2.0
+        x, L = g.nodes, g.x_max
+        F = nested_tail(t, rule, x - L / 2.0)
+        expect = L**3 / 12.0 - L * x**2 / 4.0 + x**3 / 6.0
+        np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
+        assert F[-1] == 0.0
+        F = nested_origin(t, rule, x - L / 2.0)
+        expect = x**3 / 6.0 - L * x**2 / 4.0
         np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
         assert F[0] == 0.0
 
@@ -122,8 +137,7 @@ class TestNestedOperators:
         g = Grid(4.0, 64)
         rule = QuadratureRule(g)
         t = build_trial(P12, g)
-        w = w_samples(P12, g)
-        F = nested_origin(t, rule, w, assume_zero_total=True)
+        F = nested_origin(t, rule, zero_total(t, w_samples(P12, g)))
         assert F[0] == 0.0
 
     def test_naive_double_loop_cross_check(self):
@@ -131,8 +145,7 @@ class TestNestedOperators:
         g = Grid(4.0, 100)  # ~200 intervals
         rule = QuadratureRule(g)
         t = build_trial(P12, g)
-        w = w_samples(P12, g)
-        h_samp = PanelSamples(w.inner - 0.7, w.outer - 0.7)
+        h_samp = zero_total(t, w_samples(P12, g))
         F = nested_tail(t, rule, h_samp)
 
         phi2 = {p: np.exp(2.0 * t.log_phi[g.panel_slice(p)]) for p in (0, 1)}
@@ -184,18 +197,17 @@ class TestNestedOperators:
             nested_tail(t, rule, np.ones(g.n_points))
 
     @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])
-    def test_total_over_phi2_overflow_raises(self, op, peak):
-        # 2 log phi falls by 9.5 per interval away from the peak, so total/phi^2
-        # on the far side of the peak reaches e^{+1200}: no finite double
+    def test_far_side_of_peak_stays_finite(self, op, peak):
+        # 2 log phi falls by 9.5 per interval away from the peak, so a total
+        # divided by phi^2 on the far side of the peak would reach e^{+1200};
+        # the operators never form it
         g = Grid(4.0, 64)
         k = np.arange(g.n_points, dtype=float)
         dist = k if peak == "first" else k[::-1]
         t = mock_trial(g, -4.75 * dist)
         rule = QuadratureRule(g)
-        with pytest.raises(OverflowGuardError, match=r"at x = .*exponent"):
-            op(t, rule, np.ones(g.n_points))
-        # the zero-total branch never forms total/phi^2
-        assert np.all(np.isfinite(op(t, rule, np.ones(g.n_points), assume_zero_total=True)))
+        h = zero_total(t, PanelSamples(*g.split(g.nodes)))
+        assert np.all(np.isfinite(op(t, rule, h)))
 
     def test_deterministic(self):
         g = Grid(4.0, 128)
@@ -217,8 +229,7 @@ def test_grid_convergence_of_nested_outputs():
         g = Grid(4.0, n)
         rule = QuadratureRule(g)
         t = build_trial(P12, g)
-        w = w_samples(P12, g)
-        h_samp = PanelSamples(w.inner - 0.7, w.outer - 0.7)
+        h_samp = zero_total(t, w_samples(P12, g))
         vals[n] = nested_tail(t, rule, h_samp)[0]
     assert abs(vals[2000] - vals[4000]) <= 1e-7 * max(1.0, abs(vals[4000]))
 

@@ -16,7 +16,9 @@ from gdwell import (
     PositivityLossError,
     PotentialParams,
 )
-from gdwell.quadrature import PanelSamples, QuadratureRule
+from conftest import TABLE_CASES
+from gdwell import solver as solver_module
+from gdwell.quadrature import PanelSamples, QuadratureRule, integrate_against_phi2
 from gdwell.solver import (
     check_hierarchy,
     energy_step,
@@ -157,6 +159,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             solve(P12, Grid(4.0, 64), max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve(P12, Grid(4.0, 64), tol=tol)
+
     def test_warns_on_nonconvergence(self):
         with pytest.warns(NonConvergenceWarning):
             rep = solve(P12, Grid(4.0, 200), max_iter=2, tol=1e-12)
@@ -213,6 +220,38 @@ def test_strong_coupling_agrees_with_oracle(g, a, bc, oracle_cache):
     assert not rep.violations, [str(v) for v in rep.violations]
     res = oracle_cache(g, a, L=3.0, n=6000)
     assert abs(rep.energies[-1] - res.energy) <= res.error_estimate + rep.tol
+
+
+# every (g, a) of the built-in tables, and deep double wells
+ZERO_TOTAL_CASES = sorted({(g, a) for g, a, _ in TABLE_CASES}) + [
+    (8.0, 12.0), (12.0, 12.0), (20.0, 3.0), (20.0, 6.0)]
+
+
+@pytest.mark.parametrize("bc", ["I", "II"])
+@pytest.mark.parametrize("g,a", ZERO_TOTAL_CASES)
+def test_f_step_integrands_have_zero_phi2_total(g, a, bc, monkeypatch):
+    # the nested operators require integral(h phi^2) = 0 up to rounding; this
+    # pins that curly_E establishes it for every h that f_step passes them
+    p = PotentialParams(g, a)
+    grid = Grid(4.0, 8000)
+    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    op = "nested_tail" if bc == "I" else "nested_origin"
+    real = getattr(solver_module, op)
+    seen = []
+
+    def spy(t_, rule_, h):
+        seen.append(h)
+        return real(t_, rule_, h)
+
+    monkeypatch.setattr(solver_module, op, spy)
+    f = np.ones(grid.n_points)
+    for _ in range(8):
+        f = f_step(t, rule, w, energy_step(t, rule, w, f), f, BoundaryCondition(bc))
+    assert len(seen) == 8
+    for h in seen:
+        total = integrate_against_phi2(t, rule, h)
+        scale = integrate_against_phi2(t, rule, PanelSamples(np.abs(h.inner), np.abs(h.outer)))
+        assert abs(total) <= 1e-12 * scale
 
 
 class TestHierarchy:

@@ -40,6 +40,16 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(4.0, 4)   # too few for the cubic stencils
 
+    def test_equality_and_hash_by_parameters(self):
+        assert Grid(4.0, 64) == Grid(4.0, 64)
+        assert hash(Grid(4.0, 64)) == hash(Grid(4.0, 64))
+        assert Grid(4.0, 64) != Grid(5.0, 64)
+        assert Grid(4.0, 64) != Grid(4.0, 66)
+        # trial functions compare by identity
+        t = build_trial(P12, Grid(4.0, 64))
+        assert t == t and hash(t) == hash(t)
+        assert t != build_trial(P12, Grid(4.0, 64))
+
 
 class TestBuildTrial:
     def test_requires_positive_mixing(self):

@@ -130,16 +130,8 @@ def _dump_wavefunctions(path: str, cfg: RunConfig, report: SolveReport) -> None:
     )
     psi_oracle = np.interp(x, res.x, res.psi)
     n2 = min(2, report.iterations)
-    rows = [
-        [
-            _io.format_float(float(x[i])),
-            _io.format_float(float(report.psi0[i])),
-            _io.format_float(float(report.psi_n(n2)[i])),
-            _io.format_float(float(report.psi_final[i])),
-            _io.format_float(float(psi_oracle[i])),
-        ]
-        for i in range(x.size)
-    ]
+    columns = (x, report.psi0, report.psi_n(n2), report.psi_final, psi_oracle)
+    rows = zip(*(map(_io.format_float, c.tolist()) for c in columns))
     _io.write_csv(
         path, cfg.as_dict(), ["x", "psi0", "psi2", "psi_final", "psi_oracle"], rows
     )
@@ -209,10 +201,7 @@ def cmd_oracle(args) -> int:
     census = peak_census(res.x, res.psi)
     print(f"E = {res.energy:.6f} +/- {res.error_estimate:.1e}   shape: {census.kind}")
     if args.out:
-        rows = [
-            [_io.format_float(float(xv)), _io.format_float(float(pv))]
-            for xv, pv in zip(res.x, res.psi)
-        ]
+        rows = zip(*(map(_io.format_float, c.tolist()) for c in (res.x, res.psi)))
         _io.write_csv(args.out, {"g": args.g, "a": args.a, "L": args.L, "n": args.n},
                       ["x", "psi"], rows)
         print(f"wrote {args.out}")

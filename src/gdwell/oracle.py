@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_forms import PotentialParams, eval_potential
 from .errors import DiscretizationError
@@ -123,21 +124,22 @@ def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     n = xs.size
     w = 5
     floor = 1e-3 * float(ys.max())
+    # the max over each node's +-w window, clipped at both ends of the grid
+    pad = np.full(w, -np.inf)
+    window_max = sliding_window_view(np.concatenate((pad, ys, pad)), 2 * w + 1).max(axis=1)
+    # written as negated "<" so that a NaN compares as the per-node test did
+    cand = ~(ys < floor) & ~(ys < window_max)
+    # strictness: must exceed the window ends (unless the window is clipped
+    # at x=0, where an even function legitimately plateaus, or at x_max);
+    # m nodes have an unclipped window end on each side
+    m = max(n - w - 1, 0)
+    cand[w + 1:] &= ys[w + 1:] > ys[1:1 + m]
+    cand[:m] &= ys[:m] > ys[w:w + m]
     peaks: list[tuple[float, float]] = []
-    for i in range(n):
-        lo = max(0, i - w)
-        hi = min(n, i + w + 1)
-        window = ys[lo:hi]
-        if ys[i] < floor or ys[i] < window.max():
-            continue
-        # strictness: must exceed the window ends (unless the window is
-        # clipped at x=0, where an even function legitimately plateaus)
-        left_ok = lo == 0 or ys[i] > ys[lo]
-        right_ok = hi == n or ys[i] > ys[hi - 1]
-        if left_ok and right_ok:
-            if peaks and abs(peaks[-1][0] - xs[i]) < (xs[1] - xs[0]) * (w + 1):
-                continue  # same plateau
-            peaks.append((float(xs[i]), float(ys[i])))
+    for i in np.flatnonzero(cand):
+        if peaks and abs(peaks[-1][0] - xs[i]) < (xs[1] - xs[0]) * (w + 1):
+            continue  # same plateau
+        peaks.append((float(xs[i]), float(ys[i])))
     near_zero = [p for p in peaks if p[0] < 0.3]
     near_one = [p for p in peaks if 0.5 < p[0] < 1.5]
     if near_one and (not near_zero or near_one[0][1] >= near_zero[0][1]):

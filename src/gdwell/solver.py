@@ -232,13 +232,13 @@ def solve(
     positive.  When the shape parameter is at or below the critical value the
     run proceeds but an OutsideRegionWarning is issued and recorded
     (monotone convergence is then not guaranteed).  max_iter must be at
-    least 1 and tol at least 0, where tol = 0 runs exactly max_iter
-    iterations (ValueError otherwise, also for a NaN tol).
+    least 1 and tol finite and at least 0, where tol = 0 runs exactly
+    max_iter iterations (ValueError otherwise, also for a NaN tol).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be at least 0, got {tol}")
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
     p.require_mixing_positive()
     if isinstance(bc, str):
         bc = BoundaryCondition(bc)

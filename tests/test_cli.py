@@ -133,6 +133,14 @@ class TestSolveCommand:
             assert b1.startswith(b"# schema=gdwell-csv-v1 g=1.0,a=2.0,bc=II,x_max=4.0,"
                                  b"n_points=400,tol=1e-06,max_iter=20\n")
 
+    def test_infinite_tol_exit_2(self, capsys, tmp_path):
+        # an infinite tol would reach the JSON report, which has no literal for it
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "solve", "--tol", "inf", "--out", str(out))
+        assert code == 2
+        assert "configuration error" in err and "tol" in err
+        assert not out.exists()
+
     def test_psi_dump(self, capsys, tmp_path):
         out = tmp_path / "psi.csv"
         code, _, _ = run(capsys, "solve", "--g", "1", "--a", "2", "--bc", "II",

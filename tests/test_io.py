@@ -1,9 +1,13 @@
 """Deterministic report writers: float precision, schema lines, structure."""
 
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdwell._io import csv_preamble, dumps_json, format_float, write_csv
 
@@ -33,6 +37,55 @@ def test_dumps_json_is_valid_and_deterministic():
     assert s1 == s2
     parsed = json.loads(s1)
     assert parsed == doc
+
+
+# SHA-256 of the default solve report, as written before float lists were
+# formatted in one pass; any change to the report's bytes shows here
+DEFAULT_REPORT_SHA256 = "13f08a90b2fedb52f447bbcebda2459aa68978ba46346c18f7f2b37e6555ae6e"
+
+
+def test_default_solve_report_bytes_are_pinned(solve_cache):
+    text = dumps_json(solve_cache(1.0, 2.0, "II").to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_float_list_matches_per_element_format(values):
+    assert dumps_json(values) == "[" + ", ".join(map(format_float, values)) + "]\n"
+
+
+def test_mixed_scalar_lists_serialise_as_before():
+    doc = {
+        "mixed": [1, True, None, np.float64(0.1), 2.5, False, "s", -0.0, 5e-324,
+                  1e300, np.float64(1 / 3)],
+        "pair": [[0.5, 1], [2.0, 3.0]],
+        "np": [np.float64(2.0), np.float64(-1e-7)],
+    }
+    assert dumps_json(doc) == (
+        '{\n'
+        '  "mixed": [1, true, null, 0.10000000000000001, 2.5, false, "s", -0, '
+        '4.9406564584124654e-324, 1.0000000000000001e+300, 0.33333333333333331],\n'
+        '  "pair": [\n'
+        '    [0.5, 1],\n'
+        '    [2, 3]\n'
+        '  ],\n'
+        '  "np": [2, -9.9999999999999995e-08]\n'
+        '}\n'
+    )
+
+
+@pytest.mark.parametrize("doc", [
+    [float("inf")],
+    [1.0, float("nan")],
+    {"tol": float("-inf")},
+    [1, float("inf")],
+    [np.float64("nan")],
+    [[0.5, float("inf")]],
+], ids=["inf", "nan-in-floats", "scalar", "mixed-list", "numpy", "nested"])
+def test_non_finite_float_raises(doc):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_json(doc)
 
 
 def test_csv_preamble_and_rows(tmp_path):

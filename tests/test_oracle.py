@@ -3,9 +3,11 @@ the tridiagonal eigensolve, evenness, and shape classification."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gdwell import DiscretizationError, OracleConfig, PotentialParams, oracle_ground_state
-from gdwell.oracle import _solve_once, peak_census
+from gdwell import DiscretizationError, Grid, OracleConfig, PotentialParams, oracle_ground_state
+from gdwell.oracle import PeakReport, _solve_once, peak_census
 
 
 class TestEigensolver:
@@ -90,3 +92,78 @@ class TestPeakCensus:
         rep = solve_cache(1.0, 2.0, "II")
         census = peak_census(rep.grid.nodes, rep.psi_final)
         assert census.kind == "single-at-0"
+
+
+def reference_peak_census(x, psi):
+    """peak_census as the per-node loop it was written as: the specification
+    that the vectorised census must match exactly."""
+    keep = x >= 0.0
+    xs = x[keep]
+    ys = np.abs(psi[keep])
+    order = np.argsort(xs)
+    xs, ys = xs[order], ys[order]
+    n = xs.size
+    w = 5
+    floor = 1e-3 * float(ys.max())
+    peaks = []
+    for i in range(n):
+        lo = max(0, i - w)
+        hi = min(n, i + w + 1)
+        window = ys[lo:hi]
+        if ys[i] < floor or ys[i] < window.max():
+            continue
+        left_ok = lo == 0 or ys[i] > ys[lo]
+        right_ok = hi == n or ys[i] > ys[hi - 1]
+        if left_ok and right_ok:
+            if peaks and abs(peaks[-1][0] - xs[i]) < (xs[1] - xs[0]) * (w + 1):
+                continue
+            peaks.append((float(xs[i]), float(ys[i])))
+    near_zero = [p for p in peaks if p[0] < 0.3]
+    near_one = [p for p in peaks if 0.5 < p[0] < 1.5]
+    if near_one and (not near_zero or near_one[0][1] >= near_zero[0][1]):
+        kind = "double-near-1"
+    elif near_zero:
+        kind = "single-at-0"
+    else:
+        kind = "other"
+    return PeakReport(kind=kind, peaks=peaks)
+
+
+# few distinct levels give ties and flat tops; 1e-4 sits under the floor
+LEVELS = st.one_of(st.sampled_from([0.0, 1e-4, 0.5, 1.0, 1.0, 2.0]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def census_inputs(draw):
+    layout = draw(st.sampled_from(["half-line", "full-line", "two-panel"]))
+    if layout == "half-line":
+        # sizes around the 2w+1 = 11 node window, where both ends clip
+        x = np.linspace(0.0, draw(st.sampled_from([1.0, 2.0, 4.0])), draw(st.integers(1, 30)))
+    elif layout == "full-line":
+        k = draw(st.integers(1, 20))
+        x = np.linspace(-3.0, 3.0, 2 * k + 1)[draw(st.permutations(range(2 * k + 1)))]
+    else:
+        # the iteration grid: two panels whose spacings differ
+        x = Grid(draw(st.sampled_from([1.5, 4.0])), draw(st.sampled_from([8, 10, 12]))).nodes
+    psi = np.array(draw(st.lists(LEVELS, min_size=x.size, max_size=x.size)))
+    return x, psi
+
+
+class TestPeakCensusAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(census_inputs())
+    @example((np.linspace(0.0, 2.0, 12), np.ones(12)))                # flat, both ends clip
+    @example((np.linspace(0.0, 2.0, 13), np.r_[np.zeros(6), 1.0, np.zeros(6)]))
+    @example((np.linspace(0.0, 2.0, 7), np.r_[2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 1.0]))
+    def test_matches_per_node_loop(self, inputs):
+        x, psi = inputs
+        assert peak_census(x, psi) == reference_peak_census(x, psi)
+
+    def test_matches_per_node_loop_on_table_wavefunctions(self, oracle_cache, solve_cache):
+        for g, a in [(1.0, 2.0), (1.0, 1.8), (0.88, 2.0), (1.0, 3.0), (3.0, 2.0)]:
+            res = oracle_cache(g, a)
+            assert peak_census(res.x, res.psi) == reference_peak_census(res.x, res.psi)
+            rep = solve_cache(g, a, "II")
+            nodes, psi = rep.grid.nodes, rep.psi_final
+            assert peak_census(nodes, psi) == reference_peak_census(nodes, psi)

@@ -164,6 +164,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol"):
             solve(P12, Grid(4.0, 64), tol=tol)
 
+    def test_rejects_infinite_tol(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve(P12, Grid(4.0, 64), tol=float("inf"))
+
     def test_warns_on_nonconvergence(self):
         with pytest.warns(NonConvergenceWarning):
             rep = solve(P12, Grid(4.0, 200), max_iter=2, tol=1e-12)

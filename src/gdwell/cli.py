@@ -336,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out-dir")
     r.set_defaults(fn=cmd_region)
 
-    o = sub.add_parser("oracle", help="independent finite-difference ground state")
+    o = sub.add_parser("oracle", help="independent sinc-DVR ground state")
     o.add_argument("--g", type=float, required=True)
     o.add_argument("--a", type=float, required=True)
-    o.add_argument("--L", type=float, default=6.0)
-    o.add_argument("--n", type=int, default=4000)
+    o.add_argument("--L", type=float, default=6.0,
+                   help="cap on the half-domain, otherwise set by the WKB tail")
+    o.add_argument("--n", type=int, default=4000,
+                   help="cap on the node count across [-L, L] (>= 500)")
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
 

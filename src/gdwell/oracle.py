@@ -1,16 +1,28 @@
 """Independent reference ground-state solver.
 
-Discretizes -(1/2) d^2/dx^2 + V on [-L, L] with Dirichlet ends using
-second-order central differences, takes the smallest eigenpair of the
-symmetric tridiagonal matrix from LAPACK (``stebz`` Sturm-sequence bisection
-for the eigenvalue, ``stein`` inverse iteration for the eigenvector, through
-``scipy.linalg.eigh_tridiagonal``), and estimates the discretization error
-from a grid doubling (Richardson).  Nothing here touches the trial
-function or the iteration; this solver exists purely to validate them.
+A sinc discrete variable representation (DVR; Colbert and Miller, J. Chem.
+Phys. 96, 1982 (1992)) of -(1/2) d^2/dx^2 + V on the uniform nodes
+x_j = j Delta, |j| <= K.  Its kinetic matrix is t_|i-j| / (2 Delta^2), with
+t_0 = pi^2/3 and t_k = 2 (-1)^k / k^2.  V is even, and so is the ground
+state, so only the even sector is diagonalised: on the nodes j = 0..K its
+matrix is (t_|i-j| + t_{i+j}) / (2 Delta^2) + diag V(x_j), with row and
+column 0 divided by sqrt(2) to keep it symmetric, and ``np.linalg.eigh``
+gives the lowest eigenpair.
+
+The half-domain is where the WKB action past the outer turning point of
+V = g E_0 reaches 36, so that psi has fallen by about e^-36 there; it is
+capped by ``OracleConfig.L``.  An extension of the domain by 1.25x at the
+same spacing measures the truncation at K = 30; K then grows by 1.5x until
+two energies agree to 1e-10 max(1, |E|), with 2K + 1 capped by
+``OracleConfig.n``.  The error estimate is the sum of the two shifts.  psi is
+sinc-interpolated onto a symmetric grid at 8x the node density.  Nothing
+here touches the trial function or the iteration, which share only
+``eval_potential`` with it; this solver exists purely to validate them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +33,20 @@ from .errors import DiscretizationError
 
 __all__ = ["OracleConfig", "OracleResult", "oracle_ground_state", "PeakReport", "peak_census"]
 
+WKB_ACTION = 36.0      # tail action at the domain end: psi(L) ~ e^-36 psi(peak)
+K_START = 30
+K_GROWTH = 1.5
+REL_TOL = 1e-10        # energies of two node counts agree to this, relative
+L_EXTENSION = 1.25
+MAX_EXTENSION_SHIFT = 1e-3
+OVERSAMPLE = 8         # interpolated psi points per node spacing
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """L: half-domain (must exceed the iteration grid's x_max); n: requested
-    interior point count (rounded up to odd so x=0 is a node)."""
+    """L: cap on the half-domain, which is otherwise set by the WKB tail
+    (must exceed the iteration grid's x_max where the two psi are compared);
+    n: cap on the node count 2K + 1 across [-L, L]."""
 
     L: float = 6.0
     n: int = 4000
@@ -44,58 +65,105 @@ class OracleResult:
     x: np.ndarray
     psi: np.ndarray
     config: OracleConfig
-    energy_coarse: float
-    energy_fine: float
 
 
-def _solve_once(p: PotentialParams, L: float, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smallest eigenpair of the order-m finite-difference Hamiltonian."""
-    # imported here so that `import gdwell` and the solve, table and region
-    # commands never load scipy, which costs more to import than the package
-    from scipy.linalg import eigh_tridiagonal
+def _wkb_half_domain(p: PotentialParams) -> float:
+    """x > 1 where the action of sqrt(2 (V - g E_0)) past the outer turning
+    point reaches WKB_ACTION.  g E_0 = g sqrt(1 + a) lies above the ground
+    energy, so the true tail decays at least this fast."""
+    e = p.g * p.E0
+    hi = 2.0
+    while True:
+        x = np.linspace(1.0, hi, 2049)
+        s = np.sqrt(2.0 * np.maximum(eval_potential(p, x) - e, 0.0))
+        action = np.concatenate(([0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(x))))
+        if action[-1] >= WKB_ACTION:
+            return float(np.interp(WKB_ACTION, action, x))
+        hi = 1.0 + 2.0 * (hi - 1.0)
 
-    h = 2.0 * L / (m + 1)
-    x = -L + h * np.arange(1, m + 1)
-    diag = 1.0 / h**2 + eval_potential(p, x)
-    off = -0.5 / h**2
-    lam, vec = eigh_tridiagonal(diag, np.full(m - 1, off), select="i", select_range=(0, 0))
-    psi = vec[:, 0]
-    # deterministic sign: positive at the center
-    if psi[m // 2] < 0.0:
-        psi = -psi
-    return float(lam[0]), x, psi
+
+def _even_ground(p: PotentialParams, delta: float, k: int) -> tuple[float, np.ndarray]:
+    """Lowest even eigenpair on the nodes j Delta, |j| <= k.
+
+    Returns E and c_0..c_k, the amplitudes of the unit-norm eigenvector of
+    all 2k + 1 nodes on the nodes j >= 0, signed so that they sum to > 0.
+    """
+    j = np.arange(k + 1)
+    m = np.arange(1, 2 * k + 1)
+    t = np.empty(2 * k + 1)
+    t[0] = math.pi**2 / 3.0
+    t[1:] = 2.0 * np.where(m % 2 == 0, 1.0, -1.0) / (m * m)
+    h = (t[np.abs(j[:, None] - j)] + t[j[:, None] + j]) / (2.0 * delta * delta)
+    h[0, :] /= math.sqrt(2.0)
+    h[:, 0] /= math.sqrt(2.0)
+    h[j, j] += eval_potential(p, delta * j)
+    lam, vec = np.linalg.eigh(h)
+    # basis e_0 and (e_j + e_-j)/sqrt(2): node amplitude c_j = v_j / sqrt(2)
+    c = vec[:, 0] / math.sqrt(2.0)
+    c[0] = vec[0, 0]
+    return float(lam[0]), (c if c.sum() > 0.0 else -c)
+
+
+def _sinc_interpolate(c: np.ndarray) -> np.ndarray:
+    """The even sinc interpolant sum_j c_|j| sinc(u - j) at u = i / OVERSAMPLE,
+    i = 0..OVERSAMPLE k, with node rows copied exactly.
+
+    sinc(u - j) = (-1)^j sin(pi u) / (pi (u - j)), so each row takes one sin;
+    the terms of j and -j are paired as (-1)^j c_j 2u / (u^2 - j^2)."""
+    k = c.size - 1
+    psi = np.empty(OVERSAMPLE * k + 1)
+    psi[::OVERSAMPLE] = c
+    between = np.arange(psi.size) % OVERSAMPLE != 0
+    u = np.flatnonzero(between) / OVERSAMPLE
+    j = np.arange(1, k + 1)
+    paired = (2.0 * u)[:, None] / (u[:, None] ** 2 - j * j) @ np.where(j % 2 == 0, c[1:], -c[1:])
+    psi[between] = np.sin(np.pi * u) / np.pi * (c[0] / u + paired)
+    return psi
 
 
 def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> OracleResult:
-    """Ground-state energy and wavefunction, with a two-resolution error bar.
+    """Ground-state energy and wavefunction, with an error bar from node
+    growth and domain extension.
 
-    The reported energy is the Richardson combination (4 E_fine - E_coarse)/3
-    of the two second-order estimates; the error estimate is their gap / 3.
-    psi is returned on the fine grid, normalized to psi(0) = 1.
+    psi is returned on a symmetric grid at OVERSAMPLE x the node density,
+    normalized to psi(0) = 1.  Raises DiscretizationError when the domain
+    extension moves the energy by more than 1e-3 (cfg.L too short), or when
+    2K + 1 reaches cfg.n before the energies agree.
     """
     if cfg is None:
         cfg = OracleConfig()
-    m_coarse = cfg.n if cfg.n % 2 == 1 else cfg.n + 1  # odd => x=0 is a node
-    m_fine = 2 * m_coarse + 1                          # halves h, keeps x=0
-    e_coarse, _, _ = _solve_once(p, cfg.L, m_coarse)
-    e_fine, x, psi = _solve_once(p, cfg.L, m_fine)
-    gap = abs(e_fine - e_coarse)
-    if gap > 1e-3:
+    half = min(cfg.L, _wkb_half_domain(p))
+    k = K_START
+    energy, c = _even_ground(p, half / k, k)
+    # the truncation shows at any spacing, and a too-short domain would stall
+    # the growth below until the cap, so it is measured once, up front
+    shift = abs(_even_ground(p, half / k, math.ceil(L_EXTENSION * k))[0] - energy)
+    if shift > MAX_EXTENSION_SHIFT:
         raise DiscretizationError(
-            f"two-resolution energies differ by {gap:.2e} (> 1e-3); "
-            "increase n or check the configuration"
+            f"extending the half-domain {half:.3g} by {L_EXTENSION}x moves E by "
+            f"{shift:.2e} (> {MAX_EXTENSION_SHIFT:.0e}); increase L"
         )
-    i0 = m_fine // 2
-    assert x[i0] == 0.0 or abs(x[i0]) < 1e-12
-    psi = psi / psi[i0]
+    k_max = (cfg.n - 1) // 2
+    while True:
+        if k >= k_max:
+            raise DiscretizationError(
+                f"energies at {2 * k + 1} nodes not converged to {REL_TOL:.0e} "
+                f"(cap n = {cfg.n}); increase n or check the configuration"
+            )
+        e_prev = energy
+        k = min(math.ceil(K_GROWTH * k), k_max)
+        energy, c = _even_ground(p, half / k, k)
+        gap = abs(energy - e_prev)
+        if gap <= REL_TOL * max(1.0, abs(energy)):
+            break
+    half_psi = _sinc_interpolate(c) / c[0]
+    half_x = half / k / OVERSAMPLE * np.arange(half_psi.size)
     return OracleResult(
-        energy=e_fine + (e_fine - e_coarse) / 3.0,
-        error_estimate=gap / 3.0,
-        x=x,
-        psi=psi,
+        energy=energy,
+        error_estimate=gap + shift,
+        x=np.concatenate((-half_x[:0:-1], half_x)),
+        psi=np.concatenate((half_psi[:0:-1], half_psi)),
         config=cfg,
-        energy_coarse=e_coarse,
-        energy_fine=e_fine,
     )
 
 
@@ -129,16 +197,18 @@ def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     window_max = sliding_window_view(np.concatenate((pad, ys, pad)), 2 * w + 1).max(axis=1)
     # written as negated "<" so that a NaN compares as the per-node test did
     cand = ~(ys < floor) & ~(ys < window_max)
-    # strictness: must exceed the window ends (unless the window is clipped
-    # at x=0, where an even function legitimately plateaus, or at x_max);
-    # m nodes have an unclipped window end on each side
+    # strictness: must exceed both window ends; the left end is exempt where
+    # the window is clipped at x=0, where an even function legitimately
+    # plateaus, and a window clipped at x_max ends on the last node
     m = max(n - w - 1, 0)
     cand[w + 1:] &= ys[w + 1:] > ys[1:1 + m]
-    cand[:m] &= ys[:m] > ys[w:w + m]
+    cand &= ys > ys[np.minimum(np.arange(n) + w, n - 1)]
     peaks: list[tuple[float, float]] = []
+    last = -w - 1
     for i in np.flatnonzero(cand):
-        if peaks and abs(peaks[-1][0] - xs[i]) < (xs[1] - xs[0]) * (w + 1):
+        if i - last <= w:
             continue  # same plateau
+        last = i
         peaks.append((float(xs[i]), float(ys[i])))
     near_zero = [p for p in peaks if p[0] < 0.3]
     near_one = [p for p in peaks if 0.5 < p[0] < 1.5]

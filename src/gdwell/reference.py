@@ -9,8 +9,8 @@ Hamiltonian it names gets an entry in ERRATA, and the `table` command and
 the acceptance tests compare against that corrected row instead.  The one
 entry is table 2's (g=1, a=1.8) row: its E_0 = 1.6733 = sqrt(2.8) belongs to
 a = 1.8, but its E_1..E_5 are what the iteration gives at a ~= 1.7919.  At
-a = 1.8 the converged energy is 0.9453 by the iteration, by the
-finite-difference oracle and by an independent scipy eigensolve, and
+a = 1.8 the converged energy is 0.9453 by the iteration, by the sinc-DVR
+oracle and by an independent finite-difference eigensolve, and
 adaptive quadrature of the first step gives E_1 = 0.9579, not 0.9558.
 """
 

@@ -4,7 +4,7 @@ one printed PASS/FAIL line per criterion.
 Criterion 2 checks table 2's (g=1, a=1.8) row against its erratum in
 gdwell.reference.ERRATA, not against the published row.  The published row
 prints E_5 = 0.9431, but the converged energy for those parameters is 0.9453
-by this iteration and by the finite-difference oracle, and adaptive
+by this iteration and by the sinc-DVR oracle, and adaptive
 quadrature of the first step gives E_1 = 0.9579, not 0.9558; only its
 E_0 = sqrt(2.8) fits a = 1.8.  The same test checks the erratum against
 those independent routes, and checks that the published row still has

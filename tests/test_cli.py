@@ -155,11 +155,17 @@ class TestSolveCommand:
 
 
 def test_import_solve_and_region_never_load_scipy(tmp_path):
-    # only the oracle needs scipy; it is imported when the oracle first runs
+    # scipy is a test-only dependency: no command may load it
+    out = str(tmp_path)
     code = (
         "import sys, gdwell, gdwell.cli\n"
         "assert gdwell.cli.main(['solve', '--n-points', '200']) == 0\n"
-        f"assert gdwell.cli.main(['region', '--resolution', '50', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        f"assert gdwell.cli.main(['region', '--resolution', '50', '--out-dir', {out!r}]) == 0\n"
+        "assert gdwell.cli.main(['oracle', '--g', '3', '--a', '2']) == 0\n"
+        "assert gdwell.cli.main(['verify']) == 0\n"
+        f"assert gdwell.cli.main(['table', '2', '--out-dir', {out!r}]) == 0\n"
+        "assert gdwell.cli.main(['solve', '--n-points', '200', '--dump-psi', "
+        f"{str(tmp_path / 'psi.csv')!r}]) == 0\n"
         "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(gdwell.__file__).resolve().parents[1])

@@ -1,5 +1,5 @@
 """Reference eigensolver: the exactly solvable case, a dense cross-check of
-the tridiagonal eigensolve, evenness, and shape classification."""
+the even-sector eigensolve, evenness, and shape classification."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdwell import DiscretizationError, Grid, OracleConfig, PotentialParams, oracle_ground_state
-from gdwell.oracle import PeakReport, _solve_once, peak_census
+from gdwell import oracle
+from gdwell.oracle import PeakReport, _even_ground, peak_census
 
 
 class TestEigensolver:
@@ -26,25 +27,28 @@ class TestEigensolver:
         res = oracle_cache(1.0, 2.0)
         assert float(np.max(np.abs(res.psi - res.psi[::-1]))) <= 1e-8
 
-    def test_sturm_bisection_against_library(self):
-        # small problem: the oracle's LAPACK bisection (stebz) against the
-        # direct dense eigensolve of the same matrix, built here independently
+    def test_even_sector_against_full_matrix(self):
+        # the oracle's even-sector eigenpair against the dense eigensolve of
+        # the full (2K+1)-node Colbert-Miller matrix, built here independently
         p = PotentialParams(1.0, 2.0)
-        m = 601
-        L = 6.0
-        h = 2.0 * L / (m + 1)
-        x = -L + h * np.arange(1, m + 1)
-        diag = 1.0 / h**2 + 0.5 * (x * x - 1.0) ** 2 * (x * x + 2.0)
-        off = -0.5 / h**2
-        lam, x_oracle, psi = _solve_once(p, L, m)
-        np.testing.assert_array_equal(x_oracle, x)
-        T = np.diag(diag) + np.diag(np.full(m - 1, off), 1) + np.diag(np.full(m - 1, off), -1)
-        evals, evecs = np.linalg.eigh(T)
+        k = 40
+        delta = 3.5 / k
+        x = delta * np.arange(-k, k + 1)
+        d = np.subtract.outer(np.arange(-k, k + 1), np.arange(-k, k + 1))
+        kinetic = np.where(d == 0, np.pi**2 / 3.0,
+                           2.0 * (-1.0) ** d / np.where(d == 0, 1, d) ** 2) / (2.0 * delta**2)
+        H = kinetic + np.diag(0.5 * (x * x - 1.0) ** 2 * (x * x + 2.0))
+        evals, evecs = np.linalg.eigh(H)
+        lam, c = _even_ground(p, delta, k)
         assert lam == pytest.approx(float(evals[0]), abs=1e-10)
-        # the eigenvector (stein) with the deterministic sign: positive at x = 0
-        ref_vec = evecs[:, 0] * np.sign(evecs[m // 2, 0])
-        assert psi[m // 2] > 0.0
-        assert float(np.max(np.abs(psi - ref_vec))) <= 1e-8
+        # the unit-norm even eigenvector with the deterministic sign: positive sum
+        ref_vec = evecs[:, 0] * np.sign(evecs[:, 0].sum())
+        full = np.concatenate((c[:0:-1], c))
+        assert float(np.max(np.abs(full - ref_vec))) <= 1e-8
+
+    def test_exact_energy_default_config(self):
+        res = oracle_ground_state(PotentialParams(1.0, 2.0))
+        assert abs(res.energy - 1.0) <= 1e-10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -53,9 +57,15 @@ class TestEigensolver:
             OracleConfig(L=0.5)
 
     def test_discretization_guard(self):
-        # a deliberately coarse grid on a huge domain trips the two-level check
-        with pytest.raises(DiscretizationError):
-            oracle_ground_state(PotentialParams(3.0, 2.0), OracleConfig(L=40.0, n=500))
+        # a domain that cuts the wells at x ~ 1 trips the domain-extension check
+        with pytest.raises(DiscretizationError, match="half-domain"):
+            oracle_ground_state(PotentialParams(3.0, 2.0), OracleConfig(L=1.1, n=500))
+
+    def test_node_cap_guard(self, monkeypatch):
+        # energies that never agree grow the node count to the cap n and stop
+        monkeypatch.setattr(oracle, "REL_TOL", 0.0)
+        with pytest.raises(DiscretizationError, match="cap n = 500"):
+            oracle_ground_state(PotentialParams(1.0, 2.0), OracleConfig(n=500))
 
     def test_cross_check_against_iteration(self, oracle_cache, solve_cache):
         # every distinct (g, a) of the built-in tables: the two independent
@@ -88,6 +98,20 @@ class TestPeakCensus:
         psi = 0.1 + x  # grows right up to the boundary: no strict interior max
         assert peak_census(x, psi).kind == "other"
 
+    def test_rise_to_grid_end_is_no_peak(self):
+        # the last node's window is clipped at x_max, which exempts nothing
+        x = np.linspace(0.0, 1.2, 500)
+        rep = peak_census(x, 0.1 + x)
+        assert rep.kind == "other"
+        assert rep.peaks == []
+
+    def test_plateau_in_wide_panel_is_one_peak(self):
+        # the outer panel's spacing is 3x the inner one's; a flat top of three
+        # outer nodes is one peak
+        x = Grid(4.0, 8).nodes
+        psi = np.where(np.isin(x, [2.125, 2.5, 2.875]), 1.0, 0.5)
+        assert peak_census(x, psi).peaks == [(2.125, 1.0)]
+
     def test_half_line_input(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
         census = peak_census(rep.grid.nodes, rep.psi_final)
@@ -106,17 +130,20 @@ def reference_peak_census(x, psi):
     w = 5
     floor = 1e-3 * float(ys.max())
     peaks = []
+    last = None
     for i in range(n):
         lo = max(0, i - w)
         hi = min(n, i + w + 1)
         window = ys[lo:hi]
         if ys[i] < floor or ys[i] < window.max():
             continue
+        # only a window clipped at x = 0 is exempt from the strictness test
         left_ok = lo == 0 or ys[i] > ys[lo]
-        right_ok = hi == n or ys[i] > ys[hi - 1]
+        right_ok = ys[i] > ys[hi - 1]
         if left_ok and right_ok:
-            if peaks and abs(peaks[-1][0] - xs[i]) < (xs[1] - xs[0]) * (w + 1):
-                continue
+            if last is not None and i - last < w + 1:
+                continue  # same plateau, counted in nodes
+            last = i
             peaks.append((float(xs[i]), float(ys[i])))
     near_zero = [p for p in peaks if p[0] < 0.3]
     near_one = [p for p in peaks if 0.5 < p[0] < 1.5]

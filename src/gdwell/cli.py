@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--L", type=float, default=6.0,
                    help="cap on the half-domain, otherwise set by the WKB tail")
     o.add_argument("--n", type=int, default=4000,
-                   help="cap on the node count across [-L, L] (>= 500)")
+                   help="cap on the node count across the domain (>= 500)")
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
 

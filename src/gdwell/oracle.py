@@ -44,9 +44,8 @@ OVERSAMPLE = 8         # interpolated psi points per node spacing
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """L: cap on the half-domain, which is otherwise set by the WKB tail
-    (must exceed the iteration grid's x_max where the two psi are compared);
-    n: cap on the node count 2K + 1 across [-L, L]."""
+    """L: cap on the half-domain, which is otherwise where the WKB tail
+    action reaches 36; n: cap on the node count 2K + 1 across the domain."""
 
     L: float = 6.0
     n: int = 4000
@@ -197,9 +196,8 @@ def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     window_max = sliding_window_view(np.concatenate((pad, ys, pad)), 2 * w + 1).max(axis=1)
     # written as negated "<" so that a NaN compares as the per-node test did
     cand = ~(ys < floor) & ~(ys < window_max)
-    # strictness: must exceed both window ends; the left end is exempt where
-    # the window is clipped at x=0, where an even function legitimately
-    # plateaus, and a window clipped at x_max ends on the last node
+    # strictness: must exceed both window ends, except the left end of a
+    # window clipped at x=0, where an even function legitimately plateaus
     m = max(n - w - 1, 0)
     cand[w + 1:] &= ys[w + 1:] > ys[1:1 + m]
     cand &= ys > ys[np.minimum(np.arange(n) + w, n - 1)]

@@ -128,13 +128,21 @@ def _dump_wavefunctions(path: str, cfg: RunConfig, report: SolveReport) -> None:
     res = oracle_ground_state(
         PotentialParams(cfg.g, cfg.a), OracleConfig(L=max(6.0, cfg.x_max + 2.0))
     )
-    psi_oracle = np.interp(x, res.x, res.psi)
     n2 = min(2, report.iterations)
-    columns = (x, report.psi0, report.psi_n(n2), report.psi_final, psi_oracle)
+    columns = (x, report.psi0, report.psi_n(n2), report.psi_final, res.psi_at(x))
     rows = zip(*(map(_io.format_float, c.tolist()) for c in columns))
     _io.write_csv(
         path, cfg.as_dict(), ["x", "psi0", "psi2", "psi_final", "psi_oracle"], rows
     )
+
+
+def _solve_row(row: reference.TableRow) -> tuple[SolveReport, float]:
+    """Five iterations at a reference row's (g, a, bc), and the largest cell
+    diff against the row's expected energies (its erratum where it has one)."""
+    rep = solve(PotentialParams(row.g, row.a), Grid(), BoundaryCondition(row.bc),
+                max_iter=5, tol=0.0)
+    diff = max(abs(c - r) for c, r in zip(rep.energies[:6], reference.expected_energies(row)))
+    return rep, diff
 
 
 def cmd_table(args) -> int:
@@ -146,11 +154,8 @@ def cmd_table(args) -> int:
     out_rows = []
     worst = 0.0
     for row in rows:
-        p = PotentialParams(row.g, row.a)
-        rep = solve(p, Grid(), BoundaryCondition(row.bc), max_iter=5, tol=0.0)
+        rep, diff = _solve_row(row)
         computed = rep.energies[:6]
-        # diffed against the erratum where the published row has one
-        diff = max(abs(c - r) for c, r in zip(computed, reference.expected_energies(row)))
         worst = max(worst, diff)
         note = ""
         if (row.origin, row.label) in reference.KNOWN_DISCREPANT_ROWS:
@@ -220,32 +225,13 @@ def cmd_verify(args) -> int:
     a_s = rng.uniform(1e-6, 5.0, 10000)
     x_s = rng.uniform(0.0, 4.0, 10000)
 
-    # factorization identity of the u pair; residuals are relative to the
-    # combined magnitude of the summed terms (the subtraction cancels by
-    # construction)
-    t1 = region.alpha(a_s, x_s) ** 2
-    t2 = 64.0 * (x_s**2 + a_s) * region.beta(a_s, x_s) ** 2
-    rhs = (x_s**2 - 1.0) ** 2 * region.gamma_poly(a_s, x_s)
-    res1 = float(np.max(np.abs(t1 - t2 - rhs) / (t1 + t2 + np.abs(rhs) + 1.0)))
-    _check("u-factorization-identity", res1 <= 1e-9, f"max rel residual {res1:.2e}", results)
-
-    ta = region.alpha_tilde(a_s, x_s)
-    tb = region.beta_tilde(a_s, x_s)
-    tg = region.gamma_tilde(a_s, x_s)
-    t1 = ta**2
-    t2 = 64.0 * (x_s**2 + a_s) * tb**2
-    rhs = (x_s**2 - 1.0) ** 3 * tg
-    res2 = float(np.max(np.abs(t1 - t2 - rhs) / (t1 + t2 + np.abs(rhs) + 1.0)))
-    _check("uprime-factorization-identity", res2 <= 1e-9, f"max rel residual {res2:.2e}", results)
-
-    # coefficient table vs the factorization route, away from x=1
-    away = np.abs(x_s - 1.0) > 0.05
-    tg_fact = (ta[away] ** 2 - 64.0 * (x_s[away] ** 2 + a_s[away]) * tb[away] ** 2) / (
-        x_s[away] ** 2 - 1.0
-    ) ** 3
-    rel = np.abs(tg_fact - tg[away]) / (np.abs(tg[away]) + 1.0)
-    res3 = float(rel.max())
-    _check("gamma-tilde-table", res3 <= 1e-8, f"max rel residual {res3:.2e}", results)
+    # the u and u' factorization identities, and the gamma_tilde table
+    # against the u' one away from x=1
+    res_u, res_u_prime, res_table = region.identity_residuals(a_s, x_s)
+    _check("u-factorization-identity", res_u <= 1e-9, f"max rel residual {res_u:.2e}", results)
+    _check("uprime-factorization-identity", res_u_prime <= 1e-9,
+           f"max rel residual {res_u_prime:.2e}", results)
+    _check("gamma-tilde-table", res_table <= 1e-8, f"max rel residual {res_table:.2e}", results)
 
     s3 = region.verify_section3_positivity()
     _check("a2-positivity-chain", s3.all_positive and s3.inequality_holds,
@@ -272,12 +258,9 @@ def cmd_verify(args) -> int:
     _check("critical-shape-value", 0.654 <= ac.a_c <= 0.674 and ac.width <= 1e-3,
            f"a_c = {ac.a_c:.4f}, width {ac.width:.1e}", results)
 
-    for bc in ("I", "II"):
-        rep = solve(PotentialParams(1.0, 2.0), Grid(), BoundaryCondition(bc),
-                    max_iter=5, tol=0.0)
-        ref = reference.TABLE1[0 if bc == "I" else 1]
-        diff = max(abs(c - r) for c, r in zip(rep.energies[:6], ref.energies))
-        _check(f"table1-bc{bc}", diff <= 5e-4 and not rep.violations,
+    for row in reference.TABLE1:
+        rep, diff = _solve_row(row)
+        _check(f"table1-bc{row.bc}", diff <= 5e-4 and not rep.violations,
                f"max cell diff {diff:.1e}, violations {len(rep.violations)}", results)
 
     rep = solve(PotentialParams(1.0, 2.0), Grid(), BoundaryCondition.II, max_iter=8)

@@ -3,7 +3,8 @@
 Everything here is a pure function of the model parameters (g, a) and the
 coordinate x >= 0: the potential V, the two phase integrals S0 and S1 of the
 large-g expansion together with their slopes, and the effective perturbations
-u, ghat and w = u + ghat that drive the iteration.
+u, ghat and w = u + ghat that drive the iteration, with the polynomials
+alpha, beta, g1, g2 and gamma that build u (``gdwell.region`` reads them here).
 
 All formulas are evaluated in cancellation-safe arrangements:
 
@@ -11,7 +12,8 @@ All formulas are evaluated in cancellation-safe arrangements:
   well minimum x = 1 (the raw quotient is 0/0 there).
 * u uses the factored rational form whose (x^2-1)^2 pole/zero pair has been
   cancelled analytically whenever the odd part of its numerator is
-  nonnegative, and the subtraction-free arrangement otherwise.
+  nonnegative, and the subtraction-free arrangement otherwise; the same
+  pole-free quotient serves u' in ``gdwell.region``.
 """
 
 from __future__ import annotations
@@ -171,51 +173,71 @@ def eval_S1_prime_quotient(p: PotentialParams, x):
     )
 
 
-def _u_pieces(a: float, x2):
-    """alpha, beta and the no-pole numerator gamma of u at x^2 = x2."""
-    alpha = (
-        15.0 * x2**3
-        + 6.0 * (3.0 * a - 1.0) * x2**2
-        + (8.0 * a * a + 12.0 * a + 7.0) * x2
-        + 8.0 * a * a
-        + 2.0 * a
-    )
-    g1 = 15.0 * x2 * x2 + 18.0 * x2 - 1.0
-    g2 = (
-        4.0 * (141.0 * x2 * x2 + 90.0 * x2 + 1.0) * a * a
-        + 32.0 * (9.0 * x2 + 1.0) * a**3
-        + 64.0 * a**4
-    )
-    gamma = g1 * (15.0 * x2 * x2 + 36.0 * a * x2) + g2
-    return alpha, gamma
+def alpha(a, x):
+    """Even part of the u numerator, with s = x^2:
+    15 s^3 + 6 (3a-1) s^2 + (8a^2 + 12a + 7) s + 8a^2 + 2a."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return (15.0 * x2**3 + 6.0 * (3.0 * a - 1.0) * x2**2
+            + (8.0 * a * a + 12.0 * a + 7.0) * x2 + 8.0 * a * a + 2.0 * a)
+
+
+def beta(a, x):
+    """Odd part of the u numerator, which carries the sqrt(x^2+a) weight:
+    sqrt(1+a) x (3x^2 + 2a - 1)."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(1.0 + np.asarray(a, dtype=float)) * x * (3.0 * x**2 + 2.0 * a - 1.0)
+
+
+def g1(x):
+    """15 x^4 + 18 x^2 - 1; its sign gates the gamma = 0 locus."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return 15.0 * x2 * x2 + 18.0 * x2 - 1.0
+
+
+def g2(a, x):
+    """Strictly positive remainder of gamma for a > 0."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return (4.0 * (141.0 * x2 * x2 + 90.0 * x2 + 1.0) * a * a
+            + 32.0 * (9.0 * x2 + 1.0) * a**3 + 64.0 * a**4)
+
+
+def gamma_poly(a, x):
+    """gamma = g1 (15 x^4 + 36 a x^2) + g2, the no-pole numerator of u:
+    alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return g1(x) * (15.0 * x2 * x2 + 36.0 * a * x2) + g2(a, x)
+
+
+def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
+    """(even - 8 r odd) / (8 (x^2+a)^k (x^2-1)^k), r = sqrt(x^2+a): u for
+    k = 2 from (alpha, beta, gamma), u' for k = 3 from the tilde triple.
+    As even^2 - 64 r^2 odd^2 = (x^2-1)^k gamma, it is taken where the mask
+    plus is set in the pole-free form gamma / (8 (x^2+a)^k (even + 8 r odd)),
+    and elsewhere as written; the caller picks plus to avoid subtraction."""
+    w = 8.0 * (x2 + a) ** k
+    odd8 = 8.0 * np.sqrt(x2 + a) * odd
+    out = np.empty_like(x2)
+    out[plus] = gamma[plus] / (w[plus] * (even[plus] + odd8[plus]))
+    minus = ~plus
+    out[minus] = (even[minus] - odd8[minus]) / (w[minus] * (x2[minus] - 1.0) ** k)
+    return out
 
 
 def eval_u(p: PotentialParams, x):
     """Effective perturbation u(x) = (S1'^2 - S1'')/2, rational closed form.
 
-    Uses u = gamma / (8 (x^2+a)^2 gamma_plus) with
-    gamma_plus = alpha + 8 sqrt(x^2+a) beta, which has the (x^2-1)^2 pole/zero
-    pair cancelled analytically, whenever beta >= 0 (always true for
-    a >= 1/2; for a < 1/2 only small x have beta < 0, where the direct
-    gamma_minus form is subtraction-free and far from the x=1 pole).
-    Positive for all x >= 0, a > 0, and -> 0 as x -> infinity.
+    u = (alpha - 8 r beta) / (8 (x^2+a)^2 (x^2-1)^2) with r = sqrt(x^2+a),
+    taken in the pole-free plus form gamma / (8 (x^2+a)^2 (alpha + 8 r beta))
+    whenever beta >= 0 (always true for a >= 1/2; for a < 1/2 only small x
+    have beta < 0, where the minus form is subtraction-free and far from
+    the x=1 pole).  Positive for all x >= 0, a > 0, and -> 0 as x -> infinity.
     """
     x = _check_nonnegative(x)
-    a = p.a
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    x2 = x * x
-    r = np.sqrt(x2 + a)
-    beta = math.sqrt(1.0 + a) * x * (3.0 * x2 + 2.0 * a - 1.0)
-    alpha, gamma = _u_pieces(a, x2)
-    out = np.empty_like(x)
-    pos = beta >= 0.0
-    out[pos] = gamma[pos] / (8.0 * (x2[pos] + a) ** 2 * (alpha[pos] + 8.0 * r[pos] * beta[pos]))
-    if not pos.all():
-        neg = ~pos  # only reachable for a < 1/2, where x < 1/sqrt(3) < 1
-        out[neg] = (alpha[neg] - 8.0 * r[neg] * beta[neg]) / (
-            8.0 * (x2[neg] - 1.0) ** 2 * (x2[neg] + a) ** 2
-        )
+    a = p.a
+    b = beta(a, x)
+    out = pole_free_quotient(a, x * x, alpha(a, x), b, gamma_poly(a, x), 2, b >= 0.0)
     return out[0] if scalar else out
 
 

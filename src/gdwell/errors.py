@@ -34,8 +34,10 @@ class PositivityLossError(GdwellError):
 
 
 class DiscretizationError(GdwellError):
-    """The two-resolution eigenvalue estimates of the reference solver differ
-    by more than the allowed bound."""
+    """The reference solver cannot resolve the ground state within its
+    configuration: extending its half-domain by 1.25x moves the energy by
+    more than 1e-3 (the domain cap L is too short), or the node count reaches
+    its cap n before two successive energies agree."""
 
 
 class BracketError(GdwellError):

@@ -53,7 +53,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.n < 500:
             raise ValueError(f"n must be >= 500, got {self.n}")
-        if self.L <= 1.0:
+        if not self.L > 1.0:
             raise ValueError(f"L must exceed 1, got {self.L}")
 
 
@@ -64,6 +64,13 @@ class OracleResult:
     x: np.ndarray
     psi: np.ndarray
     config: OracleConfig
+
+    def psi_at(self, x) -> np.ndarray:
+        """psi at the points x by the sinc interpolant of its node values,
+        held at the last node's value past the half-domain."""
+        mid = self.psi.size // 2
+        delta = self.x[mid + OVERSAMPLE]
+        return _sinc_interpolate(self.psi[mid::OVERSAMPLE], np.abs(x) / delta)
 
 
 def _wkb_half_domain(p: PotentialParams) -> float:
@@ -103,20 +110,25 @@ def _even_ground(p: PotentialParams, delta: float, k: int) -> tuple[float, np.nd
     return float(lam[0]), (c if c.sum() > 0.0 else -c)
 
 
-def _sinc_interpolate(c: np.ndarray) -> np.ndarray:
-    """The even sinc interpolant sum_j c_|j| sinc(u - j) at u = i / OVERSAMPLE,
-    i = 0..OVERSAMPLE k, with node rows copied exactly.
+def _sinc_interpolate(c: np.ndarray, u) -> np.ndarray:
+    """The even sinc interpolant sum_j c_|j| sinc(u - j) at the points u >= 0
+    in node units, with node values copied exactly and c_k held past the
+    last node k.
 
-    sinc(u - j) = (-1)^j sin(pi u) / (pi (u - j)), so each row takes one sin;
-    the terms of j and -j are paired as (-1)^j c_j 2u / (u^2 - j^2)."""
-    k = c.size - 1
-    psi = np.empty(OVERSAMPLE * k + 1)
-    psi[::OVERSAMPLE] = c
-    between = np.arange(psi.size) % OVERSAMPLE != 0
-    u = np.flatnonzero(between) / OVERSAMPLE
-    j = np.arange(1, k + 1)
-    paired = (2.0 * u)[:, None] / (u[:, None] ** 2 - j * j) @ np.where(j % 2 == 0, c[1:], -c[1:])
-    psi[between] = np.sin(np.pi * u) / np.pi * (c[0] / u + paired)
+    With n the node nearest u, sinc(u - j) = (-1)^(n+j) sin(pi (u - n)) /
+    (pi (u - j)), so each point takes one sin, accurate however close u is
+    to a node; the terms of j and -j are paired as
+    (-1)^j c_j 2u / ((u - j)(u + j))."""
+    u = np.minimum(np.asarray(u, dtype=float), c.size - 1)
+    n = np.round(u)
+    psi = c[n.astype(int)]
+    off = u != n
+    v, n = u[off], n[off]
+    j = np.arange(1, c.size)
+    paired = (2.0 * v)[:, None] / ((v[:, None] - j) * (v[:, None] + j)) @ np.where(
+        j % 2 == 0, c[1:], -c[1:])
+    sin = np.where(n % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (v - n))
+    psi[off] = sin / np.pi * (c[0] / v + paired)
     return psi
 
 
@@ -155,7 +167,7 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
         gap = abs(energy - e_prev)
         if gap <= REL_TOL * max(1.0, abs(energy)):
             break
-    half_psi = _sinc_interpolate(c) / c[0]
+    half_psi = _sinc_interpolate(c, np.arange(OVERSAMPLE * k + 1) / OVERSAMPLE) / c[0]
     half_x = half / k / OVERSAMPLE * np.arange(half_psi.size)
     return OracleResult(
         energy=energy,

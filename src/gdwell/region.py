@@ -4,11 +4,12 @@ and decreasing, which is what guarantees monotone convergence.
 The slope of u factors through pairs of polynomials in (x^2, a): the pair
 (alpha, beta) builds u itself, the pair (alpha_tilde, beta_tilde) builds u',
 and each pair satisfies a difference-of-squares identity that cancels the
-(x^2-1) pole/zero so signs can be read off polynomial loci.  This module
-evaluates all of them (Horner in x^2, exact integer coefficients times powers
-of a), traces their zero curves as companion-matrix eigenvalues, verifies the
-a=2 positivity chain, and computes the critical shape value a_c below which
-u' turns positive somewhere, as a root of a discriminant factor.
+(x^2-1) pole/zero so signs can be read off polynomial loci.  The u
+polynomials come from ``gdwell.closed_forms``; the curve polynomials are
+integer tables in (x^2, a).  This module traces their zero curves as
+companion-matrix eigenvalues, verifies the a=2 positivity chain, and
+computes the critical shape value a_c below which u' turns positive
+somewhere, as a root of a discriminant factor.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .closed_forms import alpha, beta, g1, g2, gamma_poly, pole_free_quotient
 from .errors import BracketError
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "beta_tilde",
     "gamma_tilde_coeffs",
     "gamma_tilde",
+    "identity_residuals",
     "poly_A",
     "poly_B",
     "poly_C1",
@@ -53,112 +56,105 @@ __all__ = [
 X_G1_ROOT = math.sqrt((-9.0 + math.sqrt(96.0)) / 15.0)
 
 
-def _horner_x2(x2, coeffs_low_to_high):
-    """Polynomial in x^2, Horner form, lowest coefficient first; exact when
-    x2 and the coefficients are Fractions and ints."""
-    acc = 0 * x2
+def _horner(t, coeffs_low_to_high):
+    """Polynomial in t, Horner form, lowest coefficient first; exact when t
+    and the coefficients are Fractions and ints."""
+    acc = 0 * t
     for c in reversed(coeffs_low_to_high):
-        acc = acc * x2 + c
+        acc = acc * t + c
     return acc
 
 
-def alpha(a, x):
-    """Even part of the u numerator."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return _horner_x2(
-        x2,
-        [8.0 * a * a + 2.0 * a, 8.0 * a * a + 12.0 * a + 7.0, 6.0 * (3.0 * a - 1.0), 15.0],
-    )
+# Curve polynomials as integer tables: entry [i, j] is the coefficient of
+# s^i a^j, s = x^2, so rows give a polynomial in s at fixed a and columns
+# one in a at fixed s.
+# gamma, the same polynomial that closed_forms.gamma_poly evaluates
+_GAMMA = np.array([[0, 0, 4, 32, 64],
+                   [0, -36, 360, 288, 0],
+                   [-15, 648, 564, 0, 0],
+                   [270, 540, 0, 0, 0],
+                   [225, 0, 0, 0, 0]], dtype=float)
+# alpha_tilde / x
+_ALPHA_TILDE = np.array([[0, -6, 0, -48],
+                         [14, 18, -144, -16],
+                         [-42, -162, -48, 0],
+                         [-6, -42, 0, 0],
+                         [-30, 0, 0, 0]], dtype=float)
+# beta_tilde / sqrt(a+1)
+_BETA_TILDE = np.array([[0, 1, -2],
+                        [-2, -2, -6],
+                        [6, -15, 0],
+                        [-12, 0, 0]], dtype=float)
+# alpha_tilde^2 - 64 (x^2+a) beta_tilde^2 = (x^2-1)^3 gamma_tilde
+_GAMMA_TILDE = np.array([[0, 0, 0, 64, -192, 0, 256],
+                         [0, 0, -228, 0, -1152, 1536, 0],
+                         [0, 168, 1068, -960, 3648, 0, 0],
+                         [60, -504, 4500, 4992, 0, 0, 0],
+                         [-180, 8568, 4644, 0, 0, 0, 0],
+                         [3060, 2520, 0, 0, 0, 0, 0],
+                         [900, 0, 0, 0, 0, 0, 0]], dtype=float)
 
 
-def beta(a, x):
-    """Odd part of the u numerator (carries the sqrt(x^2+a) weight)."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + np.asarray(a, dtype=float)) * x * (3.0 * x * x + 2.0 * a - 1.0)
-
-
-def g1(x):
-    """15 x^4 + 18 x^2 - 1; its sign gates the gamma = 0 locus."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return _horner_x2(x2, [-1.0, 18.0, 15.0])
-
-
-def g2(a, x):
-    """Strictly positive remainder of gamma for a > 0."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return (
-        4.0 * a * a * _horner_x2(x2, [1.0, 90.0, 141.0])
-        + 32.0 * a**3 * (9.0 * x2 + 1.0)
-        + 64.0 * a**4
-    )
-
-
-def gamma_poly(a, x):
-    """gamma = g1 * (15 x^4 + 36 a x^2) + g2; satisfies
-    alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return g1(x) * (15.0 * x2 * x2 + 36.0 * a * x2) + g2(a, x)
-
-
-# coefficient of s^i a^j in gamma, s = x^2: its rows give gamma as a quartic
-# in s at fixed a, its columns as a quartic in a at fixed s
-_GAMMA_SA = np.array([
-    [0, 0, 4, 32, 64],
-    [0, -36, 360, 288, 0],
-    [-15, 648, 564, 0, 0],
-    [270, 540, 0, 0, 0],
-    [225, 0, 0, 0, 0],
-], dtype=float)
-
-
-def _gamma_coeffs(a) -> np.ndarray:
-    """gamma as a polynomial in s = x^2 (low to high), one column per a."""
-    return _GAMMA_SA @ np.asarray(a, dtype=float) ** np.arange(5)[:, None]
+def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
+    """Coefficients (low to high) of the curve polynomial in table: in s at
+    a = t, in z = s/a at a = t, or in a at s = t.  The result has shape
+    (degree + 1,) + t.shape."""
+    t = np.asarray(t, dtype=float)
+    if var == "a":
+        table = table.T
+    column = (-1,) + (1,) * t.ndim
+    c = np.tensordot(table, t ** np.arange(table.shape[1]).reshape(column), 1)
+    if var == "z":
+        c = c * t ** np.arange(table.shape[0]).reshape(column)
+    return c
 
 
 def alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
-    return x * _horner_x2(x * x, _alpha_tilde_coeffs(a))
-
-
-def _alpha_tilde_coeffs(a) -> list:
-    """alpha_tilde / x as a polynomial in x^2 (low to high)."""
-    return [-6.0 * a - 48.0 * a**3, 14.0 + 18.0 * a - 144.0 * a * a - 16.0 * a**3,
-            -42.0 - 162.0 * a - 48.0 * a * a, -6.0 - 42.0 * a, -30.0]
+    return x * _horner(x * x, _coeffs(_ALPHA_TILDE, a))
 
 
 def beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner_x2(x2, _beta_tilde_coeffs(a))
-
-
-def _beta_tilde_coeffs(a) -> list:
-    """beta_tilde / sqrt(a+1) as a polynomial in x^2 (low to high)."""
-    return [a - 2.0 * a * a, -2.0 - 2.0 * a - 6.0 * a * a, 6.0 - 15.0 * a, -12.0]
+    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(x2, _coeffs(_BETA_TILDE, a))
 
 
 def gamma_tilde_coeffs(a) -> np.ndarray:
     """Coefficients of gamma_tilde as a degree-6 polynomial in x^2 (low to
     high); alpha_tilde^2 - 64 (x^2+a) beta_tilde^2 = (x^2-1)^3 gamma_tilde.
     For array a the result has shape (7,) + a.shape."""
-    a = np.asarray(a, dtype=float)
-    return np.array(
-        [
-            a**3 * (64.0 - 192.0 * a + 256.0 * a**3),
-            a * a * (-228.0 - 1152.0 * a * a + 1536.0 * a**3),
-            a * (168.0 + 1068.0 * a - 960.0 * a * a + 3648.0 * a**3),
-            60.0 - 504.0 * a + 4500.0 * a * a + 4992.0 * a**3,
-            -180.0 + 8568.0 * a + 4644.0 * a * a,
-            3060.0 + 2520.0 * a,
-            900.0 * np.ones_like(a),
-        ]
-    )
+    return _coeffs(_GAMMA_TILDE, a)
 
 
 def gamma_tilde(a, x):
-    return _horner_x2(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a))
+    return _horner(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a))
+
+
+def identity_residuals(a, x) -> tuple[float, float, float]:
+    """Largest relative residuals over the points (a, x) of the u identity
+    alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma, of the u' identity with
+    the tilde triple and (x^2-1)^3, both relative to the summed magnitudes
+    (the subtraction cancels by construction), and of gamma_tilde's table
+    against that factorization at |x - 1| > 0.05, relative to |gamma_tilde| + 1.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+
+    def residual(even, odd, k, gamma):
+        t1 = even**2
+        t2 = 64.0 * (x2 + a) * odd**2
+        rhs = (x2 - 1.0) ** k * gamma
+        return float(np.max(np.abs(t1 - t2 - rhs) / (t1 + t2 + np.abs(rhs) + 1.0)))
+
+    ta, tb, tg = alpha_tilde(a, x), beta_tilde(a, x), gamma_tilde(a, x)
+    away = np.abs(x - 1.0) > 0.05
+    via_fact = (ta**2 - 64.0 * (x2 + a) * tb**2)[away] / (x2[away] - 1.0) ** 3
+    table = np.abs(via_fact - tg[away]) / (np.abs(tg[away]) + 1.0)
+    return (residual(alpha(a, x), beta(a, x), 2, gamma_poly(a, x)),
+            residual(ta, tb, 3, tg), float(table.max(initial=0.0)))
 
 
 # ---- a = 2 positivity chain -------------------------------------------------
@@ -170,7 +166,7 @@ _C2_COEFFS = [1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0]
 def poly_A(x):
     """a=2 denominator polynomial 5x^6 + 10x^4 + 21x^2 + 12."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return _horner_x2(x2, [12.0, 21.0, 10.0, 5.0])
+    return _horner(x2, [12.0, 21.0, 10.0, 5.0])
 
 
 def poly_B(x):
@@ -182,13 +178,13 @@ def poly_B(x):
 def poly_C1(x):
     """Odd numerator polynomial of -u' at a=2 (only its x term is negative)."""
     x = np.asarray(x, dtype=float)
-    return x * _horner_x2(x * x, _C1_COEFFS)
+    return x * _horner(x * x, _C1_COEFFS)
 
 
 def poly_C2(x):
     """Even numerator polynomial of -u' at a=2, times 8 sqrt(3); positive."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return 8.0 * math.sqrt(3.0) * _horner_x2(x2, _C2_COEFFS)
+    return 8.0 * math.sqrt(3.0) * _horner(x2, _C2_COEFFS)
 
 
 def u_prime_a2(x):
@@ -203,39 +199,24 @@ def u_prime_a2(x):
 
 
 def eval_u_prime(a, x):
-    """Slope of u for general a, pole-free at x = 1.
+    """Slope of u for general a, pole-free at x = 1:
 
-    Two algebraically equivalent quotients are available:
+        u' = (alpha_tilde - 8 sqrt(x^2+a) beta_tilde) / (8 (x^2+a)^3 (x^2-1)^3)
 
-        u' = gamma_tilde_minus / (8 (x^2+a)^3 (x^2-1)^3)          (minus form)
-        u' = gamma_tilde / (8 (x^2+a)^3 gamma_tilde_plus)         (plus form)
-
-    with gamma_tilde_pm = alpha_tilde +- 8 sqrt(x^2+a) beta_tilde.  The zero
-    that cancels the (x^2-1)^3 lives in the minus combination, and
-    gamma_tilde_plus(1) = -128 (1+a)^3 never vanishes, so the plus form is
-    used wherever alpha_tilde and beta_tilde share a sign (their sum is then
-    subtraction-free); elsewhere the minus combination is itself
-    subtraction-free and x is provably away from 1.
+    The zero that cancels the (x^2-1)^3 lives in the minus combination, and
+    alpha_tilde + 8 sqrt(x^2+a) beta_tilde = -128 (1+a)^3 at x = 1 never
+    vanishes, so the pole-free plus form is used wherever alpha_tilde and
+    beta_tilde share a sign (their sum is then subtraction-free) or x^2 is
+    within 1e-3 of 1; elsewhere the minus combination is itself
+    subtraction-free and x is away from 1.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
+    x = np.atleast_1d(x)
     x2 = x * x
-    r = np.sqrt(x2 + a)
-    ta = alpha_tilde(a, x)
-    tb8 = 8.0 * r * beta_tilde(a, x)
-    tg = gamma_tilde(a, x)
-    like_signs = (ta <= 0.0) == (tb8 <= 0.0)
-    near_one = np.abs(x2 - 1.0) < 1e-3
-    use_plus = like_signs | near_one
-    out = np.empty_like(x)
-    denom8 = 8.0 * (x2 + a) ** 3
-    if use_plus.any():
-        m = use_plus
-        out[m] = tg[m] / (denom8[m] * (ta[m] + tb8[m]))
-    if (~use_plus).any():
-        m = ~use_plus
-        out[m] = (ta[m] - tb8[m]) / (denom8[m] * (x2[m] - 1.0) ** 3)
+    ta, tb = alpha_tilde(a, x), beta_tilde(a, x)
+    plus = ((ta <= 0.0) == (tb <= 0.0)) | (np.abs(x2 - 1.0) < 1e-3)
+    out = pole_free_quotient(a, x2, ta, tb, gamma_tilde(a, x), 3, plus)
     return out[0] if scalar else out
 
 
@@ -306,16 +287,12 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[np.ndarray]:
     return [np.sort(row.real[k]) for row, k in zip(lam, keep)]
 
 
-def _in_z(coeffs_in_s, a) -> list:
-    """Coefficients in s = a z turned into coefficients in z."""
-    return [c * a**k for k, c in enumerate(coeffs_in_s(a))]
-
-
-def _fold(factor, coeffs_at, lo: float, hi: float) -> float:
+def _fold(factor, table: np.ndarray, var: str, lo: float, hi: float) -> float:
     """The largest root in (0, 1] of an integer discriminant factor at which
-    the curve polynomial coeffs_at(a) has a real double root in [lo, hi]."""
+    the curve polynomial in table, in var ("s" or "z") at that a, has a real
+    double root in [lo, hi]."""
     candidates = _real_roots(factor, 0.0, 1.0)[0][::-1]
-    for a, roots in zip(candidates, _real_roots(coeffs_at(candidates), lo, hi)):
+    for a, roots in zip(candidates, _real_roots(_coeffs(table, candidates, var), lo, hi)):
         if np.any(np.diff(roots) <= _ROOT_TOL * (1.0 + np.abs(roots[1:]))):
             return float(a)
     raise BracketError(f"no root of the factor {factor} is a fold on [{lo}, {hi}]")
@@ -338,14 +315,14 @@ def find_a_c() -> ACResult:
     gamma_tilde curve.  It is polished by Newton steps in exact rational
     arithmetic, rounded to a double after each step; the bracket is its two
     neighbouring doubles, at which the factor's exact signs must differ."""
-    r = _fold(_GAMMA_TILDE_FOLD, lambda a: _in_z(gamma_tilde_coeffs, a), *_Z_WINDOW)
+    r = _fold(_GAMMA_TILDE_FOLD, _GAMMA_TILDE, "z", *_Z_WINDOW)
     p = _GAMMA_TILDE_FOLD
     dp = [k * c for k, c in enumerate(p)][1:]
     for _ in range(3):  # the eigenvalue is good to ~1e-15; Newton squares that
         t = Fraction(r)
-        r = float(t - _horner_x2(t, p) / _horner_x2(t, dp))
+        r = float(t - _horner(t, p) / _horner(t, dp))
     lo, hi = math.nextafter(r, 0.0), math.nextafter(r, 1.0)
-    if (_horner_x2(Fraction(lo), p) > 0) == (_horner_x2(Fraction(hi), p) > 0):
+    if (_horner(Fraction(lo), p) > 0) == (_horner(Fraction(hi), p) > 0):
         raise BracketError(f"the a_c factor does not change sign on [{lo!r}, {hi!r}]")
     return ACResult(a_c=r, width=hi - lo, bracket=(lo, hi))
 
@@ -413,36 +390,36 @@ def trace_curves(resolution: int = 200) -> RegionReport:
 
     # gamma = 0: roots in s = x^2 on (0, x0^2), where g1 < 0
     s_hi = X_G1_ROOT**2
-    a = np.geomspace(1e-5, _fold(_GAMMA_FOLD, _gamma_coeffs, 0.0, s_hi), resolution)
-    roots = _real_roots(_gamma_coeffs(a), 0.0, s_hi)
+    a = np.geomspace(1e-5, _fold(_GAMMA_FOLD, _GAMMA, "s", 0.0, s_hi), resolution)
+    roots = _real_roots(_coeffs(_GAMMA, a), 0.0, s_hi)
     curves["gamma_zero"] = [(float(p), math.sqrt(s)) for p, r in zip(a, roots) for s in r]
     misses["gamma_zero"] = sum(r.size == 0 for r in roots)
 
     # tilde curves in the (z, a) plane: beta_tilde's root reaches z = 0 at
     # a = 1/2, where its constant term a (1 - 2a) vanishes
     ac = find_a_c()
-    a_top_alpha = _fold(_ALPHA_TILDE_FOLD, lambda a: _in_z(_alpha_tilde_coeffs, a), *_Z_WINDOW)
-    tilde = {  # coefficients in s, sign just above the curve, end of the sweep
-        "alpha_tilde_zero": (_alpha_tilde_coeffs, -1.0, a_top_alpha),
-        "beta_tilde_zero": (_beta_tilde_coeffs, -1.0, 0.5),
-        "gamma_tilde_zero": (gamma_tilde_coeffs, 1.0, ac.a_c),
+    a_top_alpha = _fold(_ALPHA_TILDE_FOLD, _ALPHA_TILDE, "z", *_Z_WINDOW)
+    tilde = {  # table, sign just above the curve, end of the sweep
+        "alpha_tilde_zero": (_ALPHA_TILDE, -1.0, a_top_alpha),
+        "beta_tilde_zero": (_BETA_TILDE, -1.0, 0.5),
+        "gamma_tilde_zero": (_GAMMA_TILDE, 1.0, ac.a_c),
     }
     sign_violations: dict[str, int] = {}
-    for name, (coeffs, sign_above, a_top) in tilde.items():
+    for name, (table, sign_above, a_top) in tilde.items():
         a = np.geomspace(1e-4, a_top, resolution)
-        roots = _real_roots(_in_z(coeffs, a), *_Z_WINDOW)
+        roots = _real_roots(_coeffs(table, a, "z"), *_Z_WINDOW)
         curves[name] = [(float(p), float(z)) for p, r in zip(a, roots) for z in r]
         found = [r.size > 0 for r in roots]
         misses[name] = found.count(False)
         # just above the outermost root the region sign must hold
         a_up = 1.05 * a[found]
-        probe = _horner_x2(a_up * [r[-1] for r in roots if r.size], coeffs(a_up))
+        probe = _horner(a_up * [r[-1] for r in roots if r.size], _coeffs(table, a_up))
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
     # geometry of the (x, a) curves: beta curve above gamma curve, with
     # gamma as a quartic in a at fixed x
     x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, max(resolution, 200))
-    a_gamma = _real_roots(_GAMMA_SA.T @ (x * x) ** np.arange(5)[:, None], 1e-9, 1.0)
+    a_gamma = _real_roots(_coeffs(_GAMMA, x * x, "a"), 1e-9, 1.0)
     a_beta = (1.0 - 3.0 * x * x) / 2.0
     ordering_bad = sum(bool(r.size == 0 or not ab > r[-1]) for ab, r in zip(a_beta, a_gamma))
 

@@ -36,8 +36,8 @@ class Grid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.x_max > 1.0:
-            raise GridError(f"x_max must exceed 1, got {self.x_max}")
+        if not 1.0 < self.x_max < math.inf:
+            raise GridError(f"x_max must be finite and exceed 1, got {self.x_max}")
         n = self.n_per_panel
         if n < 8 or n % 2 != 0:
             raise GridError(f"n_per_panel must be even and >= 8, got {n}")

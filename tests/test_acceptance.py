@@ -27,14 +27,9 @@ from gdwell import (
     solve,
 )
 from gdwell.region import (
-    alpha,
-    alpha_tilde,
-    beta,
-    beta_tilde,
     eval_u_prime,
     find_a_c,
-    gamma_poly,
-    gamma_tilde,
+    identity_residuals,
     u_prime_a2,
     verify_section3_positivity,
 )
@@ -175,20 +170,7 @@ def test_criterion_6_factorization_identities():
     rng = np.random.default_rng(20250810)
     a = rng.uniform(1e-6, 5.0, 10000)
     x = rng.uniform(0.0, 4.0, 10000)
-    t1 = alpha(a, x) ** 2
-    t2 = 64.0 * (x * x + a) * beta(a, x) ** 2
-    r1 = (x * x - 1.0) ** 2 * gamma_poly(a, x)
-    res1 = float(np.max(np.abs(t1 - t2 - r1) / (t1 + t2 + np.abs(r1) + 1.0)))
-    t1 = alpha_tilde(a, x) ** 2
-    t2 = 64.0 * (x * x + a) * beta_tilde(a, x) ** 2
-    r2 = (x * x - 1.0) ** 3 * gamma_tilde(a, x)
-    res2 = float(np.max(np.abs(t1 - t2 - r2) / (t1 + t2 + np.abs(r2) + 1.0)))
-    keep = np.abs(x - 1.0) > 0.05
-    via_fact = (alpha_tilde(a[keep], x[keep]) ** 2
-                - 64.0 * (x[keep] ** 2 + a[keep]) * beta_tilde(a[keep], x[keep]) ** 2
-                ) / (x[keep] ** 2 - 1.0) ** 3
-    res3 = float(np.max(np.abs(via_fact - gamma_tilde(a[keep], x[keep]))
-                        / (np.abs(gamma_tilde(a[keep], x[keep])) + 1.0)))
+    res1, res2, res3 = identity_residuals(a, x)
     ok = res1 <= 1e-9 and res2 <= 1e-9 and res3 <= 1e-8
     record("6 (identities)", ok,
            f"residuals {res1:.1e}, {res2:.1e} (tol 1e-9); table-vs-factorization "

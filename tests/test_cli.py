@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gdwell
+from gdwell import OracleConfig, PotentialParams, oracle_ground_state
 from gdwell.cli import main
 
 
@@ -152,6 +154,22 @@ class TestSolveCommand:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1.0  # psi0(0)
         assert abs(float(first[4]) - 1.0) < 1e-12  # oracle psi normalized at 0
+        # (1, 2) is the exact case psi = exp(-x^4/4); inside the oracle's
+        # half-domain the column is the oracle's sinc interpolant
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        x, psi_oracle = data[:, 0], data[:, 4]
+        half = oracle_ground_state(PotentialParams(1.0, 2.0), OracleConfig(L=6.0)).x[-1]
+        inside = x <= half
+        assert inside.sum() > 700
+        assert float(np.max(np.abs(psi_oracle - np.exp(-x**4 / 4.0))[inside])) <= 1e-10
+
+    @pytest.mark.parametrize("x_max", ["inf", "nan"])
+    def test_non_finite_x_max_exit_2(self, capsys, tmp_path, x_max):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "solve", "--x-max", x_max, "--out", str(out))
+        assert code == 2
+        assert "configuration error" in err and "x_max" in err
+        assert not out.exists()
 
 
 def test_import_solve_and_region_never_load_scipy(tmp_path):
@@ -225,6 +243,11 @@ class TestOracleCommand:
         assert text.startswith("E = 1.0000")
         assert "single-at-0" in text
         assert out.exists()
+
+    def test_nan_L_exit_2(self, capsys):
+        code, _, err = run(capsys, "oracle", "--g", "1", "--a", "2", "--L", "nan")
+        assert code == 2
+        assert "configuration error" in err and "L must" in err
 
 
 class TestVerifyCommand:

@@ -26,6 +26,7 @@ from gdwell.region import (
     gamma_poly,
     gamma_tilde,
     gamma_tilde_coeffs,
+    identity_residuals,
     poly_C1,
     poly_C2,
     trace_curves,
@@ -55,9 +56,10 @@ class TestPolynomials:
         x = rng.uniform(0.0, 2.0, 2000)
         ref = gamma_poly(a, x)
         scale = np.abs(ref) + 1.0
-        in_s = np.polynomial.polynomial.polyval(x * x, region._gamma_coeffs(a), tensor=False)
-        in_a = np.polynomial.polynomial.polyval(a, region._GAMMA_SA.T @ np.vstack(
-            [(x * x) ** k for k in range(5)]), tensor=False)
+        in_s = np.polynomial.polynomial.polyval(x * x, region._coeffs(region._GAMMA, a),
+                                                tensor=False)
+        in_a = np.polynomial.polynomial.polyval(a, region._coeffs(region._GAMMA, x * x, "a"),
+                                                tensor=False)
         assert float(np.max(np.abs(in_s - ref) / scale)) <= 1e-12
         assert float(np.max(np.abs(in_a - ref) / scale)) <= 1e-12
 
@@ -92,16 +94,20 @@ class TestPolynomials:
         rng = np.random.default_rng(7)
         a = rng.uniform(1e-6, 5.0, 10000)
         x = rng.uniform(0.0, 4.0, 10000)
-        t1 = alpha(a, x) ** 2
-        t2 = 64.0 * (x * x + a) * beta(a, x) ** 2
-        rhs = (x * x - 1.0) ** 2 * gamma_poly(a, x)
-        scale = t1 + t2 + np.abs(rhs) + 1.0
-        assert float(np.max(np.abs(t1 - t2 - rhs) / scale)) <= 1e-9
-        t1 = alpha_tilde(a, x) ** 2
-        t2 = 64.0 * (x * x + a) * beta_tilde(a, x) ** 2
-        rhs = (x * x - 1.0) ** 3 * gamma_tilde(a, x)
-        scale = t1 + t2 + np.abs(rhs) + 1.0
-        assert float(np.max(np.abs(t1 - t2 - rhs) / scale)) <= 1e-9
+        res_u, res_u_prime, res_table = identity_residuals(a, x)
+        assert res_u <= 1e-9
+        assert res_u_prime <= 1e-9
+        assert res_table <= 1e-8
+
+    def test_identity_residuals_see_a_wrong_coefficient(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(1e-3, 5.0, 2000)
+        x = rng.uniform(0.0, 4.0, 2000)
+        wrong = region._GAMMA_TILDE.copy()
+        wrong[3, 1] += 1.0
+        monkeypatch.setattr(region, "_GAMMA_TILDE", wrong)
+        monkeypatch.setattr(region, "gamma_poly", lambda a, x: 1.001 * gamma_poly(a, x))
+        assert all(r > 1e-6 for r in identity_residuals(a, x))
 
     def test_coefficient_table_against_factorization(self):
         rng = np.random.default_rng(11)
@@ -211,30 +217,20 @@ def report():
     return trace_curves(resolution=60)
 
 
-def _exact_in_s(coeffs_at, a, s):
-    """A curve polynomial in s whose coefficients are integer polynomials in
-    a of degree <= 7, recovered exactly from the package's coefficient
-    function by interpolation at a = 0..7."""
-    cols = [[float(np.ravel(c)[0]) for c in coeffs_at(float(i))] for i in range(8)]
-    return sp.Poly(sum(
-        sp.interpolate([(i, sp.Integer(round(col[k]))) for i, col in enumerate(cols)], a) * s**k
-        for k in range(len(cols[0]))), s)
-
-
 # the scan-and-bisect code these roots replace found a_c in a bracket of
 # width 8.5e-5 and the gamma fold at 0.0417631688; its 600-point z scan
 # skips root pairs closer than one sample, so it stopped 2.8e-6 short of
 # the alpha_tilde fold, at 0.1177274195
-@pytest.mark.parametrize("curve, coeffs_at, frozen, bisected, tol", [
-    ("gamma_zero", region._gamma_coeffs, region._GAMMA_FOLD, 0.0417631688, 1e-8),
-    ("alpha_tilde_zero", region._alpha_tilde_coeffs, region._ALPHA_TILDE_FOLD,
-     0.1177274195, 1e-5),
-    ("gamma_tilde_zero", region.gamma_tilde_coeffs, region._GAMMA_TILDE_FOLD,
-     0.66380005, 8.5e-5),
-])
-def test_fold_factors_rederived_with_sympy(report, curve, coeffs_at, frozen, bisected, tol):
+@pytest.mark.parametrize("curve, table, frozen, bisected, tol", [
+    ("gamma_zero", region._GAMMA, region._GAMMA_FOLD, 0.0417631688, 1e-8),
+    ("alpha_tilde_zero", region._ALPHA_TILDE, region._ALPHA_TILDE_FOLD, 0.1177274195, 1e-5),
+    ("gamma_tilde_zero", region._GAMMA_TILDE, region._GAMMA_TILDE_FOLD, 0.66380005, 8.5e-5),
+], ids=["gamma_zero", "alpha_tilde_zero", "gamma_tilde_zero"])
+def test_fold_factors_rederived_with_sympy(report, curve, table, frozen, bisected, tol):
     a, s = sp.symbols("a s")
-    disc = sp.discriminant(_exact_in_s(coeffs_at, a, s))
+    # the curve polynomial in s, exactly, from its integer (s, a) table
+    poly = sp.Poly(sum(int(c) * s**i * a**j for (i, j), c in np.ndenumerate(table)), s)
+    disc = sp.discriminant(poly)
     factors = [sp.Poly(f, a) for f, _ in sp.factor_list(disc)[1]]
     # the sweep ends where the curve does
     fold = max(p for p, _ in report.curves[curve])
@@ -289,7 +285,7 @@ class TestCurves:
         # at a = 0.0488 gamma_tilde has two roots in z that no sample of a
         # 600-point geometric z scan separates
         a = 0.0488
-        (roots,) = region._real_roots(region._in_z(gamma_tilde_coeffs, a), 0.0, 4.0)
+        (roots,) = region._real_roots(region._coeffs(region._GAMMA_TILDE, a, "z"), 0.0, 4.0)
         pair = roots[np.abs(roots - 0.45) < 0.01]
         assert len(pair) == 2
         z_scan = np.geomspace(1e-4, 4.0, 600)

@@ -2,12 +2,15 @@
 
 JSON is emitted by a small recursive serializer so every float is printed
 with 17 significant digits (lossless round-trip) and identical configs
-produce byte-identical files.  A list of Python floats, such as a grid or a
+produce byte-identical files.  A list of Python floats, such as a
 wavefunction, is written by one %-format over the whole list, not element by
-element.  A non-finite float raises ValueError, because JSON has no literal
-for it.  CSV files start with a schema/config comment line followed by a
-header row; table cells carry 4 decimals, and a cell that holds a comma or a
-quote is quoted.
+element.  So is a list of equal-length lists of Python floats, such as the
+region report's [a, x] curve pairs, one row to a line; any other list of
+lists (ragged rows, or a row that holds an int) takes the per-element path,
+which writes the same bytes.  A non-finite float raises ValueError, because
+JSON has no literal for it.  CSV files start with a schema/config comment
+line followed by a header row; table cells carry 4 decimals, and a cell that
+holds a comma or a quote is quoted.
 """
 
 from __future__ import annotations
@@ -29,6 +32,25 @@ def _non_finite(v: Any) -> ValueError:
     return ValueError(f"JSON has no literal for the non-finite float {v!r}")
 
 
+def _format_floats(fmt: str, values: Sequence[float]) -> str:
+    """fmt % values, where fmt holds one "%.17g" per value; "%.17g" formats
+    as format_float does, and only inf and nan hold an "n"."""
+    text = fmt % tuple(values)
+    if "n" in text:
+        raise _non_finite(next(v for v in values if not math.isfinite(v)))
+    return text
+
+
+def _float_rows(obj: Sequence) -> list[float] | None:
+    """The values of a list of equal-length, non-empty lists of Python
+    floats, row by row; None for any other list."""
+    width = len(obj[0]) if type(obj[0]) in (list, tuple) else 0
+    if not width or any(type(r) not in (list, tuple) or len(r) != width for r in obj):
+        return None
+    flat = [v for r in obj for v in r]
+    return flat if set(map(type, flat)) == {float} else None
+
+
 def _serialize(obj: Any, indent: int) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
@@ -44,13 +66,13 @@ def _serialize(obj: Any, indent: int) -> str:
             return "[]"
         kinds = set(map(type, obj))
         if kinds == {float}:
-            # "%.17g" formats as format_float does; only inf and nan hold an "n"
-            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
-            if "n" in text:
-                raise _non_finite(next(v for v in obj if not math.isfinite(v)))
-            return "[" + text + "]"
+            return "[" + _format_floats(", ".join(["%.17g"] * len(obj)), obj) + "]"
         if all(issubclass(k, _SCALARS) for k in kinds):
             return "[" + ", ".join(_serialize(v, indent) for v in obj) + "]"
+        flat = _float_rows(obj)
+        if flat is not None:
+            row = f"{pad}  [" + ", ".join(["%.17g"] * len(obj[0])) + "]"
+            return "[\n" + _format_floats(",\n".join([row] * len(obj)), flat) + f"\n{pad}]"
         items = [f"{pad}  {_serialize(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):

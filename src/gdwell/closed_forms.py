@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConvergenceDomainError
 
 __all__ = [
+    "find_a_g",
     "PotentialParams",
     "eval_potential",
     "eval_S0",
@@ -40,6 +41,14 @@ __all__ = [
 ]
 
 
+def find_a_g(g: float) -> float:
+    """Shape bound equivalent to a positive mixing coefficient:
+    a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2)."""
+    if not g > 0.0:
+        raise ValueError("g must be > 0")
+    return (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Model parameters (g, a) plus the derived constants frozen at construction.
@@ -47,8 +56,7 @@ class PotentialParams:
     E0     -- sqrt(1+a), the leading energy coefficient
     Gamma  -- (g*a - sqrt(1+a)) / (g*a + sqrt(1+a)), the mixing coefficient of
               the two trial-function branches; positive iff g > sqrt(1+a)/a
-    a_g    -- (1 + sqrt(1+4 g^2)) / (2 g^2), the shape bound equivalent to
-              Gamma > 0
+    a_g    -- find_a_g(g), the shape bound equivalent to Gamma > 0
     """
 
     g: float
@@ -65,9 +73,7 @@ class PotentialParams:
         e0 = math.sqrt(1.0 + self.a)
         object.__setattr__(self, "E0", e0)
         object.__setattr__(self, "Gamma", (self.g * self.a - e0) / (self.g * self.a + e0))
-        object.__setattr__(
-            self, "a_g", (1.0 + math.sqrt(1.0 + 4.0 * self.g**2)) / (2.0 * self.g**2)
-        )
+        object.__setattr__(self, "a_g", find_a_g(self.g))
 
     @property
     def mixing_positive(self) -> bool:

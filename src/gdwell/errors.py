@@ -36,8 +36,10 @@ class PositivityLossError(GdwellError):
 class DiscretizationError(GdwellError):
     """The reference solver cannot resolve the ground state within its
     configuration: extending its half-domain by 1.25x moves the energy by
-    more than 1e-3 (the domain cap L is too short), or the node count reaches
-    its cap n before two successive energies agree."""
+    more than 1e-3 (the domain cap L is too short), a node-count growth step
+    fails to halve the previous energy gap (L too short for that check to
+    see), or the node count reaches its cap n before two successive energies
+    agree."""
 
 
 class BracketError(GdwellError):

@@ -14,7 +14,9 @@ V = g E_0 reaches 36, so that psi has fallen by about e^-36 there; it is
 capped by ``OracleConfig.L``.  An extension of the domain by 1.25x at the
 same spacing measures the truncation at K = 30; K then grows by 1.5x until
 two energies agree to 1e-10 max(1, |E|), with 2K + 1 capped by
-``OracleConfig.n``.  The error estimate is the sum of the two shifts.  psi is
+``OracleConfig.n``.  A growth step that fails to halve the previous gap
+stops the growth early, because then the domain, not the spacing, holds the
+energy up.  The error estimate is the sum of the two shifts.  psi is
 sinc-interpolated onto a symmetric grid at 8x the node density.  Nothing
 here touches the trial function or the iteration, which share only
 ``eval_potential`` with it; this solver exists purely to validate them.
@@ -138,8 +140,10 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
 
     psi is returned on a symmetric grid at OVERSAMPLE x the node density,
     normalized to psi(0) = 1.  Raises DiscretizationError when the domain
-    extension moves the energy by more than 1e-3 (cfg.L too short), or when
-    2K + 1 reaches cfg.n before the energies agree.
+    extension moves the energy by more than 1e-3 (cfg.L too short), when a
+    growth step fails to halve the previous energy gap (cfg.L too short for
+    the extension check to see), or when 2K + 1 reaches cfg.n before the
+    energies agree.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -155,18 +159,30 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
             f"{shift:.2e} (> {MAX_EXTENSION_SHIFT:.0e}); increase L"
         )
     k_max = (cfg.n - 1) // 2
+    gap = math.inf
     while True:
         if k >= k_max:
             raise DiscretizationError(
                 f"energies at {2 * k + 1} nodes not converged to {REL_TOL:.0e} "
                 f"(cap n = {cfg.n}); increase n or check the configuration"
             )
-        e_prev = energy
+        e_prev, gap_prev = energy, gap
         k = min(math.ceil(K_GROWTH * k), k_max)
-        energy, c = _even_ground(p, half / k, k)
+        delta = half / k
+        energy, c = _even_ground(p, delta, k)
         gap = abs(energy - e_prev)
         if gap <= REL_TOL * max(1.0, abs(energy)):
             break
+        # a converging growth shrinks the gap geometrically; a gap above the
+        # eigensolver's rounding, about eps times the kinetic spectral radius
+        # pi^2 / (2 Delta^2), that the next step fails to halve is held up by
+        # the truncated domain instead
+        rounding = np.finfo(float).eps * math.pi**2 / (2.0 * delta * delta)
+        if gap_prev > rounding and gap > gap_prev / 2.0:
+            raise DiscretizationError(
+                f"energy gaps stalled at {gap_prev:.2e}, {gap:.2e} ({2 * k + 1} nodes); "
+                f"the half-domain {half:.3g} likely truncates psi; increase L"
+            )
     half_psi = _sinc_interpolate(c, np.arange(OVERSAMPLE * k + 1) / OVERSAMPLE) / c[0]
     half_x = half / k / OVERSAMPLE * np.arange(half_psi.size)
     return OracleResult(

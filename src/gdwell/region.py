@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closed_forms import alpha, beta, g1, g2, gamma_poly, pole_free_quotient
+from .closed_forms import alpha, beta, find_a_g, g1, g2, gamma_poly, pole_free_quotient
 from .errors import BracketError
 
 __all__ = [
@@ -329,14 +329,6 @@ def find_a_c() -> ACResult:
 
 # critical shape value: at or below it monotone convergence is not guaranteed
 A_C = find_a_c().a_c
-
-
-def find_a_g(g: float) -> float:
-    """Shape bound equivalent to a positive mixing coefficient:
-    a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2)."""
-    if not g > 0.0:
-        raise ValueError("g must be > 0")
-    return (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
 
 
 # ---- curve tracing ------------------------------------------------------------

@@ -113,14 +113,13 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "gdwell-solve-report-v1",
+            "schema": "gdwell-solve-report-v2",
             "config": {
                 "g": self.params.g,
                 "a": self.params.a,
                 "bc": self.bc.value,
                 "x_max": self.grid.x_max,
                 "n_per_panel": self.grid.n_per_panel,
-                "rule": "simpson",  # the one rule; the key stays for schema v1
                 "tol": self.tol,
             },
             "derived": {
@@ -134,7 +133,6 @@ class SolveReport:
             "iterations": self.iterations,
             "violations": [str(v) for v in self.violations],
             "warnings": list(self.warnings),
-            "x": self.grid.nodes.tolist(),
             "psi_final": self.psi_final.tolist(),
             "f_final": self.f_final.tolist(),
         }

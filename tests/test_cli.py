@@ -68,7 +68,7 @@ class TestSolveCommand:
         b1, b2 = out1.read_bytes(), out2.read_bytes()
         assert b1 == b2
         doc = json.loads(b1)
-        assert doc["schema"] == "gdwell-solve-report-v1"
+        assert doc["schema"] == "gdwell-solve-report-v2"
         assert doc["config"]["bc"] == "II"
         assert doc["converged"] is True
 

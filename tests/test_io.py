@@ -6,10 +6,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdwell._io import csv_preamble, dumps_json, format_float, write_csv
+from gdwell import Grid, region
+from gdwell._io import _float_rows, csv_preamble, dumps_json, format_float, write_csv, write_json
 
 
 def test_float_formatting_round_trips():
@@ -39,14 +40,66 @@ def test_dumps_json_is_valid_and_deterministic():
     assert parsed == doc
 
 
-# SHA-256 of the default solve report, as written before float lists were
-# formatted in one pass; any change to the report's bytes shows here
-DEFAULT_REPORT_SHA256 = "13f08a90b2fedb52f447bbcebda2459aa68978ba46346c18f7f2b37e6555ae6e"
+# SHA-256 of the default solve report in schema v2: the v1 text without its
+# "x" and "rule" lines; any other change to the report's bytes shows here
+DEFAULT_REPORT_SHA256 = "b6e351108eda677e7bcce783e86709d8bf46f5df8ad4ed749b695a4721ca33e2"
+# SHA-256 of region.trace_curves(50)'s report, as written before lists of
+# float rows were formatted in one pass
+TRACE_50_REPORT_SHA256 = "35309bdfbe679bfeab68adc3c618f3a60541824b213cb846c231e5eb0be89f09"
 
 
 def test_default_solve_report_bytes_are_pinned(solve_cache):
     text = dumps_json(solve_cache(1.0, 2.0, "II").to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_trace_curves_report_bytes_are_pinned():
+    text = dumps_json(region.trace_curves(50).to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_50_REPORT_SHA256
+
+
+def test_solve_report_nodes_rebuild_from_config(solve_cache, tmp_path):
+    rep = solve_cache(1.0, 2.0, "II")
+    path = tmp_path / "r.json"
+    write_json(str(path), rep.to_json_dict())
+    doc = json.loads(path.read_text())
+    assert "x" not in doc and "rule" not in doc["config"]
+    nodes = Grid(doc["config"]["x_max"], doc["config"]["n_per_panel"]).nodes
+    assert np.array_equal(nodes, rep.grid.nodes)
+    assert len(doc["psi_final"]) == len(doc["f_final"]) == nodes.size
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _per_element(rows) -> str:
+    """dumps_json of a top-level list of scalar rows, element by element."""
+    def cell(v):
+        return str(v) if type(v) is int else format_float(v)
+    return "[\n" + ",\n".join(
+        "  [" + ", ".join(map(cell, r)) + "]" for r in rows) + "\n]\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1)))
+def test_float_rows_match_per_element_format(rows):
+    assert _float_rows(rows) is not None
+    assert dumps_json(rows) == _per_element(rows)
+    assert dumps_json([tuple(r) for r in rows]) == _per_element(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@example([[0.5, 1], [2.0, 3.0]])
+@given(st.one_of(
+    st.lists(st.lists(FINITE, min_size=1, max_size=4), min_size=2).filter(
+        lambda rows: len(set(map(len, rows))) > 1),
+    st.lists(st.lists(st.one_of(FINITE, st.integers()), min_size=2, max_size=2),
+             min_size=1).filter(lambda rows: any(type(v) is int for r in rows for v in r)),
+))
+def test_ragged_or_int_rows_fall_back(rows):
+    assert _float_rows(rows) is None
+    assert dumps_json(rows) == _per_element(rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -67,6 +67,21 @@ class TestEigensolver:
         with pytest.raises(DiscretizationError, match="cap n = 500"):
             oracle_ground_state(PotentialParams(1.0, 2.0), OracleConfig(n=500))
 
+    def test_stalled_growth_stops_early(self, monkeypatch):
+        # L = 2 truncates psi at (3, 2) by less than the extension check sees:
+        # the growth gaps stay near 2e-8, and growth stops once one fails to halve
+        sizes = []
+
+        def counting(p, delta, k):
+            sizes.append(k)
+            return _even_ground(p, delta, k)
+
+        monkeypatch.setattr(oracle, "_even_ground", counting)
+        with pytest.raises(DiscretizationError, match="half-domain"):
+            oracle_ground_state(PotentialParams(3.0, 2.0), OracleConfig(L=2.0, n=6000))
+        # the K = 30 solve and its extension, then at most 3 growth steps
+        assert len(sizes) <= 2 + 3
+
     def test_cross_check_against_iteration(self, oracle_cache, solve_cache):
         # every distinct (g, a) of the built-in tables: the two independent
         # routes agree, and the alternating bounds bracket the true energy

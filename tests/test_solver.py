@@ -206,7 +206,7 @@ class TestSolve:
 
         rep = solve_cache(1.0, 2.0, "II")
         doc = json.loads(dumps_json(rep.to_json_dict()))
-        assert doc["schema"] == "gdwell-solve-report-v1"
+        assert doc["schema"] == "gdwell-solve-report-v2"
         assert doc["config"]["g"] == 1.0
         assert len(doc["energies"]) == rep.iterations + 1
 

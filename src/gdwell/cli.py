@@ -17,17 +17,7 @@ import numpy as np
 
 from . import _io, reference, region
 from .closed_forms import PotentialParams, eval_u
-from .errors import (
-    BracketError,
-    ConvergenceDomainError,
-    DegenerateDenominatorError,
-    DiscretizationError,
-    GdwellError,
-    GridError,
-    GridMismatchError,
-    OverflowGuardError,
-    PositivityLossError,
-)
+from .errors import ConvergenceDomainError, GdwellError, GridError
 from .oracle import OracleConfig, oracle_ground_state, peak_census
 from .solver import BoundaryCondition, SolveReport, solve
 from .trial import Grid
@@ -338,16 +328,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ConvergenceDomainError, GridError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (ValueError, ConvergenceDomainError, GridError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityLossError, DegenerateDenominatorError, OverflowGuardError,
-            GridMismatchError, DiscretizationError, BracketError) as exc:
+    except GdwellError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except GdwellError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -177,17 +177,11 @@ def f_step(
     integral of (w - curly_e) f_prev, tail-normalized for I and
     origin-normalized for II.  The endpoint value is exactly 1 in both cases
     by construction of the cumulatives."""
-    h = PanelSamples(
-        (w.inner - curly_e) * rule.grid.split(f_prev)[0],
-        (w.outer - curly_e) * rule.grid.split(f_prev)[1],
-    )
+    h = _times_f(PanelSamples(w.inner - curly_e, w.outer - curly_e), rule.grid, f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
     # both nested operators
-    if bc is BoundaryCondition.I:
-        F = nested_tail(t, rule, h)
-    else:
-        F = nested_origin(t, rule, h)
-    f = 1.0 - 2.0 * F
+    nested = nested_tail if bc is BoundaryCondition.I else nested_origin
+    f = 1.0 - 2.0 * nested(t, rule, h)
     fmin = float(f.min())
     if fmin <= 0.0:
         raise PositivityLossError(
@@ -205,8 +199,7 @@ def _truncation_tail_ratio(
     integral at the trial-function peak.  phi^2 decays at rate
     lambda = 2 (g S0' + S1') there, so the tail is below
     phi^2(x_max) sup|h| / lambda."""
-    grid = rule.grid
-    xm = grid.x_max
+    xm = rule.grid.x_max
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
     sup_h = max(float(np.max(np.abs(h.inner))), float(np.max(np.abs(h.outer))))
     log_phi2_xm = 2.0 * float(t.log_phi[-1])  # log phi peaks at 0
@@ -255,23 +248,20 @@ def solve(
     rule = QuadratureRule(grid)
     w = w_samples(p, grid)
     report.psi0 = t.psi0
+    ratio = _truncation_tail_ratio(p, t, rule, w)
+    if ratio > TAIL_RATIO_BOUND:
+        raise GridError(
+            f"estimated truncation tail beyond x_max={grid.x_max} is "
+            f"{ratio:.2e} of the peak inner integral (> {TAIL_RATIO_BOUND:g}); "
+            "increase x_max"
+        )
 
     g_e0 = p.g * p.E0
     report.energies.append(g_e0)
-    f_prev = np.ones(grid.n_points)
+    f_prev = report.f_n(0)
     for n in range(1, max_iter + 1):
         curly = energy_step(t, rule, w, f_prev)
         f_prev = f_step(t, rule, w, curly, f_prev, bc)
-        if n == 1:
-            ratio = _truncation_tail_ratio(
-                p, t, rule, _times_f(w, grid, np.ones(grid.n_points))
-            )
-            if ratio > TAIL_RATIO_BOUND:
-                raise GridError(
-                    f"estimated truncation tail beyond x_max={grid.x_max} is "
-                    f"{ratio:.2e} of the peak inner integral (> {TAIL_RATIO_BOUND:g}); "
-                    "increase x_max"
-                )
         report.curly_energies.append(curly)
         report.energies.append(g_e0 - curly)
         report.f_history.append(f_prev)
@@ -287,91 +277,57 @@ def solve(
     return report
 
 
-def _ratio_slope_violations(
-    f_a: np.ndarray, f_b: np.ndarray, want: str, label: str, tol: float
-) -> list[HierarchyViolation]:
-    """Nodewise monotonicity of f_b/f_a: 'decreasing' or 'increasing'."""
-    d = np.diff(f_b / f_a)
-    if want == "decreasing":
-        worst = float(d.max())
-        bad = worst > tol
-    else:
-        worst = float(d.min())
-        bad = worst < -tol
-    if bad:
-        return [HierarchyViolation("ratio-monotonicity", f"{label} not {want}", abs(worst))]
-    return []
+def _margin(values: np.ndarray, sign: float = 1.0) -> float:
+    """Signed margin of sign * values >= 0 at every node: its smallest value."""
+    return float(values.min()) if sign > 0 else -float(values.max())
 
 
-def check_hierarchy(report: SolveReport, tol: float = HIERARCHY_TOL) -> list[HierarchyViolation]:
+def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
     """Check every stated consequence of the hierarchy of iterates and return
-    the violations beyond tolerance (an empty list means all hold).
+    the violations beyond HIERARCHY_TOL (an empty list means all hold).
 
-    Boundary condition I: curly_E strictly ascending; iterates >= 1 and
-    nodewise ascending; successive ratios f_{n+1}/f_n nodewise decreasing.
-    Boundary condition II: odd curly_E ascending, even descending, every even
-    above every odd; ratios alternate (odd/even decreasing, even/odd
-    increasing); iterates stay in (0, 1] and non-increasing.
+    One pass over the iterates builds a table of rows (check, detail, signed
+    margin) for either boundary condition.  A margin below -HIERARCHY_TOL, or
+    at it for a curly_E relation, is a violation of magnitude -margin.
+    I: curly_E strictly ascending; iterates >= 1 and nodewise ascending;
+    ratios f_{n+1}/f_n nodewise decreasing from f_2/f_1 on.
+    II: odd curly_E ascending, even descending, every even above every odd;
+    iterates <= 1; ratios alternate from f_1/f_0 on (odd/even decreasing,
+    even/odd increasing).  Under both, every iterate is non-increasing in x.
+    A run with one iterate is checked too; the curly_E relations need two.
     """
-    out: list[HierarchyViolation] = []
     ce = report.curly_energies
-    fs = [np.ones(report.grid.n_points)] + list(report.f_history)
-    if len(ce) < 2:
-        return out
-
-    if report.bc is BoundaryCondition.I:
-        for n in range(1, len(ce)):
-            if ce[n] <= ce[n - 1] - tol:
-                out.append(HierarchyViolation(
-                    "energy-ascending", f"curly_E_{n + 1} <= curly_E_{n}",
-                    ce[n - 1] - ce[n]))
-        for n in range(1, len(fs)):
-            low = float((fs[n] - 1.0).min())
-            if low < -tol:
-                out.append(HierarchyViolation(
-                    "iterate-lower-bound", f"f_{n} dips below 1", -low))
-            if n >= 2:
-                worst = float((fs[n] - fs[n - 1]).min())
-                if worst < -tol:
-                    out.append(HierarchyViolation(
-                        "iterate-ascending", f"f_{n} < f_{n - 1} somewhere", -worst))
-            d = float(np.diff(fs[n]).max())
-            if d > tol:
-                out.append(HierarchyViolation(
-                    "iterate-nonincreasing-in-x", f"f_{n} increases in x", d))
-        for n in range(1, len(fs) - 1):
-            out += _ratio_slope_violations(
-                fs[n], fs[n + 1], "decreasing", f"f_{n + 1}/f_{n}", tol)
-    else:
-        odd = ce[0::2]
-        even = ce[1::2]
-        for i in range(1, len(odd)):
-            if odd[i] <= odd[i - 1] - tol:
-                out.append(HierarchyViolation(
-                    "odd-energy-ascending",
-                    f"curly_E_{2 * i + 1} <= curly_E_{2 * i - 1}",
-                    odd[i - 1] - odd[i]))
-        for i in range(1, len(even)):
-            if even[i] >= even[i - 1] + tol:
-                out.append(HierarchyViolation(
-                    "even-energy-descending",
-                    f"curly_E_{2 * i + 2} >= curly_E_{2 * i}",
-                    even[i] - even[i - 1]))
-        if even and odd and min(even) <= max(odd) - tol:
-            out.append(HierarchyViolation(
-                "even-above-odd", "some even curly_E not above every odd one",
-                max(odd) - min(even)))
-        for n in range(1, len(fs)):
-            high = float((fs[n] - 1.0).max())
-            if high > tol:
-                out.append(HierarchyViolation(
-                    "iterate-upper-bound", f"f_{n} exceeds 1", high))
-            d = float(np.diff(fs[n]).max())
-            if d > tol:
-                out.append(HierarchyViolation(
-                    "iterate-nonincreasing-in-x", f"f_{n} increases in x", d))
-        for n in range(0, len(fs) - 1):
-            want = "decreasing" if n % 2 == 0 else "increasing"
-            out += _ratio_slope_violations(
-                fs[n], fs[n + 1], want, f"f_{n + 1}/f_{n}", tol)
-    return out
+    fs = [report.f_n(0)] + list(report.f_history)
+    bc_i = report.bc is BoundaryCondition.I
+    # (check, first index, stride, sign): sign (curly_E_n - curly_E_{n-stride}) > 0
+    sequences = [("energy-ascending", 0, 1, 1.0)] if bc_i else [
+        ("odd-energy-ascending", 0, 2, 1.0), ("even-energy-descending", 1, 2, -1.0)]
+    energies = [
+        (check, f"curly_E_{n + 1} {'<=' if sign > 0 else '>='} curly_E_{n + 1 - stride}",
+         sign * (ce[n] - ce[n - stride]))
+        for check, first, stride, sign in sequences
+        for n in range(first + stride, len(ce), stride)
+    ]
+    if not bc_i and len(ce) >= 2:
+        energies.append(("even-above-odd", "some even curly_E not above every odd one",
+                         min(ce[1::2]) - max(ce[0::2])))
+    bound, bound_detail, bound_sign = (
+        ("iterate-lower-bound", "dips below 1", 1.0) if bc_i
+        else ("iterate-upper-bound", "exceeds 1", -1.0))
+    iterates, ratios = [], []
+    for n in range(1, len(fs)):
+        iterates.append((bound, f"f_{n} {bound_detail}", _margin(fs[n] - 1.0, bound_sign)))
+        if bc_i and n >= 2:
+            iterates.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
+                             _margin(fs[n] - fs[n - 1])))
+        iterates.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
+                         _margin(np.diff(fs[n]), -1.0)))
+        # I starts at f_2/f_1; II also checks f_1/f_0, which is f_1 itself
+        if n >= 2 or not bc_i:
+            slope = -1.0 if bc_i or n % 2 == 1 else 1.0
+            ratios.append(("ratio-monotonicity",
+                           f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
+                           _margin(np.diff(fs[n] / fs[n - 1]), slope)))
+    out = [HierarchyViolation(c, d, -m) for c, d, m in energies if m <= -HIERARCHY_TOL]
+    return out + [HierarchyViolation(c, d, -m)
+                  for c, d, m in iterates + ratios if m < -HIERARCHY_TOL]

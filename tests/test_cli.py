@@ -171,6 +171,12 @@ class TestSolveCommand:
         assert "configuration error" in err and "x_max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_directory_as_file_path_exit_2(self, capsys, tmp_path, flag):
+        code, _, err = run(capsys, "solve", "--n-points", "200", flag, str(tmp_path))
+        assert code == 2
+        assert "configuration error" in err
+
 
 def test_import_solve_and_region_never_load_scipy(tmp_path):
     # scipy is a test-only dependency: no command may load it
@@ -215,6 +221,13 @@ class TestTableCommand:
         assert code == 0
         worst = float(out.splitlines()[-1].split()[-1])
         assert worst <= 5e-4
+
+    def test_file_as_out_dir_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        code, _, err = run(capsys, "table", "1", "--out-dir", str(out_dir))
+        assert code == 2
+        assert "configuration error" in err
 
 
 class TestRegionCommand:
@@ -277,3 +290,9 @@ class TestViolationExitCode:
         captured = capsys.readouterr()
         assert code == 1
         assert "hierarchy violation" in captured.err
+
+    def test_one_iterate_run_exits_1(self, capsys):
+        code, _, err = run(capsys, "solve", "--g", "3", "--a", "2", "--n-points", "400",
+                           "--max-iter", "1", "--tol", "0")
+        assert code == 1
+        assert "f_1 increases in x" in err and "f_1/f_0 not decreasing" in err

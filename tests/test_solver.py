@@ -2,6 +2,7 @@
 boundary-value exactness, hierarchy checking, and failure modes."""
 
 import copy
+import hashlib
 import warnings
 
 import numpy as np
@@ -29,6 +30,8 @@ from gdwell.solver import (
 from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
+# SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
+PINNED_VIOLATIONS_SHA256 = "61dc08fe20d564cbecfa70f2bba9b1cf77335793d201414ccce78d5333a2c657"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
@@ -320,3 +323,49 @@ class TestHierarchy:
         for n in range(1, len(fs) - 1):
             d = np.diff(fs[n + 1] / fs[n])
             assert float(d.max()) <= 1e-9
+
+    def test_energy_drop_of_exactly_the_tolerance_is_a_violation(self, solve_cache):
+        rep = solve_cache(1.0, 2.0, "I")
+        fake = copy.copy(rep)
+        fake.curly_energies = [1e-9, 0.0]  # curly_E_2 - curly_E_1 is -1e-9 exactly
+        fake.f_history = rep.f_history[:2]
+        assert [(v.check, v.magnitude) for v in check_hierarchy(fake)] == [
+            ("energy-ascending", 1e-9)]
+
+    @pytest.mark.parametrize("bc, checks", [
+        ("I", ["iterate-nonincreasing-in-x"]),
+        ("II", ["iterate-nonincreasing-in-x", "ratio-monotonicity"]),
+    ])
+    def test_one_iterate_run_is_checked(self, bc, checks):
+        rep = solve(PotentialParams(3.0, 2.0), Grid(4.0, 400), BoundaryCondition(bc),
+                    max_iter=1, tol=0.0)
+        assert rep.iterations == 1
+        assert [v.check for v in rep.violations] == checks
+        assert all(v.detail.startswith("f_1") for v in rep.violations)
+
+    def test_violation_lists_are_pinned(self, solve_cache):
+        """Every check name, detail string, magnitude bit pattern and their
+        order, over natural runs that break the iterate relations and two
+        injected reports that break every energy relation and
+        iterate-ascending."""
+        reports = [
+            solve_cache(g, a, bc, n=n)
+            for g, a, bc, n in [
+                (3.0, 2.0, "I", 400), (3.0, 2.0, "II", 400),
+                (5.0, 1.0, "I", 400), (5.0, 1.0, "II", 400),
+                (20.0, 2.0, "I", 2000), (12.0, 30.0, "II", 1000),
+            ]
+        ]
+        for bc, curly in [("I", [0.7, 0.6, 0.8]), ("II", [0.7, 0.65, 0.6, 0.9])]:
+            rep = solve_cache(1.0, 2.0, bc)
+            fake = copy.copy(rep)
+            fs = rep.f_history
+            fake.curly_energies = curly
+            fake.f_history = [fs[1], fs[0]] + fs[2:len(curly)]
+            reports.append(fake)
+        h = hashlib.sha256()
+        for rep in reports:
+            for v in check_hierarchy(rep):
+                h.update(f"{v.check}|{v.detail}|{v.magnitude.hex()}\n".encode())
+            h.update(b"--\n")
+        assert h.hexdigest() == PINNED_VIOLATIONS_SHA256

@@ -66,10 +66,10 @@ class PotentialParams:
     a_g: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.g > 0.0):
-            raise ValueError(f"coupling g must be > 0, got {self.g}")
-        if not (self.a > 0.0):
-            raise ValueError(f"shape parameter a must be > 0, got {self.a}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"coupling g must be finite and > 0, got {self.g}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"shape parameter a must be finite and > 0, got {self.a}")
         e0 = math.sqrt(1.0 + self.a)
         object.__setattr__(self, "E0", e0)
         object.__setattr__(self, "Gamma", (self.g * self.a - e0) / (self.g * self.a + e0))

@@ -11,16 +11,19 @@ class ConvergenceDomainError(GdwellError):
 
 
 class GridError(GdwellError):
-    """Malformed computational grid (x=1 not a node, too few points, ...)."""
+    """Computational grid unfit for the run: malformed (x_max not above 1,
+    too few points, ...), too short for the trial function's tail, or too
+    coarse for it (OverflowGuardError)."""
 
 
 class GridMismatchError(GdwellError):
     """Sampled values do not match the quadrature rule's grid."""
 
 
-class OverflowGuardError(GdwellError):
-    """A folded log-ratio exponent exceeded the safety bound (+30); the grid
-    or truncation point is misconfigured."""
+class OverflowGuardError(GridError):
+    """A folded log-ratio exponent exceeded the safety bound (+30): the grid
+    spacing is too coarse for the trial function, a configuration error like
+    every GridError."""
 
 
 class DegenerateDenominatorError(GdwellError):

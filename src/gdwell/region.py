@@ -234,12 +234,11 @@ class Section3Report:
     failures: list[float] = field(default_factory=list)
 
 
-def verify_section3_positivity(x_grid: np.ndarray | None = None) -> Section3Report:
-    """Check the a=2 positivity chain on a dense grid:  over every node,
-    C1 sqrt(x^2+2) + C2 > 0, and the supporting inequality
+def verify_section3_positivity() -> Section3Report:
+    """Check the a=2 positivity chain on 10000 nodes over [1e-3, 10]:  at
+    every node, C1 sqrt(x^2+2) + C2 > 0, and the supporting inequality
     8 sqrt(3) (4800 x^2 + 1152) > 1152 x sqrt(x^2+2)."""
-    if x_grid is None:
-        x_grid = np.linspace(1e-3, 10.0, 10000)
+    x_grid = np.linspace(1e-3, 10.0, 10000)
     r = np.sqrt(x_grid**2 + 2.0)
     combo = poly_C1(x_grid) * r + poly_C2(x_grid)
     margin = 8.0 * math.sqrt(3.0) * (4800.0 * x_grid**2 + 1152.0) - 1152.0 * x_grid * r

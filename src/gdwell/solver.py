@@ -32,13 +32,7 @@ from .errors import (
     OutsideRegionWarning,
     PositivityLossError,
 )
-from .quadrature import (
-    PanelSamples,
-    QuadratureRule,
-    integrate_against_phi2,
-    nested_origin,
-    nested_tail,
-)
+from .quadrature import QuadratureRule, integrate_against_phi2, nested_origin, nested_tail
 from .region import A_C
 from .trial import Grid, TrialFunction, build_trial
 
@@ -108,8 +102,9 @@ class SolveReport:
     def psi_final(self) -> np.ndarray:
         return self.psi_n(self.iterations)
 
-    def energy_row(self, decimals: int = 4) -> list[str]:
-        return [f"{e:.{decimals}f}" for e in self.energies]
+    def energy_row(self) -> list[str]:
+        """The energies as table cells, to 4 decimals."""
+        return [f"{e:.4f}" for e in self.energies]
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,22 +133,16 @@ class SolveReport:
         }
 
 
-def w_samples(p: PotentialParams, grid: Grid) -> PanelSamples:
-    """Per-panel samples of w = u + ghat with the two-sided values at x=1:
-    the inner panel carries the mixing term up to and including the jump
-    node, the outer panel carries plain u."""
-    xi = grid.panel_nodes(0)
-    xo = grid.panel_nodes(1)
-    return PanelSamples(cf.eval_u(p, xi) + cf.eval_ghat(p, xi), cf.eval_u(p, xo))
-
-
-def _times_f(samples: PanelSamples, grid: Grid, f: np.ndarray) -> PanelSamples:
-    fi, fo = grid.split(f)
-    return PanelSamples(samples.inner * fi, samples.outer * fo)
+def w_samples(p: PotentialParams, grid: Grid) -> np.ndarray:
+    """w = u + ghat as a (2, n_per_panel+1) panel array with the two-sided
+    values at x=1: the inner row carries the mixing term up to and including
+    the jump node, the outer row carries plain u."""
+    xi, xo = grid.panels(grid.nodes)
+    return np.stack([cf.eval_u(p, xi) + cf.eval_ghat(p, xi), cf.eval_u(p, xo)])
 
 
 def energy_step(
-    t: TrialFunction, rule: QuadratureRule, w: PanelSamples, f_prev: np.ndarray
+    t: TrialFunction, rule: QuadratureRule, w: np.ndarray, f_prev: np.ndarray
 ) -> float:
     """curly_E = integral(w phi^2 f_prev) / integral(phi^2 f_prev)."""
     den = integrate_against_phi2(t, rule, f_prev)
@@ -161,14 +150,14 @@ def energy_step(
         raise DegenerateDenominatorError(
             f"normalization integral is {den:.3e}; iteration state is corrupted"
         )
-    num = integrate_against_phi2(t, rule, _times_f(w, rule.grid, f_prev))
+    num = integrate_against_phi2(t, rule, w * rule.grid.panels(f_prev))
     return num / den
 
 
 def f_step(
     t: TrialFunction,
     rule: QuadratureRule,
-    w: PanelSamples,
+    w: np.ndarray,
     curly_e: float,
     f_prev: np.ndarray,
     bc: BoundaryCondition,
@@ -177,7 +166,7 @@ def f_step(
     integral of (w - curly_e) f_prev, tail-normalized for I and
     origin-normalized for II.  The endpoint value is exactly 1 in both cases
     by construction of the cumulatives."""
-    h = _times_f(PanelSamples(w.inner - curly_e, w.outer - curly_e), rule.grid, f_prev)
+    h = (w - curly_e) * rule.grid.panels(f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
     # both nested operators
     nested = nested_tail if bc is BoundaryCondition.I else nested_origin
@@ -193,7 +182,7 @@ def f_step(
 
 
 def _truncation_tail_ratio(
-    p: PotentialParams, t: TrialFunction, rule: QuadratureRule, h: PanelSamples
+    p: PotentialParams, t: TrialFunction, rule: QuadratureRule, h: np.ndarray
 ) -> float:
     """Bound on the neglected integral beyond x_max relative to the inner
     integral at the trial-function peak.  phi^2 decays at rate
@@ -201,12 +190,11 @@ def _truncation_tail_ratio(
     phi^2(x_max) sup|h| / lambda."""
     xm = rule.grid.x_max
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
-    sup_h = max(float(np.max(np.abs(h.inner))), float(np.max(np.abs(h.outer))))
+    sup_h = float(np.max(np.abs(h)))
     log_phi2_xm = 2.0 * float(t.log_phi[-1])  # log phi peaks at 0
     tail = math.exp(log_phi2_xm) * sup_h / lam
-    peak = abs(integrate_against_phi2(t, rule, np.abs(np.concatenate([
-        h.inner, h.outer[1:]
-    ]))))
+    # |h| at the nodes, with the inner-side value at x = 1
+    peak = abs(integrate_against_phi2(t, rule, np.abs(np.concatenate([h[0], h[1, 1:]]))))
     return tail / peak if peak > 0 else 0.0
 
 
@@ -292,7 +280,7 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
     I: curly_E strictly ascending; iterates >= 1 and nodewise ascending;
     ratios f_{n+1}/f_n nodewise decreasing from f_2/f_1 on.
     II: odd curly_E ascending, even descending, every even above every odd;
-    iterates <= 1; ratios alternate from f_1/f_0 on (odd/even decreasing,
+    iterates <= 1; ratios alternate from f_2/f_1 on (odd/even decreasing,
     even/odd increasing).  Under both, every iterate is non-increasing in x.
     A run with one iterate is checked too; the curly_E relations need two.
     """
@@ -322,8 +310,8 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
                              _margin(fs[n] - fs[n - 1])))
         iterates.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
                          _margin(np.diff(fs[n]), -1.0)))
-        # I starts at f_2/f_1; II also checks f_1/f_0, which is f_1 itself
-        if n >= 2 or not bc_i:
+        # f_1/f_0 is f_1 itself, whose slope is checked above
+        if n >= 2:
             slope = -1.0 if bc_i or n % 2 == 1 else 1.0
             ratios.append(("ratio-monotonicity",
                            f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",

@@ -2,9 +2,14 @@
 
 The grid puts x = 1 exactly on a node shared by two uniform panels [0, 1]
 and [1, x_max], so the downward jump of the mixing term never sits inside a
-quadrature stencil.  The trial function spans a dynamic range of order
-exp(-2 g S0(x_max)) (e^-120 and beyond), and it is positive, so it is stored
-as its logarithm per node and all ratios are formed from log differences.
+quadrature stencil.  A sampled function is held as one (2, n_per_panel+1)
+array, row p on panel p; both rows hold x = 1, so a function that jumps
+there carries its two one-sided values.  Grid.panels views node values of a
+continuous function that way.
+
+The trial function spans a dynamic range of order exp(-2 g S0(x_max))
+(e^-120 and beyond), and it is positive, so it is stored as its logarithm
+per node and all ratios are formed from log differences.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from .closed_forms import PotentialParams
-from .errors import GridError
+from .errors import GridError, GridMismatchError
 
 __all__ = ["Grid", "TrialFunction", "build_trial"]
 
@@ -69,17 +74,21 @@ class Grid:
         n = self.n_per_panel
         return slice(0, n + 1) if panel == 0 else slice(n, 2 * n + 1)
 
-    def panel_nodes(self, panel: int) -> np.ndarray:
-        return self.nodes[self.panel_slice(panel)]
-
     def panel_h(self, panel: int) -> float:
         return self.h_inner if panel == 0 else self.h_outer
 
-    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split node values of a continuous function into per-panel views."""
+    def panels(self, values) -> np.ndarray:
+        """Node values as a read-only (2, n_per_panel+1) view: row p is panel
+        p, and both rows hold the shared node x = 1.  Strided values are
+        copied to contiguous ones first."""
+        values = np.ascontiguousarray(values, dtype=float)
         if values.shape != self.nodes.shape:
-            raise GridError(f"expected {self.nodes.shape} node values, got {values.shape}")
-        return values[self.panel_slice(0)], values[self.panel_slice(1)]
+            raise GridMismatchError(
+                f"expected {self.nodes.shape} node values, got {values.shape}")
+        n, step = self.n_per_panel, values.itemsize
+        view = np.ndarray((2, n + 1), float, values, strides=(n * step, step))
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +103,9 @@ class TrialFunction:
     as a single exponential of a log_phi difference.  psi0 is phi at the
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
-    log_phi alone (stencil ratios, anchors, scan layout); it builds them on
-    first use.  Trial functions compare and hash by identity.
+    log_phi alone (the stencil ratios and anchors of both panels, the unit
+    stencil of the plain rule, the scan layouts); it builds them on first
+    use.  Trial functions compare and hash by identity.
     """
 
     params: PotentialParams
@@ -112,9 +122,6 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     if grid is None:
         grid = Grid()
     x = grid.nodes
-    if not np.any(x == 1.0):
-        raise GridError("x = 1 must be a grid node")
-
     log_plus = -p.g * cf.eval_S0(p, x) - cf.eval_S1(p, x)
     log_minus = -p.g * cf.eval_S0_mirror(p, x) - cf.eval_S1(p, x)
 

@@ -55,6 +55,12 @@ class TestParams:
         with pytest.raises(ValueError):
             PotentialParams(1.0, -1.0)
 
+    @pytest.mark.parametrize("g,a", [(math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0),
+                                     (1.0, math.nan)])
+    def test_rejects_non_finite(self, g, a):
+        with pytest.raises(ValueError, match="finite"):
+            PotentialParams(g, a)
+
     def test_derived_constants(self):
         assert P12.E0 == math.sqrt(3.0)
         assert P12.E0**2 - 1.0 == pytest.approx(P12.a, abs=1e-15)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gdwell import GridMismatchError, OverflowGuardError, PotentialParams
 from gdwell.quadrature import (
-    PanelSamples,
     QuadratureRule,
     integrate_against_phi2,
     nested_origin,
@@ -37,20 +36,27 @@ def plain_integral(grid: Grid, values) -> float:
     return integrate_against_phi2(flat_trial(grid), QuadratureRule(grid), values)
 
 
-def zero_total(t: TrialFunction, h: PanelSamples) -> PanelSamples:
+def plain_intervals(grid: Grid, values) -> np.ndarray:
+    """Plain interval integrals of node values, (2, n_per_panel): the
+    scaled kernel on the unit stencil."""
+    unit = _factors(flat_trial(grid), QuadratureRule(grid)).unit
+    return _interval_integrals(grid.panels(values), unit, grid)
+
+
+def zero_total(t: TrialFunction, h: np.ndarray) -> np.ndarray:
     """h - <h>_phi^2: the integrand with its phi^2-weighted mean removed, as
     the nested operators require."""
     rule = QuadratureRule(t.grid)
     mean = integrate_against_phi2(t, rule, h) / integrate_against_phi2(
         t, rule, np.ones(t.grid.n_points))
-    return PanelSamples(h.inner - mean, h.outer - mean)
+    return h - mean
 
 
 class TestIntegrate:
     def test_simpson_exact_on_cubics_unit_panel(self):
         g = Grid(4.0, 64)
-        x = g.panel_nodes(0)
-        iv = _interval_integrals(x**3, g.panel_h(0))
+        x = g.panels(g.nodes)[0]
+        iv = plain_intervals(g, g.nodes**3)[0]
         # every interval, end stencils included, and the panel total
         np.testing.assert_allclose(iv, (x[1:] ** 4 - x[:-1] ** 4) / 4.0, rtol=0.0, atol=1e-15)
         assert float(iv.sum()) == pytest.approx(0.25, abs=1e-15)
@@ -68,10 +74,8 @@ class TestIntegrate:
 
     def test_weights_sum_to_panel_lengths(self):
         g = Grid(4.0, 100)
-        for panel, length in ((0, 1.0), (1, 3.0)):
-            ones = np.ones(g.n_per_panel + 1)
-            total = float(_interval_integrals(ones, g.panel_h(panel)).sum())
-            assert total == pytest.approx(length, abs=1e-13)
+        totals = plain_intervals(g, np.ones(g.n_points)).sum(axis=1)
+        np.testing.assert_allclose(totals, [1.0, 3.0], rtol=0.0, atol=1e-13)
 
     def test_mismatched_samples_rejected(self):
         g = Grid(4.0, 64)
@@ -80,22 +84,36 @@ class TestIntegrate:
         with pytest.raises(GridMismatchError):
             integrate_against_phi2(t, rule, np.ones(g.n_points + 1))
         with pytest.raises(GridMismatchError):
-            integrate_against_phi2(t, rule, PanelSamples(np.ones(3), np.ones(3)))
+            integrate_against_phi2(t, rule, np.ones((2, 3)))
+        with pytest.raises(GridMismatchError):
+            integrate_against_phi2(t, rule, np.ones((2, g.n_points)))
         with pytest.raises(GridMismatchError):
             integrate_against_phi2(t, QuadratureRule(Grid(5.0, 64)), np.ones(g.n_points))
 
     def test_interval_rule_total_matches_simpson_order(self):
         # the cubic interval rule integrates smooth functions at O(h^4), with
-        # and without phi^2 folded into its stencils
+        # phi = 1 folded into its stencils and on the unit stencil
         g = Grid(4.0, 512)
         y = np.sin(g.nodes)
         exact = 1.0 - math.cos(4.0)
         assert plain_integral(g, y) == pytest.approx(exact, abs=1e-10)
-        total = sum(
-            _interval_integrals(y[g.panel_slice(p)], g.panel_h(p)).sum()
-            for p in (0, 1)
-        )
-        assert total == pytest.approx(exact, abs=1e-10)
+        assert plain_intervals(g, y).sum() == pytest.approx(exact, abs=1e-10)
+
+    def test_folded_rule_exact_on_cubics_on_both_panels(self):
+        # phi^2 = e^{-x}: with values c(x) e^{x} the integrand values * phi^2
+        # is the cubic c, which the folded rule integrates exactly, interval
+        # by interval, on both panels
+        g = Grid(4.0, 64)
+        t = mock_trial(g, -g.nodes / 2.0)
+        c = np.polynomial.Polynomial([1.0, 0.5, -1.0, 2.0])
+        C = c.integ()
+        f = _factors(t, QuadratureRule(g))
+        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), f.stencil, g)
+        x = g.panels(g.nodes)
+        np.testing.assert_allclose(iv * f.stencil.anchor, C(x[:, 1:]) - C(x[:, :-1]),
+                                   rtol=1e-12, atol=0.0)
+        got = integrate_against_phi2(t, QuadratureRule(g), c(g.nodes) * np.exp(g.nodes))
+        assert got == pytest.approx(C(4.0) - C(0.0), rel=1e-13)
 
 
 class TestNestedOperators:
@@ -148,10 +166,9 @@ class TestNestedOperators:
         h_samp = zero_total(t, w_samples(P12, g))
         F = nested_tail(t, rule, h_samp)
 
-        phi2 = {p: np.exp(2.0 * t.log_phi[g.panel_slice(p)]) for p in (0, 1)}
-        iv_parts = [
-            _interval_integrals(h_samp[p] * phi2[p], g.panel_h(p)) for p in (0, 1)
-        ]
+        phi2 = np.exp(2.0 * g.panels(t.log_phi))
+        unit = _factors(t, rule).unit
+        iv_parts = _interval_integrals(h_samp * phi2, unit, g)
         # T at each node of each panel by full re-summation
         t_nodes = np.empty(g.n_points)
         for p in (0, 1):
@@ -167,16 +184,14 @@ class TestNestedOperators:
             sl = g.panel_slice(p)
             tt[sl] = t_nodes[sl] / phi2[p]
         F_naive = np.empty(g.n_points)
+        iv2 = _interval_integrals(g.panels(tt), unit, g)
         for p in (0, 1):
             sl = g.panel_slice(p)
-            iv2 = _interval_integrals(tt[sl], g.panel_h(p))
             n = g.n_per_panel
             for j in range(n + 1):
-                val = iv2[j:].sum()
+                val = iv2[p][j:].sum()
                 if p == 0:
-                    val += _interval_integrals(
-                        tt[g.panel_slice(1)], g.panel_h(1)
-                    ).sum()
+                    val += iv2[1].sum()
                 F_naive[sl.start + j] = val
         scale = np.abs(F).max()
         assert float(np.max(np.abs(F - F_naive))) <= 1e-12 * scale
@@ -206,7 +221,7 @@ class TestNestedOperators:
         dist = k if peak == "first" else k[::-1]
         t = mock_trial(g, -4.75 * dist)
         rule = QuadratureRule(g)
-        h = zero_total(t, PanelSamples(*g.split(g.nodes)))
+        h = zero_total(t, g.nodes)
         assert np.all(np.isfinite(op(t, rule, h)))
 
     def test_deterministic(self):

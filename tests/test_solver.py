@@ -19,7 +19,7 @@ from gdwell import (
 )
 from conftest import TABLE_CASES
 from gdwell import solver as solver_module
-from gdwell.quadrature import PanelSamples, QuadratureRule, integrate_against_phi2
+from gdwell.quadrature import QuadratureRule, integrate_against_phi2
 from gdwell.solver import (
     check_hierarchy,
     energy_step,
@@ -31,15 +31,15 @@ from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 # SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
-PINNED_VIOLATIONS_SHA256 = "61dc08fe20d564cbecfa70f2bba9b1cf77335793d201414ccce78d5333a2c657"
+PINNED_VIOLATIONS_SHA256 = "fd964365fa3e214f20248f94f9b5ad10d1f9a4d1a33697619811701518784e83"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
     return TrialFunction(P12, grid, np.zeros(grid.n_points), np.ones(grid.n_points))
 
 
-def const_samples(grid: Grid, c: float) -> PanelSamples:
-    return PanelSamples(np.full(grid.n_per_panel + 1, c), np.full(grid.n_per_panel + 1, c))
+def const_samples(grid: Grid, c: float) -> np.ndarray:
+    return np.full((2, grid.n_per_panel + 1), c)
 
 
 class TestEnergyStep:
@@ -257,8 +257,30 @@ def test_f_step_integrands_have_zero_phi2_total(g, a, bc, monkeypatch):
     assert len(seen) == 8
     for h in seen:
         total = integrate_against_phi2(t, rule, h)
-        scale = integrate_against_phi2(t, rule, PanelSamples(np.abs(h.inner), np.abs(h.outer)))
+        scale = integrate_against_phi2(t, rule, np.abs(h))
         assert abs(total) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bc,nested", [("I", "nested_tail"), ("II", "nested_origin")])
+def test_solve_calls_quadrature_by_position(bc, nested, monkeypatch):
+    # a traced benchmark wraps these names on gdwell.solver and reads the
+    # grid of each call as args[1].grid, so solve must pass them
+    # (trial, rule, samples) by position
+    calls = []
+    for name in (nested, "integrate_against_phi2"):
+        def spy(*args, _real=getattr(solver_module, name), _name=name, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, spy)
+    grid = Grid(4.0, 200)
+    solve(P12, grid, BoundaryCondition(bc), max_iter=2, tol=0.0)
+    assert {name for name, _, _ in calls} == {nested, "integrate_against_phi2"}
+    for _, args, kwargs in calls:
+        assert kwargs == {} and len(args) == 3
+        t, rule, samples = args
+        assert isinstance(t, TrialFunction) and isinstance(rule, QuadratureRule)
+        assert rule.grid == grid and np.shape(samples) in {(401,), (2, 201)}
 
 
 class TestHierarchy:
@@ -334,7 +356,7 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("bc, checks", [
         ("I", ["iterate-nonincreasing-in-x"]),
-        ("II", ["iterate-nonincreasing-in-x", "ratio-monotonicity"]),
+        ("II", ["iterate-nonincreasing-in-x"]),
     ])
     def test_one_iterate_run_is_checked(self, bc, checks):
         rep = solve(PotentialParams(3.0, 2.0), Grid(4.0, 400), BoundaryCondition(bc),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import one_sided_deriv5
-from gdwell import ConvergenceDomainError, GridError, PotentialParams
+from gdwell import ConvergenceDomainError, GridError, GridMismatchError, PotentialParams
 from gdwell.closed_forms import eval_S0, eval_S0_mirror, eval_S1
 from gdwell.quadrature import QuadratureRule
 from gdwell.solver import energy_step, w_samples
@@ -29,8 +29,23 @@ class TestGrid:
         assert g.n_points == 201
         assert np.all(np.diff(g.nodes) > 0.0)
         # uniform spacing within each panel
-        assert np.ptp(np.diff(g.panel_nodes(0))) < 1e-15
-        assert np.ptp(np.diff(g.panel_nodes(1))) < 1e-15
+        assert np.ptp(np.diff(g.panels(g.nodes), axis=1), axis=1).max() < 1e-15
+
+    def test_panels_is_a_read_only_view_sharing_x_equal_1(self):
+        g = Grid(4.0, 8)
+        x = g.panels(g.nodes)
+        assert x.shape == (2, 9)
+        assert x[0, -1] == x[1, 0] == 1.0
+        np.testing.assert_array_equal(x, np.stack([g.nodes[:9], g.nodes[8:]]))
+        assert np.shares_memory(x, g.nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            x[1, 0] = 2.0
+        # any stride of the node values
+        v = np.arange(34.0)[::-2]
+        np.testing.assert_array_equal(g.panels(v), np.stack([v[:9], v[8:]]))
+        for bad in (np.ones(16), np.ones(18), np.ones((2, 9)), np.ones((17, 1))):
+            with pytest.raises(GridMismatchError):
+                g.panels(bad)
 
     def test_rejects_bad_configs(self):
         with pytest.raises(GridError):
@@ -66,7 +81,7 @@ class TestBuildTrial:
         assert got == pytest.approx(0.13876, abs=1e-4)
 
     def test_branch_ratio_decreasing_inside_well(self):
-        log_ratio = branch_log_ratio(P12, Grid(4.0, 500).panel_nodes(0))
+        log_ratio = branch_log_ratio(P12, np.linspace(0.0, 1.0, 501))  # inner panel
         assert float(np.diff(log_ratio).max()) < 0.0
 
     def test_phi_positive_and_peak_normalized(self):

@@ -66,10 +66,15 @@ class PotentialParams:
     a_g: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.g < math.inf:
-            raise ValueError(f"coupling g must be finite and > 0, got {self.g}")
-        if not 0.0 < self.a < math.inf:
-            raise ValueError(f"shape parameter a must be finite and > 0, got {self.a}")
+        # V scales with g^2 and u with a^4, as Python floats, whose powers
+        # raise OverflowError rather than give inf; a_g divides by g^2
+        if not (0.0 < self.g < math.inf and 0.0 < self.g * self.g < math.inf):
+            raise ValueError(
+                f"coupling g must be > 0 with g^2 finite and nonzero, got {self.g}")
+        a2 = self.a * self.a
+        if not (0.0 < self.a < math.inf and a2 * a2 < math.inf):
+            raise ValueError(
+                f"shape parameter a must be > 0 with a^4 finite, got {self.a}")
         e0 = math.sqrt(1.0 + self.a)
         object.__setattr__(self, "E0", e0)
         object.__setattr__(self, "Gamma", (self.g * self.a - e0) / (self.g * self.a + e0))

@@ -8,12 +8,18 @@ either such an array, which keeps the two one-sided values of a function
 that jumps at x = 1, or the node values of a continuous function, which they
 view as one through Grid.panels.
 
-Nothing here forms phi^2 or 1/phi^2 directly.  Each interval integral of
-h phi^2 over [x_k, x_{k+1}] is carried scaled by phi^2(x_k), with the phi^2
-ratios of its stencil folded into single exponentials of log differences
-between nodes at most three intervals apart; an overflow guard trips if any
-of those exponents exceeds MAX_FOLDED_EXPONENT.  These stencil factors, and
-the anchors phi^2(x_k) that un-scale the interval integrals for the phi^2
+The phi^2 integral is one weighted sum over the nodes of both panels: the
+rule is linear, so its total is the samples dotted with fixed node weights
+h_p c_k phi^2(x_k), where c_k are the composite weights of the cubic interval
+rule.  phi^2 = exp(2 log phi) is at most 1 by the peak normalization, so the
+weights can underflow but never overflow.
+
+The nested operators never form phi^2 or 1/phi^2 directly.  Each of their
+interval integrals of h phi^2 over [x_k, x_{k+1}] is carried scaled by
+phi^2(x_k), with the phi^2 ratios of its stencil folded into single
+exponentials of log differences between nodes at most three intervals apart;
+an overflow guard trips if any of those exponents exceeds
+MAX_FOLDED_EXPONENT.  These stencil factors, and the node weights of the phi^2
 integral, depend only on the trial function: they are built once per
 TrialFunction, on first use, and kept on it.  The plain integrals of the
 outer cumulative run the same kernel on the unit stencil, the factors of
@@ -97,8 +103,7 @@ def _guard_exponents(dlp: np.ndarray) -> None:
 
 class _Stencil(NamedTuple):
     """Trial-only factors of the scaled interval stencils, row p for panel p
-    (n intervals each): phi^2 ratios between nearby nodes, and the anchors
-    phi^2(x_k) relative to the peak for k < n."""
+    (n intervals each): phi^2 ratios between nearby nodes."""
 
     up: np.ndarray    # phi^2(k+1)/phi^2(k), k < n
     prev: np.ndarray  # phi^2(k-1)/phi^2(k), 1 <= k <= n-2
@@ -107,7 +112,6 @@ class _Stencil(NamedTuple):
     e03: np.ndarray   # phi^2(3)/phi^2(0)
     em2: np.ndarray   # phi^2(n-2)/phi^2(n-1)
     em3: np.ndarray   # phi^2(n-3)/phi^2(n-1)
-    anchor: np.ndarray
 
 
 def _stencil(lp: np.ndarray) -> _Stencil:
@@ -124,10 +128,23 @@ def _stencil(lp: np.ndarray) -> _Stencil:
         e03=e02 * up[:, 2],
         em2=np.exp(-dlp[:, n - 2]),
         em3=np.exp(-(dlp[:, n - 2] + dlp[:, n - 3])),
-        # exponents are <= 0 by the peak normalization, so this can only
-        # underflow, never overflow
-        anchor=np.exp(2.0 * lp[:, :-1]),
     )
+
+
+# composite node weights of the cubic interval rule, in units of h, on the
+# four end nodes of a panel; every interior node has weight 1
+_END_WEIGHTS = np.array([8.0, 31.0, 20.0, 25.0]) / 24.0
+
+
+def _weights(lp: np.ndarray, grid: Grid) -> np.ndarray:
+    """Node weights h_p c_k phi^2(x_k) of the phi^2 integral, row p for panel p."""
+    c = np.ones(lp.shape[1])
+    c[:4] = _END_WEIGHTS
+    c[-4:] = _END_WEIGHTS[::-1]
+    h = np.array([[grid.panel_h(0)], [grid.panel_h(1)]])
+    # exponents are <= 0 by the peak normalization, so phi^2 can only
+    # underflow, never overflow
+    return h * c * np.exp(2.0 * lp)
 
 
 class _Scan(NamedTuple):
@@ -164,11 +181,12 @@ def _run_scan(c: np.ndarray, scan: _Scan) -> np.ndarray:
 
 
 class _Factors(NamedTuple):
-    """Everything the rule needs from one trial function: the stencil
-    factors, the unit stencil of the plain rule, the phi^2 peak node and the
-    layouts of the prefix scan (left of the peak) and of the suffix scan
-    (from the peak on, in reverse node order)."""
+    """Everything the rule needs from one trial function: the node weights
+    of the phi^2 integral, the stencil factors, the unit stencil of the plain
+    rule, the phi^2 peak node and the layouts of the prefix scan (left of the
+    peak) and of the suffix scan (from the peak on, in reverse node order)."""
 
+    weights: np.ndarray
     stencil: _Stencil
     unit: _Stencil
     peak: int
@@ -184,13 +202,15 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
             f"the trial function's ({t.grid.x_max}, {t.grid.n_per_panel})"
         )
     if t.quadrature_factors is None:
-        stencil = _stencil(t.grid.panels(t.log_phi))
+        lp = t.grid.panels(t.log_phi)
+        stencil = _stencil(lp)
         l2 = 2.0 * t.log_phi
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
         tail = l2[peak:-1][::-1]
+        unit = _Stencil(*(np.broadcast_to(1.0, np.shape(a)) for a in stencil))
         object.__setattr__(t, "quadrature_factors", _Factors(
-            stencil, _Stencil(*(np.broadcast_to(1.0, np.shape(a)) for a in stencil)), peak,
+            _weights(lp, t.grid), stencil, unit, peak,
             _scan_layout(l2[:m], l2[1 : m + 1]), _scan_layout(tail, tail)
         ))
     return t.quadrature_factors
@@ -228,12 +248,12 @@ def _interval_integrals(y: np.ndarray, s: _Stencil, grid: Grid) -> np.ndarray:
 
 
 def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
-    """Integral of values * phi^2 over [0, x_max], with phi^2 folded in log
-    space (log phi peaks at 0, so the weights lie in (0, 1])."""
-    f = _factors(t, rule)
-    iv = _interval_integrals(_samples(rule.grid, values), f.stencil, rule.grid)
-    iv *= f.stencil.anchor
-    return sum(float(np.sum(row)) for row in iv)
+    """Integral of values * phi^2 over [0, x_max]: the samples of both
+    panels dotted with the node weights."""
+    w = _factors(t, rule).weights
+    # einsum sums in numpy, not in BLAS, whose ddot splits long rows across
+    # threads and so would make the rounding depend on the core count
+    return float(np.einsum("ij,ij->", w, _samples(rule.grid, values)))
 
 
 def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:

@@ -103,9 +103,10 @@ class TrialFunction:
     as a single exponential of a log_phi difference.  psi0 is phi at the
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
-    log_phi alone (the stencil ratios and anchors of both panels, the unit
-    stencil of the plain rule, the scan layouts); it builds them on first
-    use.  Trial functions compare and hash by identity.
+    log_phi alone (the node weights of the phi^2 integral, the stencil
+    ratios of both panels, the unit stencil of the plain rule, the scan
+    layouts); it builds them on first use.  Trial functions compare and hash
+    by identity.
     """
 
     params: PotentialParams
@@ -122,8 +123,9 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     if grid is None:
         grid = Grid()
     x = grid.nodes
-    log_plus = -p.g * cf.eval_S0(p, x) - cf.eval_S1(p, x)
-    log_minus = -p.g * cf.eval_S0_mirror(p, x) - cf.eval_S1(p, x)
+    s1 = cf.eval_S1(p, x)
+    log_plus = -p.g * cf.eval_S0(p, x) - s1
+    log_minus = -p.g * cf.eval_S0_mirror(p, x) - s1
 
     log_phi = np.empty_like(x)
     inner, outer = grid.panel_slice(0), grid.panel_slice(1)

@@ -177,6 +177,11 @@ class TestSolveCommand:
         assert code == 2
         assert "configuration error" in err and "grid spacing too coarse" in err
 
+    def test_a_whose_fourth_power_overflows_exit_2(self, capsys):
+        code, _, err = run(capsys, "solve", "--g", "2", "--a", "1e300", "--n-points", "400")
+        assert code == 2
+        assert "configuration error" in err and "shape parameter a" in err
+
     @pytest.mark.parametrize("flag", ["--out", "--config"])
     def test_directory_as_file_path_exit_2(self, capsys, tmp_path, flag):
         code, _, err = run(capsys, "solve", "--n-points", "200", flag, str(tmp_path))
@@ -268,6 +273,12 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--g", g, "--a", a)
         assert code == 2
         assert "configuration error" in err and "finite" in err
+
+    @pytest.mark.parametrize("g", ["1e200", "1e-200"])
+    def test_g_whose_square_is_not_finite_and_nonzero_exit_2(self, capsys, g):
+        code, _, err = run(capsys, "oracle", "--g", g, "--a", "2")
+        assert code == 2
+        assert "configuration error" in err and "coupling g" in err
 
     def test_nan_L_exit_2(self, capsys):
         code, _, err = run(capsys, "oracle", "--g", "1", "--a", "2", "--L", "nan")

@@ -61,6 +61,20 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             PotentialParams(g, a)
 
+    @pytest.mark.parametrize("g,a,name", [
+        (1e200, 2.0, "coupling g"), (1e-200, 2.0, "coupling g"), (2.0, 1e300, "shape parameter a"),
+        (2.0, 1e78, "shape parameter a")])
+    def test_rejects_squares_and_fourth_powers_out_of_range(self, g, a, name):
+        # g^2 and a^4 are formed as Python floats, whose powers raise
+        # OverflowError; g^2 = 0 would divide by zero in a_g
+        with pytest.raises(ValueError, match=name):
+            PotentialParams(g, a)
+
+    @pytest.mark.parametrize("g,a", [(1e150, 2.0), (1e-150, 2.0), (2.0, 1e76), (2.0, 1e-300)])
+    def test_accepts_squares_and_fourth_powers_in_range(self, g, a):
+        p = PotentialParams(g, a)
+        assert math.isfinite(p.g**2) and math.isfinite(p.a**4)
+
     def test_derived_constants(self):
         assert P12.E0 == math.sqrt(3.0)
         assert P12.E0**2 - 1.0 == pytest.approx(P12.a, abs=1e-15)

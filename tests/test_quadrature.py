@@ -110,10 +110,41 @@ class TestIntegrate:
         f = _factors(t, QuadratureRule(g))
         iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), f.stencil, g)
         x = g.panels(g.nodes)
-        np.testing.assert_allclose(iv * f.stencil.anchor, C(x[:, 1:]) - C(x[:, :-1]),
+        anchors = np.exp(2.0 * g.panels(t.log_phi)[:, :-1])  # phi^2(x_k), k < n
+        np.testing.assert_allclose(iv * anchors, C(x[:, 1:]) - C(x[:, :-1]),
                                    rtol=1e-12, atol=0.0)
         got = integrate_against_phi2(t, QuadratureRule(g), c(g.nodes) * np.exp(g.nodes))
         assert got == pytest.approx(C(4.0) - C(0.0), rel=1e-13)
+
+
+    def test_weights_are_composite_rule_times_phi2(self):
+        g = Grid(4.0, 64)
+        t = mock_trial(g, -g.nodes / 2.0)
+        ends = np.array([8.0, 31.0, 20.0, 25.0])
+        c = np.concatenate([ends, np.full(g.n_per_panel - 7, 24.0), ends[::-1]]) / 24.0
+        h = np.array([[g.h_inner], [g.h_outer]])
+        w = _factors(t, QuadratureRule(g)).weights
+        np.testing.assert_allclose(w, h * c * np.exp(-g.panels(g.nodes)), rtol=1e-15, atol=0.0)
+        # on phi = 1 the weights are h_p c_k, which sum to each panel's length
+        w = _factors(flat_trial(g), QuadratureRule(g)).weights
+        np.testing.assert_array_equal(w, h * c)
+        np.testing.assert_allclose(w.sum(axis=1), [1.0, 3.0], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("g, a", [
+        (g, a) for g in (0.6, 1.0, 3.0, 8.0, 20.0) for a in (0.7, 2.0, 12.0, 100.0)
+        if PotentialParams(g, a).mixing_positive])
+    def test_weighted_sum_matches_folded_interval_integrals(self, g, a):
+        # the node-weight sum against the folded stencil kernel un-scaled by
+        # phi^2(x_k), on census trial functions
+        p = PotentialParams(g, a)
+        grid = Grid(4.0, 2000)
+        t = build_trial(p, grid)
+        rule = QuadratureRule(grid)
+        stencil = _factors(t, rule).stencil
+        anchors = np.exp(2.0 * grid.panels(t.log_phi)[:, :-1])
+        for y in (np.ones((2, grid.n_per_panel + 1)), w_samples(p, grid)):
+            ref = float(np.sum(_interval_integrals(y, stencil, grid) * anchors))
+            assert integrate_against_phi2(t, rule, y) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestNestedOperators:

@@ -65,8 +65,6 @@ class TestParams:
         (1e200, 2.0, "coupling g"), (1e-200, 2.0, "coupling g"), (2.0, 1e300, "shape parameter a"),
         (2.0, 1e78, "shape parameter a")])
     def test_rejects_squares_and_fourth_powers_out_of_range(self, g, a, name):
-        # g^2 and a^4 are formed as Python floats, whose powers raise
-        # OverflowError; g^2 = 0 would divide by zero in a_g
         with pytest.raises(ValueError, match=name):
             PotentialParams(g, a)
 

@@ -110,9 +110,12 @@ def eval_potential(p: PotentialParams, x):
 
 def _s0_raw(a: float, x):
     # valid for all real x: log(x + sqrt(x^2+a)) is defined since sqrt > |x|
-    r = np.sqrt(x * x + a)
+    s = x * x + a
+    r = np.sqrt(s)
     c = a / 8.0 + 0.5
-    return 0.25 * x * r**3 - c * x * r - a * c * np.log(x + r)
+    # r^3 as s r: one product, no float power, and one rounding closer to
+    # s^{3/2} than r r r
+    return 0.25 * x * (s * r) - c * x * r - a * c * np.log(x + r)
 
 
 def eval_S0(p: PotentialParams, x):
@@ -143,7 +146,7 @@ def eval_S1(p: PotentialParams, x):
     r = np.sqrt(x * x + a)
     sa1 = math.sqrt(a + 1.0)
     return (
-        np.log((x + 1.0) * (x * x + a) ** 0.25)
+        np.log((x + 1.0) * np.sqrt(r))
         + 0.5 * np.log((sa1 * r + a + x) / (sa1 * r + a - x))
     )
 
@@ -188,8 +191,8 @@ def alpha(a, x):
     """Even part of the u numerator, with s = x^2:
     15 s^3 + 6 (3a-1) s^2 + (8a^2 + 12a + 7) s + 8a^2 + 2a."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return (15.0 * x2**3 + 6.0 * (3.0 * a - 1.0) * x2**2
-            + (8.0 * a * a + 12.0 * a + 7.0) * x2 + 8.0 * a * a + 2.0 * a)
+    return ((15.0 * x2 + 6.0 * (3.0 * a - 1.0)) * x2
+            + (8.0 * a * a + 12.0 * a + 7.0)) * x2 + 8.0 * a * a + 2.0 * a
 
 
 def beta(a, x):

@@ -34,11 +34,15 @@ the peak, would be amplified by up to e^{+2 g |S0|}):
     left of the peak    prefix(x_k) = integral_0^{x_k} h phi^2 / phi^2(x_k)
 
 Both are blocked scans: contiguous runs of nodes whose 2 log phi lies in one
-band [m M, (m+1) M), M = MAX_FOLDED_EXPONENT, are summed by one numpy cumsum
-in the units of e^{m M}, and the running sum is carried to the next band by a
-factor e^{+-M}.  No exponent the scan evaluates exceeds 2 M, however deep the
-well, and the only Python loop runs over the bands.  The band layout and its
-exponentials are trial-only factors too.
+band [m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in
+the units of e^{m B}, and the running sum is carried to the next band by a
+factor e^{+-B}.  The overflow guard caps every step of 2 log phi at
+MAX_FOLDED_EXPONENT = 30 < B, so adjacent blocks differ by exactly one band.
+No exponent the scan evaluates exceeds B + 30 in size, so none of its factors
+is subnormal, and no partial sum of N terms exceeds N e^{2B} times the largest
+term, far inside the double range, however deep the well.  The only Python
+loop runs over the bands, which is why they are much wider than the guard's
+cap.  The band layout and its exponentials are trial-only factors too.
 
 Both nested operators take one inner integral, the tail one: the suffix sum
 from the peak on, and minus the prefix sum left of it.  That rests on one
@@ -66,6 +70,8 @@ __all__ = [
 ]
 
 MAX_FOLDED_EXPONENT = 30.0
+# width of the scan bands in 2 log phi; see the module docstring
+_SCAN_BAND = 200.0
 
 
 @dataclass(frozen=True)
@@ -149,20 +155,20 @@ def _weights(lp: np.ndarray, grid: Grid) -> np.ndarray:
 
 class _Scan(NamedTuple):
     """Layout of one blocked scan out_i = sum_{j<=i} c_j exp(l2c_j - l2n_i):
-    each block shares one anchor A = m M, its band's lower edge."""
+    each block shares one anchor A = m B, its band's lower edge, B = _SCAN_BAND."""
 
-    into: np.ndarray  # exp(l2c_j - A) of term j's block, in [1, e^M)
-    out: np.ndarray   # exp(A - l2n_i) of output i's block, in (e^{-2M}, e^M]
+    into: np.ndarray  # exp(l2c_j - A) of term j's block, in [1, e^B)
+    out: np.ndarray   # exp(A - l2n_i) of output i's block, in [e^{-B-30}, e^30]
     blocks: list[tuple[int, int, float]]  # (start, stop, exp(A_previous - A))
 
 
 def _scan_layout(l2c: np.ndarray, l2n: np.ndarray) -> _Scan:
-    band = np.floor(l2c / MAX_FOLDED_EXPONENT)
-    anchor = band * MAX_FOLDED_EXPONENT
+    band = np.floor(l2c / _SCAN_BAND)
+    anchor = band * _SCAN_BAND
     starts = np.flatnonzero(np.diff(band, prepend=np.nan))  # 0 and each band change
     stops = [*starts[1:].tolist(), l2c.size]
     # adjacent bands differ by one, as the guard caps every step of 2 log phi
-    # at M; the first block has nothing to carry
+    # at MAX_FOLDED_EXPONENT < B; the first block has nothing to carry
     carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
     return _Scan(np.exp(l2c - anchor), np.exp(anchor - l2n),
                  list(zip(starts.tolist(), stops, carry)))

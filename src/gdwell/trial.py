@@ -125,12 +125,13 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     x = grid.nodes
     s1 = cf.eval_S1(p, x)
     log_plus = -p.g * cf.eval_S0(p, x) - s1
-    log_minus = -p.g * cf.eval_S0_mirror(p, x) - s1
 
     log_phi = np.empty_like(x)
     inner, outer = grid.panel_slice(0), grid.panel_slice(1)
-    # below the matching point: phi = phi_plus (1 + Gamma phi_-/phi_+)
-    rho_inner = np.exp(log_minus[inner] - log_plus[inner])
+    # below the matching point: phi = phi_plus (1 + Gamma phi_-/phi_+); the
+    # mirror branch is needed only here, x = 1 included
+    log_minus = -p.g * cf.eval_S0_mirror(p, x[inner]) - s1[inner]
+    rho_inner = np.exp(log_minus - log_plus[inner])
     log_phi[inner] = log_plus[inner] + np.log1p(p.Gamma * rho_inner)
     # above: the same expression frozen at the x=1 node values
     i1 = grid.i_one

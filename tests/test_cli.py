@@ -189,6 +189,14 @@ class TestSolveCommand:
         assert "configuration error" in err
 
 
+def src_env() -> dict:
+    """The environment with gdwell's source directory first on PYTHONPATH,
+    for a fresh interpreter."""
+    src = str(Path(gdwell.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def test_import_solve_and_region_never_load_scipy(tmp_path):
     # scipy is a test-only dependency: no command may load it
     out = str(tmp_path)
@@ -203,13 +211,20 @@ def test_import_solve_and_region_never_load_scipy(tmp_path):
         f"{str(tmp_path / 'psi.csv')!r}]) == 0\n"
         "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(gdwell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
+def test_python_m_gdwell_runs_the_cli(capsys):
+    argv = ["solve", "--g", "1", "--a", "2", "--n-points", "400"]
+    proc = subprocess.run([sys.executable, "-m", "gdwell", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 class TestTableCommand:

@@ -41,8 +41,9 @@ def test_dumps_json_is_valid_and_deterministic():
 
 
 # SHA-256 of the default solve report in schema v2, with the phi^2 integral
-# as one node-weighted sum; any other change to the report's bytes shows here
-DEFAULT_REPORT_SHA256 = "2309d083e5bcf4390ade120223f9c1a3575c39c5d67bd98d7b55573553fb89eb"
+# as one node-weighted sum, 200-wide scan bands and the closed forms free of
+# float powers; any other change to the report's bytes shows here
+DEFAULT_REPORT_SHA256 = "904005e8f6f0688a24fbe940ccc4d9e2444f43dbbd94e30e68b02f99df600dd7"
 # SHA-256 of region.trace_curves(50)'s report, as written before lists of
 # float rows were formatted in one pass
 TRACE_50_REPORT_SHA256 = "35309bdfbe679bfeab68adc3c618f3a60541824b213cb846c231e5eb0be89f09"

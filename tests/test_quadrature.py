@@ -16,7 +16,13 @@ from gdwell.quadrature import (
     nested_origin,
     nested_tail,
 )
-from gdwell.quadrature import _factors, _interval_integrals, _peak_split
+from gdwell.quadrature import (
+    _SCAN_BAND,
+    MAX_FOLDED_EXPONENT,
+    _factors,
+    _interval_integrals,
+    _peak_split,
+)
 from gdwell.solver import w_samples
 from gdwell.trial import Grid, TrialFunction, build_trial
 
@@ -311,10 +317,12 @@ def reference_scans(log_phi: np.ndarray, iv: np.ndarray) -> tuple[np.ndarray, np
 @example(n=128, peak="x=1", slope_left=5.0, slope_right=5.0, seed=0)
 @example(n=128, peak="first", slope_left=0.0, slope_right=5.0, seed=1)
 @example(n=128, peak="last", slope_left=5.0, slope_right=0.0, seed=2)
+@example(n=1024, peak="x=1", slope_left=5.0, slope_right=5.0, seed=3)
 def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_right, seed):
     # 2 log phi rises by up to 9.5 per interval to the peak and falls after
     # it (three-interval sums stay below the guard's 30); steep slopes cross
-    # a 30-wide band every few nodes and so force many blocks
+    # a 200-wide scan band every few dozen nodes, so 2048 intervals force
+    # many blocks
     g = Grid(4.0, n)
     rng = np.random.default_rng(seed)
     n_iv = g.n_points - 1
@@ -325,7 +333,9 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
     d2 = np.where(np.arange(n_iv) < i_peak, rise, -fall)
     log_phi = np.concatenate([[0.0], np.cumsum(d2)]) / 2.0
     log_phi -= log_phi.max()
-    t = mock_trial(g, log_phi)
+    # the scans never read psi0; phi/phi(0), as mock_trial forms it,
+    # overflows once the peak exceeds phi(0) by e^{+709}
+    t = TrialFunction(P12, g, log_phi, np.exp(log_phi))
     f = _factors(t, QuadratureRule(g))
     if slope_left > 0.0 and slope_right > 0.0:
         assert f.peak == i_peak
@@ -334,5 +344,31 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
     prefix, suffix = reference_scans(log_phi, iv)
     np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
-    if min(slope_left, slope_right) == 5.0 and n == 128:
+    if min(slope_left, slope_right) == 5.0 and n == 1024:
         assert len(f.prefix.blocks) + len(f.suffix.blocks) >= 40
+
+
+@pytest.mark.parametrize("n", [2000, 16000])
+@pytest.mark.parametrize("g,a", [(20.0, 12.0), (20.0, 100.0)])
+def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
+    # 2 log phi spans thousands here; every scaled factor stays a normal
+    # float within the band bounds, and the blocks are as few as the bands
+    # the scan crosses allow
+    grid = Grid(4.0, n)
+    t = build_trial(PotentialParams(g, a), grid)
+    f = _factors(t, QuadratureRule(grid))
+    l2 = 2.0 * t.log_phi
+    m = max(f.peak - 1, 0)
+    for scan, l2c in [(f.prefix, l2[:m]), (f.suffix, l2[f.peak : -1])]:
+        assert np.all((scan.into >= 1.0) & (scan.into < math.exp(_SCAN_BAND)))
+        assert np.all((scan.out >= math.exp(-_SCAN_BAND - MAX_FOLDED_EXPONENT))
+                      & (scan.out <= math.exp(MAX_FOLDED_EXPONENT)))
+        if l2c.size:
+            span = float(l2c.max() - l2c.min())
+            assert len(scan.blocks) <= math.ceil(span / _SCAN_BAND) + 1
+    if (g, a, n) == (20.0, 12.0, 2000):
+        iv = _interval_integrals(np.ones((2, n + 1)), f.stencil, grid).ravel()
+        got = _peak_split(f, iv)
+        prefix, suffix = reference_scans(t.log_phi, iv)
+        np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)

@@ -109,13 +109,29 @@ def eval_potential(p: PotentialParams, x):
 
 
 def _s0_raw(a: float, x):
-    # valid for all real x: log(x + sqrt(x^2+a)) is defined since sqrt > |x|
-    s = x * x + a
-    r = np.sqrt(s)
+    # valid for all real x: log(x + sqrt(x^2+a)) is defined since sqrt > |x|;
+    # 0.25 x (s r) - c x r - a c log(x + r), s = x^2 + a, r = sqrt(s), in
+    # place in three arrays, in the order that expression evaluates
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
     c = a / 8.0 + 0.5
+    s = x * x
+    s += a
+    r = np.sqrt(s)
     # r^3 as s r: one product, no float power, and one rounding closer to
     # s^{3/2} than r r r
-    return 0.25 * x * (s * r) - c * x * r - a * c * np.log(x + r)
+    s *= r
+    out = np.multiply(0.25, x)
+    out *= s
+    np.multiply(c, x, out=s)
+    s *= r
+    out -= s
+    np.add(x, r, out=s)
+    np.log(s, out=s)
+    s *= a * c
+    out -= s
+    return out[0] if scalar else out
 
 
 def eval_S0(p: PotentialParams, x):
@@ -140,15 +156,31 @@ def eval_S0_prime(p: PotentialParams, x):
 
 
 def eval_S1(p: PotentialParams, x):
-    """Subleading phase integral S1(x), closed form, for x >= 0."""
+    """Subleading phase integral S1(x), closed form, for x >= 0:
+    log((x+1) sqrt(r)) + log((sa1 r + a + x) / (sa1 r + a - x)) / 2 with
+    r = sqrt(x^2+a), sa1 = sqrt(a+1)."""
     x = _check_nonnegative(x)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
     a = p.a
-    r = np.sqrt(x * x + a)
     sa1 = math.sqrt(a + 1.0)
-    return (
-        np.log((x + 1.0) * np.sqrt(r))
-        + 0.5 * np.log((sa1 * r + a + x) / (sa1 * r + a - x))
-    )
+    # in place in three arrays, in the order the expression above evaluates
+    r = x * x
+    r += a
+    np.sqrt(r, out=r)
+    work = np.sqrt(r)
+    out = x + 1.0
+    out *= work
+    np.log(out, out=out)
+    r *= sa1
+    r += a
+    np.subtract(r, x, out=work)
+    r += x
+    r /= work
+    np.log(r, out=r)
+    r *= 0.5
+    out += r
+    return out[0] if scalar else out
 
 
 def eval_S1_prime(p: PotentialParams, x):
@@ -227,13 +259,22 @@ def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
     k = 2 from (alpha, beta, gamma), u' for k = 3 from the tilde triple.
     As even^2 - 64 r^2 odd^2 = (x^2-1)^k gamma, it is taken where the mask
     plus is set in the pole-free form gamma / (8 (x^2+a)^k (even + 8 r odd)),
-    and elsewhere as written; the caller picks plus to avoid subtraction."""
-    w = 8.0 * (x2 + a) ** k
-    odd8 = 8.0 * np.sqrt(x2 + a) * odd
-    out = np.empty_like(x2)
-    out[plus] = gamma[plus] / (w[plus] * (even[plus] + odd8[plus]))
+    and elsewhere as written; the caller picks plus to avoid subtraction.
+    Each form divides only where its mask is set, into one output array."""
+    w = (x2 + a) ** k
+    w *= 8.0
+    odd8 = np.sqrt(x2 + a)
+    odd8 *= 8.0
+    odd8 *= odd
+    den = even + odd8
+    den *= w
+    out = np.divide(gamma, den, out=np.empty_like(x2), where=plus)
     minus = ~plus
-    out[minus] = (even[minus] - odd8[minus]) / (w[minus] * (x2[minus] - 1.0) ** k)
+    if minus.any():
+        np.subtract(x2, 1.0, out=den)
+        den **= k
+        den *= w
+        np.divide(np.subtract(even, odd8, out=odd8), den, out=out, where=minus)
     return out
 
 

@@ -22,8 +22,8 @@ an overflow guard trips if any of those exponents exceeds
 MAX_FOLDED_EXPONENT.  These stencil factors, and the node weights of the phi^2
 integral, depend only on the trial function: they are built once per
 TrialFunction, on first use, and kept on it.  The plain integrals of the
-outer cumulative run the same kernel on the unit stencil, the factors of
-log phi = 0, which are exactly 1.
+outer cumulative run the same kernel without a stencil: it skips the
+multiplications by the factors of log phi = 0, which are exactly 1.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -50,6 +50,12 @@ precondition, that the integral of h phi^2 over [0, x_max] vanishes in this
 rule's sense up to rounding; curly_E arranges exactly that for every integrand
 the iteration builds.  The total is never formed, so its rounding residual is
 never divided by phi^2, and nested_origin uses the same array negated.
+
+Ownership: every function here writes only into arrays it allocated itself,
+never into one its caller passed in or one the TrialFunction keeps (log_phi,
+psi0, quadrature_factors).  Within that rule the kernels work in place, with
+the same operations in the same order as the expressions they stand for, so
+a large grid costs few temporaries and no bits.
 """
 
 from __future__ import annotations
@@ -174,8 +180,10 @@ def _scan_layout(l2c: np.ndarray, l2n: np.ndarray) -> _Scan:
                  list(zip(starts.tolist(), stops, carry)))
 
 
-def _run_scan(c: np.ndarray, scan: _Scan) -> np.ndarray:
-    x = c * scan.into
+def _run_scan(x: np.ndarray, scan: _Scan) -> None:
+    """The blocked scan of the terms c_j = x_j, in place: x is the caller's
+    own array."""
+    x *= scan.into
     carry = 0.0
     for start, stop, factor in scan.blocks:
         seg = x[start:stop]
@@ -183,18 +191,16 @@ def _run_scan(c: np.ndarray, scan: _Scan) -> np.ndarray:
         np.cumsum(seg, out=seg)
         carry = seg[-1]
     x *= scan.out
-    return x
 
 
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
-    of the phi^2 integral, the stencil factors, the unit stencil of the plain
-    rule, the phi^2 peak node and the layouts of the prefix scan (left of the
-    peak) and of the suffix scan (from the peak on, in reverse node order)."""
+    of the phi^2 integral, the stencil factors, the phi^2 peak node and the
+    layouts of the prefix scan (left of the peak) and of the suffix scan (from
+    the peak on, in reverse node order)."""
 
     weights: np.ndarray
     stencil: _Stencil
-    unit: _Stencil
     peak: int
     prefix: _Scan
     suffix: _Scan
@@ -214,40 +220,42 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
         tail = l2[peak:-1][::-1]
-        unit = _Stencil(*(np.broadcast_to(1.0, np.shape(a)) for a in stencil))
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(lp, t.grid), stencil, unit, peak,
+            _weights(lp, t.grid), stencil, peak,
             _scan_layout(l2[:m], l2[1 : m + 1]), _scan_layout(tail, tail)
         ))
     return t.quadrature_factors
 
 
-def _interval_integrals(y: np.ndarray, s: _Stencil, grid: Grid) -> np.ndarray:
+def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None) -> np.ndarray:
     """Integrals of y * phi^2 over the intervals of both panels, each scaled
     by phi^2(left node), from the cubic through the four nearest nodes with
-    the phi^2 ratios folded into its weights; on the unit stencil, the plain
-    interval integrals of y."""
+    the phi^2 ratios of the stencil s folded into its weights; without s, the
+    plain interval integrals of y (every ratio 1)."""
     n = grid.n_per_panel
     out = np.empty((2, n))
+    t = np.empty(n - 2)
     # row by row: 1-D slices run about 3x faster than (2, .) ones
-    for p, (v, up, o) in enumerate(zip(y, s.up, out)):
+    for p, (v, o) in enumerate(zip(y, out)):
         h = grid.panel_h(p)
-        o[0] = h * (9.0 * v[0] + 19.0 * v[1] * up[0] - 5.0 * v[2] * s.e02[p]
-                    + v[3] * s.e03[p]) / 24.0
-        o[-1] = h * (v[n - 3] * s.em3[p] - 5.0 * v[n - 2] * s.em2[p] + 19.0 * v[n - 1]
-                     + 9.0 * v[n] * up[n - 1]) / 24.0
+        up0, e02, e03, em2, em3, upn = (1.0,) * 6 if s is None else (
+            s.up[p, 0], s.e02[p], s.e03[p], s.em2[p], s.em3[p], s.up[p, n - 1])
+        o[0] = h * (9.0 * v[0] + 19.0 * v[1] * up0 - 5.0 * v[2] * e02 + v[3] * e03) / 24.0
+        o[-1] = h * (v[n - 3] * em3 - 5.0 * v[n - 2] * em2 + 19.0 * v[n - 1]
+                     + 9.0 * v[n] * upn) / 24.0
         # h (-v_{k-1} prev + 13 v_k + 13 v_{k+1} up - v_{k+2} nxt2) / 24 in
-        # place: at 16000 intervals 0.6x the time of one expression and its
-        # temporaries, with the same operations in the same order
+        # place, with the same operations in the same order as that
+        # expression; the plain rule skips the factors, which are exactly 1
         mid = o[1:-1]
         np.negative(v[0 : n - 2], out=mid)
-        mid *= s.prev[p]
-        mid += 13.0 * v[1 : n - 1]
-        t = np.multiply(13.0, v[2:n])
-        t *= up[1 : n - 1]
+        if s is not None:
+            mid *= s.prev[p]
+        mid += np.multiply(13.0, v[1 : n - 1], out=t)
+        np.multiply(13.0, v[2:n], out=t)
+        if s is not None:
+            t *= s.up[p, 1 : n - 1]
         mid += t
-        np.multiply(v[3 : n + 1], s.nxt2[p], out=t)
-        mid -= t
+        mid -= v[3 : n + 1] if s is None else np.multiply(v[3 : n + 1], s.nxt2[p], out=t)
         mid *= h
         mid /= 24.0
     return out
@@ -268,8 +276,11 @@ def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:
     order."""
     out = np.zeros(iv.size + 1)
     m = max(f.peak - 1, 0)
-    out[1 : m + 1] = _run_scan(iv[:m], f.prefix)
-    out[f.peak : -1] = _run_scan(iv[f.peak :][::-1], f.suffix)[::-1]
+    prefix, suffix = out[1 : m + 1], out[f.peak : -1][::-1]
+    prefix[...] = iv[:m]
+    suffix[...] = iv[f.peak :][::-1]
+    _run_scan(prefix, f.prefix)
+    _run_scan(suffix, f.suffix)
     return out
 
 
@@ -278,24 +289,31 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     phi^2 at every node: suffix from the peak on and -prefix left of it (the
     total of h phi^2 is zero, so the part over [x, x_max] is minus the part
     over [0, x])."""
-    iv = _interval_integrals(_samples(grid, h_samples), f.stencil, grid)
+    iv = _interval_integrals(_samples(grid, h_samples), grid, f.stencil)
     inner = _peak_split(f, iv.ravel())
-    inner[: f.peak] = -inner[: f.peak]
+    np.negative(inner[: f.peak], out=inner[: f.peak])
     return inner
 
 
-def _node_cumulative(f: _Factors, grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
+def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
-    (suffix=True) or from 0 up (suffix=False), chained across the panels."""
-    iv = _interval_integrals(grid.panels(tt), f.unit, grid)
+    (suffix=True) or from 0 up (suffix=False), chained across the panels:
+    each panel's partial sums, then the total of the panel summed first is
+    added to those of the other."""
+    n = grid.n_per_panel
+    iv = _interval_integrals(grid.panels(tt), grid)
+    out = np.empty(2 * n + 1)
     if suffix:
-        iv = iv[::-1, ::-1]  # panels and intervals in summation order
-    cum = np.zeros((2, grid.n_per_panel + 1))
-    np.cumsum(iv, axis=1, out=cum[:, 1:])
-    cum[1] += cum[0, -1]
-    if suffix:
-        cum = cum[::-1, ::-1]
-    return np.concatenate([cum[0], cum[1, 1:]])
+        out[-1] = 0.0
+        np.cumsum(iv[1, ::-1], out=out[2 * n - 1 : n - 1 : -1])
+        np.cumsum(iv[0, ::-1], out=out[n - 1 :: -1])
+        out[:n] += out[n]
+    else:
+        out[0] = 0.0
+        np.cumsum(iv[0], out=out[1 : n + 1])
+        np.cumsum(iv[1], out=out[n + 1 :])
+        out[n + 1 :] += out[n]
+    return out
 
 
 def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
@@ -309,8 +327,8 @@ def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray
     minus the prefix sum, so the O(eps) residual of the total is never
     divided by phi^2.
     """
-    f = _factors(t, rule)
-    return _node_cumulative(f, rule.grid, _inner_scaled(f, rule.grid, h_samples), suffix=True)
+    return _node_cumulative(rule.grid, _inner_scaled(_factors(t, rule), rule.grid, h_samples),
+                            suffix=True)
 
 
 def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
@@ -322,5 +340,5 @@ def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarr
     like e^{+2g|S0|}, the inner integral is then minus the suffix sum: the
     bounded solution branch.
     """
-    f = _factors(t, rule)
-    return _node_cumulative(f, rule.grid, -_inner_scaled(f, rule.grid, h_samples), suffix=False)
+    inner = _inner_scaled(_factors(t, rule), rule.grid, h_samples)
+    return _node_cumulative(rule.grid, np.negative(inner, out=inner), suffix=False)

@@ -31,15 +31,11 @@ __all__ = [
     "g1",
     "g2",
     "gamma_poly",
-    "alpha_tilde",
-    "beta_tilde",
     "gamma_tilde_coeffs",
     "gamma_tilde",
     "identity_residuals",
     "poly_A",
     "poly_B",
-    "poly_C1",
-    "poly_C2",
     "eval_u_prime",
     "u_prime_a2",
     "Section3Report",
@@ -109,13 +105,13 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
     return c
 
 
-def alpha_tilde(a, x):
+def _alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
     return x * _horner(x * x, _coeffs(_ALPHA_TILDE, a))
 
 
-def beta_tilde(a, x):
+def _beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
     return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(x2, _coeffs(_BETA_TILDE, a))
@@ -149,7 +145,7 @@ def identity_residuals(a, x) -> tuple[float, float, float]:
         rhs = (x2 - 1.0) ** k * gamma
         return float(np.max(np.abs(t1 - t2 - rhs) / (t1 + t2 + np.abs(rhs) + 1.0)))
 
-    ta, tb, tg = alpha_tilde(a, x), beta_tilde(a, x), gamma_tilde(a, x)
+    ta, tb, tg = _alpha_tilde(a, x), _beta_tilde(a, x), gamma_tilde(a, x)
     away = np.abs(x - 1.0) > 0.05
     via_fact = (ta**2 - 64.0 * (x2 + a) * tb**2)[away] / (x2[away] - 1.0) ** 3
     table = np.abs(via_fact - tg[away]) / (np.abs(tg[away]) + 1.0)
@@ -175,13 +171,13 @@ def poly_B(x):
     return 8.0 * math.sqrt(3.0) * x * (x * x + 1.0) * np.sqrt(x * x + 2.0)
 
 
-def poly_C1(x):
+def _poly_C1(x):
     """Odd numerator polynomial of -u' at a=2 (only its x term is negative)."""
     x = np.asarray(x, dtype=float)
     return x * _horner(x * x, _C1_COEFFS)
 
 
-def poly_C2(x):
+def _poly_C2(x):
     """Even numerator polynomial of -u' at a=2, times 8 sqrt(3); positive."""
     x2 = np.asarray(x, dtype=float) ** 2
     return 8.0 * math.sqrt(3.0) * _horner(x2, _C2_COEFFS)
@@ -195,7 +191,7 @@ def u_prime_a2(x):
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x * x + 2.0)
     denom_core = (x * x + 2.0) ** 2 * (poly_A(x) + poly_B(x))
-    return -0.375 * (poly_C1(x) * r + poly_C2(x)) / (r * denom_core**2)
+    return -0.375 * (_poly_C1(x) * r + _poly_C2(x)) / (r * denom_core**2)
 
 
 def eval_u_prime(a, x):
@@ -214,7 +210,7 @@ def eval_u_prime(a, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     x2 = x * x
-    ta, tb = alpha_tilde(a, x), beta_tilde(a, x)
+    ta, tb = _alpha_tilde(a, x), _beta_tilde(a, x)
     plus = ((ta <= 0.0) == (tb <= 0.0)) | (np.abs(x2 - 1.0) < 1e-3)
     out = pole_free_quotient(a, x2, ta, tb, gamma_tilde(a, x), 3, plus)
     return out[0] if scalar else out
@@ -240,7 +236,7 @@ def verify_section3_positivity() -> Section3Report:
     8 sqrt(3) (4800 x^2 + 1152) > 1152 x sqrt(x^2+2)."""
     x_grid = np.linspace(1e-3, 10.0, 10000)
     r = np.sqrt(x_grid**2 + 2.0)
-    combo = poly_C1(x_grid) * r + poly_C2(x_grid)
+    combo = _poly_C1(x_grid) * r + _poly_C2(x_grid)
     margin = 8.0 * math.sqrt(3.0) * (4800.0 * x_grid**2 + 1152.0) - 1152.0 * x_grid * r
     imin = int(np.argmin(combo))
     return Section3Report(

@@ -166,11 +166,15 @@ def f_step(
     integral of (w - curly_e) f_prev, tail-normalized for I and
     origin-normalized for II.  The endpoint value is exactly 1 in both cases
     by construction of the cumulatives."""
-    h = (w - curly_e) * rule.grid.panels(f_prev)
+    h = w - curly_e
+    h *= rule.grid.panels(f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
     # both nested operators
     nested = nested_tail if bc is BoundaryCondition.I else nested_origin
-    f = 1.0 - 2.0 * nested(t, rule, h)
+    # 1 - 2 F in the array nested returned, rounded as that expression is
+    f = nested(t, rule, h)
+    f *= -2.0
+    f += 1.0
     fmin = float(f.min())
     if fmin <= 0.0:
         raise PositivityLossError(

@@ -104,9 +104,8 @@ class TrialFunction:
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
     log_phi alone (the node weights of the phi^2 integral, the stencil
-    ratios of both panels, the unit stencil of the plain rule, the scan
-    layouts); it builds them on first use.  Trial functions compare and hash
-    by identity.
+    ratios of both panels, the phi^2 peak and the scan layouts); it builds
+    them on first use.  Trial functions compare and hash by identity.
     """
 
     params: PotentialParams

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, central_diff2
-from gdwell import ConvergenceDomainError, PotentialParams
+from gdwell import ConvergenceDomainError, PotentialParams, region
 from gdwell.closed_forms import (
+    alpha,
+    beta,
     eval_ghat,
     eval_potential,
     eval_S0,
@@ -19,6 +21,7 @@ from gdwell.closed_forms import (
     eval_S1_prime_quotient,
     eval_u,
     eval_w,
+    gamma_poly,
 )
 
 P12 = PotentialParams(1.0, 2.0)
@@ -204,6 +207,43 @@ class TestU:
 
     def test_decays_at_infinity(self):
         assert float(eval_u(P12, 1e3)) < 1e-5
+
+
+def gather_quotient(a, x2, even, odd, gamma, k, plus):
+    """pole_free_quotient written as five boolean gathers and a scatter: the
+    reference that its masked divide must match bit for bit."""
+    w = 8.0 * (x2 + a) ** k
+    odd8 = 8.0 * np.sqrt(x2 + a) * odd
+    out = np.empty_like(x2)
+    out[plus] = gamma[plus] / (w[plus] * (even[plus] + odd8[plus]))
+    minus = ~plus
+    out[minus] = (even[minus] - odd8[minus]) / (w[minus] * (x2[minus] - 1.0) ** k)
+    return out
+
+
+class TestPoleFreeQuotient:
+    X = np.linspace(0.0, 5.0, 20001)
+
+    # mixed: both branches run (beta < 0 at small x for a < 1/2); otherwise
+    # the minus branch is skipped
+    @pytest.mark.parametrize("a,mixed", [(0.1, True), (0.3, True), (2.0, False)])
+    def test_u_matches_the_gather_form(self, a, mixed):
+        x = self.X
+        b = beta(a, x)
+        plus = b >= 0.0
+        assert plus.any() and plus.all() != mixed
+        ref = gather_quotient(a, x * x, alpha(a, x), b, gamma_poly(a, x), 2, plus)
+        assert np.array_equal(eval_u(PotentialParams(1.0, a), x), ref)
+
+    @pytest.mark.parametrize("a,mixed", [(0.3, True), (0.6638, False), (2.0, False)])
+    def test_u_prime_matches_the_gather_form(self, a, mixed):
+        x = self.X
+        x2 = x * x
+        ta, tb = region._alpha_tilde(a, x), region._beta_tilde(a, x)
+        plus = ((ta <= 0.0) == (tb <= 0.0)) | (np.abs(x2 - 1.0) < 1e-3)
+        assert plus.any() and plus.all() != mixed
+        ref = gather_quotient(a, x2, ta, tb, region.gamma_tilde(a, x), 3, plus)
+        assert np.array_equal(region.eval_u_prime(a, x), ref)
 
 
 class TestGhatAndW:

@@ -44,9 +44,8 @@ def plain_integral(grid: Grid, values) -> float:
 
 def plain_intervals(grid: Grid, values) -> np.ndarray:
     """Plain interval integrals of node values, (2, n_per_panel): the
-    scaled kernel on the unit stencil."""
-    unit = _factors(flat_trial(grid), QuadratureRule(grid)).unit
-    return _interval_integrals(grid.panels(values), unit, grid)
+    interval kernel without a stencil."""
+    return _interval_integrals(grid.panels(values), grid)
 
 
 def zero_total(t: TrialFunction, h: np.ndarray) -> np.ndarray:
@@ -98,7 +97,7 @@ class TestIntegrate:
 
     def test_interval_rule_total_matches_simpson_order(self):
         # the cubic interval rule integrates smooth functions at O(h^4), with
-        # phi = 1 folded into its stencils and on the unit stencil
+        # phi = 1 folded into its stencils and in the plain rule
         g = Grid(4.0, 512)
         y = np.sin(g.nodes)
         exact = 1.0 - math.cos(4.0)
@@ -114,7 +113,7 @@ class TestIntegrate:
         c = np.polynomial.Polynomial([1.0, 0.5, -1.0, 2.0])
         C = c.integ()
         f = _factors(t, QuadratureRule(g))
-        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), f.stencil, g)
+        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, f.stencil)
         x = g.panels(g.nodes)
         anchors = np.exp(2.0 * g.panels(t.log_phi)[:, :-1])  # phi^2(x_k), k < n
         np.testing.assert_allclose(iv * anchors, C(x[:, 1:]) - C(x[:, :-1]),
@@ -149,7 +148,7 @@ class TestIntegrate:
         stencil = _factors(t, rule).stencil
         anchors = np.exp(2.0 * grid.panels(t.log_phi)[:, :-1])
         for y in (np.ones((2, grid.n_per_panel + 1)), w_samples(p, grid)):
-            ref = float(np.sum(_interval_integrals(y, stencil, grid) * anchors))
+            ref = float(np.sum(_interval_integrals(y, grid, stencil) * anchors))
             assert integrate_against_phi2(t, rule, y) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
@@ -204,8 +203,7 @@ class TestNestedOperators:
         F = nested_tail(t, rule, h_samp)
 
         phi2 = np.exp(2.0 * g.panels(t.log_phi))
-        unit = _factors(t, rule).unit
-        iv_parts = _interval_integrals(h_samp * phi2, unit, g)
+        iv_parts = _interval_integrals(h_samp * phi2, g)
         # T at each node of each panel by full re-summation
         t_nodes = np.empty(g.n_points)
         for p in (0, 1):
@@ -221,7 +219,7 @@ class TestNestedOperators:
             sl = g.panel_slice(p)
             tt[sl] = t_nodes[sl] / phi2[p]
         F_naive = np.empty(g.n_points)
-        iv2 = _interval_integrals(g.panels(tt), unit, g)
+        iv2 = _interval_integrals(g.panels(tt), g)
         for p in (0, 1):
             sl = g.panel_slice(p)
             n = g.n_per_panel
@@ -367,7 +365,7 @@ def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
             span = float(l2c.max() - l2c.min())
             assert len(scan.blocks) <= math.ceil(span / _SCAN_BAND) + 1
     if (g, a, n) == (20.0, 12.0, 2000):
-        iv = _interval_integrals(np.ones((2, n + 1)), f.stencil, grid).ravel()
+        iv = _interval_integrals(np.ones((2, n + 1)), grid, f.stencil).ravel()
         got = _peak_split(f, iv)
         prefix, suffix = reference_scans(t.log_phi, iv)
         np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)

@@ -14,10 +14,12 @@ from gdwell import PotentialParams, region
 from gdwell.closed_forms import eval_u
 from gdwell.region import (
     X_G1_ROOT,
+    _alpha_tilde,
+    _beta_tilde,
+    _poly_C1,
+    _poly_C2,
     alpha,
-    alpha_tilde,
     beta,
-    beta_tilde,
     eval_u_prime,
     find_a_c,
     find_a_g,
@@ -27,8 +29,6 @@ from gdwell.region import (
     gamma_tilde,
     gamma_tilde_coeffs,
     identity_residuals,
-    poly_C1,
-    poly_C2,
     trace_curves,
     u_prime_a2,
     verify_section3_positivity,
@@ -84,8 +84,8 @@ class TestPolynomials:
     @given(a=finite_a, x=finite_x)
     @settings(max_examples=200, deadline=None)
     def test_uprime_factorization_identity(self, a, x):
-        t1 = float(alpha_tilde(a, x)) ** 2
-        t2 = 64.0 * (x * x + a) * float(beta_tilde(a, x)) ** 2
+        t1 = float(_alpha_tilde(a, x)) ** 2
+        t2 = 64.0 * (x * x + a) * float(_beta_tilde(a, x)) ** 2
         rhs = (x * x - 1.0) ** 3 * float(gamma_tilde(a, x))
         scale = t1 + t2 + abs(rhs) + 1.0
         assert abs(t1 - t2 - rhs) <= 1e-9 * scale
@@ -116,7 +116,7 @@ class TestPolynomials:
         keep = np.abs(x - 1.0) > 0.05
         a, x = a[keep], x[keep]
         via_fact = (
-            alpha_tilde(a, x) ** 2 - 64.0 * (x * x + a) * beta_tilde(a, x) ** 2
+            _alpha_tilde(a, x) ** 2 - 64.0 * (x * x + a) * _beta_tilde(a, x) ** 2
         ) / (x * x - 1.0) ** 3
         via_table = gamma_tilde(a, x)
         rel = np.abs(via_fact - via_table) / (np.abs(via_table) + 1.0)
@@ -165,9 +165,9 @@ class TestUPrime:
 
 class TestSection3:
     def test_endpoint_values(self):
-        assert float(poly_C1(0.0)) == 0.0
-        assert float(poly_C2(0.0)) == pytest.approx(8.0 * math.sqrt(3.0) * 1152.0, rel=1e-14)
-        assert float(poly_C1(1.0)) == 267264.0
+        assert float(_poly_C1(0.0)) == 0.0
+        assert float(_poly_C2(0.0)) == pytest.approx(8.0 * math.sqrt(3.0) * 1152.0, rel=1e-14)
+        assert float(_poly_C1(1.0)) == 267264.0
 
     def test_dense_positivity(self):
         rep = verify_section3_positivity()

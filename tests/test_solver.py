@@ -18,6 +18,7 @@ from gdwell import (
     PotentialParams,
 )
 from conftest import TABLE_CASES
+from gdwell import quadrature
 from gdwell import solver as solver_module
 from gdwell.quadrature import QuadratureRule, integrate_against_phi2
 from gdwell.solver import (
@@ -281,6 +282,48 @@ def test_solve_calls_quadrature_by_position(bc, nested, monkeypatch):
         t, rule, samples = args
         assert isinstance(t, TrialFunction) and isinstance(rule, QuadratureRule)
         assert rule.grid == grid and np.shape(samples) in {(401,), (2, 201)}
+
+
+def _bits(obj):
+    """obj with every array in it, however nested, as (dtype, shape, bytes)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return type(obj).__name__, [_bits(x) for x in obj]
+    return obj
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_solve_path_writes_only_into_arrays_it_owns(bc):
+    # the kernels work in place, but only on arrays they allocated: never on
+    # an argument, nor on what the TrialFunction keeps
+    p, grid = PotentialParams(12.0, 12.0), Grid(4.0, 1000)
+    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    ones = np.ones(grid.n_points)
+    f_prev = f_step(t, rule, w, energy_step(t, rule, w, ones), ones, bc)
+    curly = energy_step(t, rule, w, f_prev)
+    h = (w - curly) * grid.panels(f_prev)
+    f = quadrature._factors(t, rule)
+    iv = quadrature._interval_integrals(h, grid, f.stencil).ravel()
+    kept = [w, f_prev, h, iv, t.log_phi, t.psi0, t.quadrature_factors]
+    before = _bits(kept)
+    calls = {
+        "energy_step": lambda: energy_step(t, rule, w, f_prev),
+        "f_step": lambda: f_step(t, rule, w, curly, f_prev, bc),
+        "nested_tail": lambda: quadrature.nested_tail(t, rule, h),
+        "nested_origin": lambda: quadrature.nested_origin(t, rule, h),
+        "integrate_against_phi2 (nodes)": lambda: integrate_against_phi2(t, rule, f_prev),
+        "integrate_against_phi2 (panels)": lambda: integrate_against_phi2(t, rule, w),
+        "_peak_split": lambda: quadrature._peak_split(f, iv),
+    }
+    for name, call in calls.items():
+        call()
+        assert _bits(kept) == before, f"{name} wrote into an array it does not own"
+    report = solve(p, grid, bc)
+    assert report.iterations >= 2
+    for i, a in enumerate(report.f_history):
+        for b in report.f_history[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 class TestHierarchy:

@@ -219,19 +219,66 @@ def eval_S1_prime_quotient(p: PotentialParams, x):
     )
 
 
+# gamma = g1 (15 s^2 + 36 a s) + g2 as an (s, a) table, s = x^2: entry [i, j]
+# is the coefficient of s^i a^j.  gdwell.region traces its zero curve from
+# this table.
+_GAMMA = np.array([[0, 0, 4, 32, 64],
+                   [0, -36, 360, 288, 0],
+                   [-15, 648, 564, 0, 0],
+                   [270, 540, 0, 0, 0],
+                   [225, 0, 0, 0, 0]], dtype=float)
+
+
+def _horner(coeffs: list, s: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] s^i by Horner, in one array of the broadcast shape."""
+    out = np.empty(np.broadcast_shapes(np.shape(s), *map(np.shape, coeffs)))
+    np.multiply(coeffs[-1], s, out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= s
+    out += coeffs[0]
+    return out
+
+
+# alpha, beta and gamma at s = x^2, by Horner in s from coefficients formed
+# once per a: floats for a float a, arrays of a's shape otherwise
+
+
+def _alpha(a, s) -> np.ndarray:
+    return _horner([8.0 * a * a + 2.0 * a, 8.0 * a * a + 12.0 * a + 7.0,
+                    6.0 * (3.0 * a - 1.0), 15.0], s)
+
+
+def _beta(a, x, s) -> np.ndarray:
+    out = _horner([2.0 * a - 1.0, 3.0], s)
+    out *= x
+    out *= np.sqrt(1.0 + np.asarray(a, dtype=float))
+    return out
+
+
+def _gamma(a, s) -> np.ndarray:
+    # each coefficient in s from its row of the table, by Horner in a
+    coeffs = []
+    for row in _GAMMA.tolist():
+        c = row[-1]
+        for r in row[-2::-1]:
+            c = c * a + r
+        coeffs.append(c)
+    return _horner(coeffs, s)
+
+
 def alpha(a, x):
     """Even part of the u numerator, with s = x^2:
     15 s^3 + 6 (3a-1) s^2 + (8a^2 + 12a + 7) s + 8a^2 + 2a."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return ((15.0 * x2 + 6.0 * (3.0 * a - 1.0)) * x2
-            + (8.0 * a * a + 12.0 * a + 7.0)) * x2 + 8.0 * a * a + 2.0 * a
+    x = np.asarray(x, dtype=float)
+    return _alpha(a, x * x)
 
 
 def beta(a, x):
     """Odd part of the u numerator, which carries the sqrt(x^2+a) weight:
     sqrt(1+a) x (3x^2 + 2a - 1)."""
     x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + np.asarray(a, dtype=float)) * x * (3.0 * x**2 + 2.0 * a - 1.0)
+    return _beta(a, x, x * x)
 
 
 def g1(x):
@@ -250,8 +297,8 @@ def g2(a, x):
 def gamma_poly(a, x):
     """gamma = g1 (15 x^4 + 36 a x^2) + g2, the no-pole numerator of u:
     alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return g1(x) * (15.0 * x2 * x2 + 36.0 * a * x2) + g2(a, x)
+    x = np.asarray(x, dtype=float)
+    return _gamma(a, x * x)
 
 
 def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
@@ -290,9 +337,9 @@ def eval_u(p: PotentialParams, x):
     x = _check_nonnegative(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    a = p.a
-    b = beta(a, x)
-    out = pole_free_quotient(a, x * x, alpha(a, x), b, gamma_poly(a, x), 2, b >= 0.0)
+    a, s = p.a, x * x
+    b = _beta(a, x, s)
+    out = pole_free_quotient(a, s, _alpha(a, s), b, _gamma(a, s), 2, b >= 0.0)
     return out[0] if scalar else out
 
 
@@ -308,11 +355,19 @@ def eval_ghat(p: PotentialParams, x):
     x = _check_nonnegative(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.zeros_like(x)
+    # c rho / (1 + Gamma rho), c = g E0 2 Gamma, in place in the array S0
+    # returns, in the order that expression evaluates; nodes beyond x = 1
+    # are evaluated at x = 0 and then zeroed
     inner = x <= 1.0
-    if inner.any():
-        rho = np.exp(2.0 * p.g * (_s0_raw(p.a, x[inner]) - _s0_raw(p.a, 0.0)))
-        out[inner] = p.g * p.E0 * 2.0 * p.Gamma * rho / (1.0 + p.Gamma * rho)
+    out = _s0_raw(p.a, np.where(inner, x, 0.0))
+    out -= _s0_raw(p.a, 0.0)
+    out *= 2.0 * p.g
+    np.exp(out, out=out)
+    den = np.multiply(p.Gamma, out)
+    den += 1.0
+    out *= p.g * p.E0 * 2.0 * p.Gamma
+    out /= den
+    out[~inner] = 0.0
     return out[0] if scalar else out
 
 

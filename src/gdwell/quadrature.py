@@ -53,9 +53,16 @@ never divided by phi^2, and nested_origin uses the same array negated.
 
 Ownership: every function here writes only into arrays it allocated itself,
 never into one its caller passed in or one the TrialFunction keeps (log_phi,
-psi0, quadrature_factors).  Within that rule the kernels work in place, with
-the same operations in the same order as the expressions they stand for, so
-a large grid costs few temporaries and no bits.
+psi0, quadrature_factors); _run_scan and _peak_split scan in place the array
+their caller allocated for them.  Within that rule the kernels work in place,
+with the same operations in the same order as the expressions they stand
+for, so a large grid costs few temporaries and no bits.  The setup keeps the
+same rule: _factors builds the stencil ratios, the node weights and the scan
+layouts from one array of 2 log phi with out=; the interval integrals of the
+nested operators are written straight into the scan output; build_trial
+(gdwell.trial) and solver.w_samples form log phi, psi0 and w in the arrays
+the closed forms return.  Grid.nodes is read-only, so a stray write into the
+grid raises.
 """
 
 from __future__ import annotations
@@ -100,11 +107,16 @@ def _samples(grid: Grid, values) -> np.ndarray:
     return values if values.shape == (2, grid.n_per_panel + 1) else grid.panels(values)
 
 
-def _guard_exponents(dlp: np.ndarray) -> None:
+def _guard_exponents(dlp: np.ndarray, tri: np.ndarray) -> None:
+    """Raise OverflowGuardError if a folded exponent exceeds the cap; tri is
+    the caller's scratch array of dlp's shape less two columns."""
     # stencils reach at most three intervals, so the largest folded exponent
     # of a panel is a sum of at most three adjacent log-phi^2 increments
-    tri = np.abs(dlp[:, :-2] + dlp[:, 1:-1] + dlp[:, 2:])
-    worst = np.maximum(np.abs(dlp).max(axis=1), tri.max(axis=1))
+    np.add(dlp[:, :-2], dlp[:, 1:-1], out=tri)
+    tri += dlp[:, 2:]
+    np.abs(tri, out=tri)
+    # max |dlp| without the array |dlp|: abs is exact
+    worst = np.maximum(np.maximum(dlp.max(axis=1), -dlp.min(axis=1)), tri.max(axis=1))
     over = worst[worst > MAX_FOLDED_EXPONENT]
     if over.size:
         raise OverflowGuardError(
@@ -126,16 +138,24 @@ class _Stencil(NamedTuple):
     em3: np.ndarray   # phi^2(n-3)/phi^2(n-1)
 
 
-def _stencil(lp: np.ndarray) -> _Stencil:
-    n = lp.shape[1] - 1
-    dlp = 2.0 * np.diff(lp, axis=1)
-    _guard_exponents(dlp)
+def _stencil(l2: np.ndarray) -> _Stencil:
+    """The stencil factors from 2 log phi as a panel array."""
+    n = l2.shape[1] - 1
+    # the increments of 2 log phi: doubling is exact, so these are the
+    # doubled increments of log phi bit for bit
+    dlp = np.subtract(l2[:, 1:], l2[:, :-1])
+    nxt2 = np.empty((2, n - 2))
+    _guard_exponents(dlp, nxt2)
     up = np.exp(dlp)
+    prev = np.negative(dlp[:, 0 : n - 2])
+    np.exp(prev, out=prev)
+    np.add(dlp[:, 1 : n - 1], dlp[:, 2:n], out=nxt2)
+    np.exp(nxt2, out=nxt2)
     e02 = up[:, 0] * up[:, 1]
     return _Stencil(
         up=up,
-        prev=np.exp(-dlp[:, 0 : n - 2]),
-        nxt2=np.exp(dlp[:, 1 : n - 1] + dlp[:, 2:n]),
+        prev=prev,
+        nxt2=nxt2,
         e02=e02,
         e03=e02 * up[:, 2],
         em2=np.exp(-dlp[:, n - 2]),
@@ -148,15 +168,18 @@ def _stencil(lp: np.ndarray) -> _Stencil:
 _END_WEIGHTS = np.array([8.0, 31.0, 20.0, 25.0]) / 24.0
 
 
-def _weights(lp: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node weights h_p c_k phi^2(x_k) of the phi^2 integral, row p for panel p."""
-    c = np.ones(lp.shape[1])
-    c[:4] = _END_WEIGHTS
-    c[-4:] = _END_WEIGHTS[::-1]
+def _weights(l2: np.ndarray, grid: Grid) -> np.ndarray:
+    """Node weights h_p c_k phi^2(x_k) of the phi^2 integral, row p for panel
+    p, from 2 log phi as a panel array."""
     h = np.array([[grid.panel_h(0)], [grid.panel_h(1)]])
     # exponents are <= 0 by the peak normalization, so phi^2 can only
     # underflow, never overflow
-    return h * c * np.exp(2.0 * lp)
+    w = np.exp(l2)
+    # (h c) phi^2 in place: c is 1 on the interior nodes, so h c is h there
+    w[:, :4] *= h * _END_WEIGHTS
+    w[:, 4:-4] *= h
+    w[:, -4:] *= h * _END_WEIGHTS[::-1]
+    return w
 
 
 class _Scan(NamedTuple):
@@ -169,15 +192,20 @@ class _Scan(NamedTuple):
 
 
 def _scan_layout(l2c: np.ndarray, l2n: np.ndarray) -> _Scan:
-    band = np.floor(l2c / _SCAN_BAND)
-    anchor = band * _SCAN_BAND
-    starts = np.flatnonzero(np.diff(band, prepend=np.nan))  # 0 and each band change
+    # the bands, their anchors and then the out factors in one array
+    anchor = np.divide(l2c, _SCAN_BAND)
+    np.floor(anchor, out=anchor)
+    starts = np.flatnonzero(np.diff(anchor, prepend=np.nan))  # 0 and each band change
     stops = [*starts[1:].tolist(), l2c.size]
+    anchor *= _SCAN_BAND
     # adjacent bands differ by one, as the guard caps every step of 2 log phi
     # at MAX_FOLDED_EXPONENT < B; the first block has nothing to carry
     carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
-    return _Scan(np.exp(l2c - anchor), np.exp(anchor - l2n),
-                 list(zip(starts.tolist(), stops, carry)))
+    into = np.subtract(l2c, anchor)
+    np.exp(into, out=into)
+    out = np.subtract(anchor, l2n, out=anchor)
+    np.exp(out, out=out)
+    return _Scan(into, out, list(zip(starts.tolist(), stops, carry)))
 
 
 def _run_scan(x: np.ndarray, scan: _Scan) -> None:
@@ -214,26 +242,29 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
             f"the trial function's ({t.grid.x_max}, {t.grid.n_per_panel})"
         )
     if t.quadrature_factors is None:
-        lp = t.grid.panels(t.log_phi)
-        stencil = _stencil(lp)
-        l2 = 2.0 * t.log_phi
+        l2 = np.multiply(2.0, t.log_phi)
+        l2p = t.grid.panels(l2)
+        stencil = _stencil(l2p)
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
         tail = l2[peak:-1][::-1]
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(lp, t.grid), stencil, peak,
+            _weights(l2p, t.grid), stencil, peak,
             _scan_layout(l2[:m], l2[1 : m + 1]), _scan_layout(tail, tail)
         ))
     return t.quadrature_factors
 
 
-def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None) -> np.ndarray:
+def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Integrals of y * phi^2 over the intervals of both panels, each scaled
     by phi^2(left node), from the cubic through the four nearest nodes with
     the phi^2 ratios of the stencil s folded into its weights; without s, the
-    plain interval integrals of y (every ratio 1)."""
+    plain interval integrals of y (every ratio 1).  They are written into
+    out, a (2, n_per_panel) array of the caller's own, or a new one."""
     n = grid.n_per_panel
-    out = np.empty((2, n))
+    if out is None:
+        out = np.empty((2, n))
     t = np.empty(n - 2)
     # row by row: 1-D slices run about 3x faster than (2, .) ones
     for p, (v, o) in enumerate(zip(y, out)):
@@ -270,18 +301,20 @@ def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> fl
     return float(np.einsum("ij,ij->", w, _samples(rule.grid, values)))
 
 
-def _peak_split(f: _Factors, iv: np.ndarray) -> np.ndarray:
+def _peak_split(f: _Factors, out: np.ndarray) -> None:
     """prefix(x_k) at the nodes left of the phi^2 peak and suffix(x_k) from
-    the peak on, given the scaled interval integrals of both panels in node
-    order."""
-    out = np.zeros(iv.size + 1)
+    the peak on, in place in out, the caller's own array of one entry per
+    node, whose entries but the last hold the scaled interval integrals of
+    both panels in node order on entry.  The interval ending at node k is
+    summed into prefix(x_k) and the one starting there into suffix(x_k), so
+    the prefix terms move one node up first; the interval into the peak
+    enters neither, and out is 0 at x_max and, but for a peak at 0, at 0."""
     m = max(f.peak - 1, 0)
-    prefix, suffix = out[1 : m + 1], out[f.peak : -1][::-1]
-    prefix[...] = iv[:m]
-    suffix[...] = iv[f.peak :][::-1]
-    _run_scan(prefix, f.prefix)
-    _run_scan(suffix, f.suffix)
-    return out
+    out[1 : m + 1] = out[:m]
+    out[: min(f.peak, 1)] = 0.0
+    out[-1] = 0.0
+    _run_scan(out[1 : m + 1], f.prefix)
+    _run_scan(out[f.peak : -1][::-1], f.suffix)
 
 
 def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
@@ -289,8 +322,11 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     phi^2 at every node: suffix from the peak on and -prefix left of it (the
     total of h phi^2 is zero, so the part over [x, x_max] is minus the part
     over [0, x])."""
-    iv = _interval_integrals(_samples(grid, h_samples), grid, f.stencil)
-    inner = _peak_split(f, iv.ravel())
+    n = grid.n_per_panel
+    inner = np.empty(2 * n + 1)
+    _interval_integrals(_samples(grid, h_samples), grid, f.stencil,
+                        out=inner[: 2 * n].reshape(2, n))
+    _peak_split(f, inner)
     np.negative(inner[: f.peak], out=inner[: f.peak])
     return inner
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closed_forms import alpha, beta, find_a_g, g1, g2, gamma_poly, pole_free_quotient
+from .closed_forms import (
+    _GAMMA, alpha, beta, find_a_g, g1, g2, gamma_poly, pole_free_quotient)
 from .errors import BracketError
 
 __all__ = [
@@ -63,13 +64,8 @@ def _horner(t, coeffs_low_to_high):
 
 # Curve polynomials as integer tables: entry [i, j] is the coefficient of
 # s^i a^j, s = x^2, so rows give a polynomial in s at fixed a and columns
-# one in a at fixed s.
-# gamma, the same polynomial that closed_forms.gamma_poly evaluates
-_GAMMA = np.array([[0, 0, 4, 32, 64],
-                   [0, -36, 360, 288, 0],
-                   [-15, 648, 564, 0, 0],
-                   [270, 540, 0, 0, 0],
-                   [225, 0, 0, 0, 0]], dtype=float)
+# one in a at fixed s.  gamma's table, _GAMMA, is the one
+# closed_forms.gamma_poly evaluates.
 # alpha_tilde / x
 _ALPHA_TILDE = np.array([[0, -6, 0, -48],
                          [14, 18, -144, -16],

@@ -137,8 +137,10 @@ def w_samples(p: PotentialParams, grid: Grid) -> np.ndarray:
     """w = u + ghat as a (2, n_per_panel+1) panel array with the two-sided
     values at x=1: the inner row carries the mixing term up to and including
     the jump node, the outer row carries plain u."""
-    xi, xo = grid.panels(grid.nodes)
-    return np.stack([cf.eval_u(p, xi) + cf.eval_ghat(p, xi), cf.eval_u(p, xo)])
+    x = grid.panels(grid.nodes)
+    w = cf.eval_u(p, x)
+    w[0] += cf.eval_ghat(p, x[0])
+    return w
 
 
 def energy_step(
@@ -194,11 +196,16 @@ def _truncation_tail_ratio(
     phi^2(x_max) sup|h| / lambda."""
     xm = rule.grid.x_max
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
-    sup_h = float(np.max(np.abs(h)))
+    # |h| at the nodes, with the inner-side value at x = 1, in one array: as
+    # node values, whose panel view einsum sums in the order it always has
+    n = rule.grid.n_per_panel
+    abs_h = np.empty(2 * n + 1)
+    np.abs(h[0], out=abs_h[: n + 1])
+    np.abs(h[1, 1:], out=abs_h[n + 1 :])
+    sup_h = float(np.maximum(abs_h.max(), abs(h[1, 0])))
     log_phi2_xm = 2.0 * float(t.log_phi[-1])  # log phi peaks at 0
     tail = math.exp(log_phi2_xm) * sup_h / lam
-    # |h| at the nodes, with the inner-side value at x = 1
-    peak = abs(integrate_against_phi2(t, rule, np.abs(np.concatenate([h[0], h[1, 1:]]))))
+    peak = abs(integrate_against_phi2(t, rule, abs_h))
     return tail / peak if peak > 0 else 0.0
 
 

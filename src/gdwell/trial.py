@@ -49,6 +49,9 @@ class Grid:
         inner = np.linspace(0.0, 1.0, n + 1)
         outer = np.linspace(1.0, self.x_max, n + 1)
         nodes = np.concatenate([inner, outer[1:]])
+        # every grid's nodes are shared by what is built on it: a stray
+        # in-place write raises
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -105,7 +108,10 @@ class TrialFunction:
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
     log_phi alone (the node weights of the phi^2 integral, the stencil
     ratios of both panels, the phi^2 peak and the scan layouts); it builds
-    them on first use.  Trial functions compare and hash by identity.
+    them on first use.  build_trial forms log_phi in the array eval_S0
+    returns and psi0 in the one eval_S1 returns, and nothing downstream
+    writes into either (see the ownership rule in gdwell.quadrature).  Trial
+    functions compare and hash by identity.
     """
 
     params: PotentialParams
@@ -122,20 +128,31 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     if grid is None:
         grid = Grid()
     x = grid.nodes
+    n = grid.i_one
     s1 = cf.eval_S1(p, x)
-    log_plus = -p.g * cf.eval_S0(p, x) - s1
-
-    log_phi = np.empty_like(x)
-    inner, outer = grid.panel_slice(0), grid.panel_slice(1)
+    # log phi_+ = -g S0 - S1, then log phi, in the array eval_S0 returns
+    log_phi = cf.eval_S0(p, x)
+    log_phi *= -p.g
+    log_phi -= s1
     # below the matching point: phi = phi_plus (1 + Gamma phi_-/phi_+); the
-    # mirror branch is needed only here, x = 1 included
-    log_minus = -p.g * cf.eval_S0_mirror(p, x[inner]) - s1[inner]
-    rho_inner = np.exp(log_minus - log_plus[inner])
-    log_phi[inner] = log_plus[inner] + np.log1p(p.Gamma * rho_inner)
-    # above: the same expression frozen at the x=1 node values
-    i1 = grid.i_one
-    match_log = math.log1p(p.Gamma * math.exp(float(log_minus[i1] - log_plus[i1])))
-    log_phi[outer] = log_plus[outer] + match_log
+    # mirror branch is needed only here, x = 1 included.  log phi_- - log
+    # phi_+, rho, Gamma rho and log1p(Gamma rho) in the array eval_S0_mirror
+    # returns
+    mix = cf.eval_S0_mirror(p, x[: n + 1])
+    mix *= -p.g
+    mix -= s1[: n + 1]
+    mix -= log_phi[: n + 1]
+    # above: the same expression frozen at the x=1 node values; the shared
+    # node takes this outer value
+    match_log = math.log1p(p.Gamma * math.exp(float(mix[n])))
+    np.exp(mix, out=mix)
+    mix *= p.Gamma
+    np.log1p(mix, out=mix)
+    log_phi[:n] += mix[:n]
+    log_phi[n:] += match_log
 
-    psi0 = np.exp(log_phi - log_phi[0])
-    return TrialFunction(p, grid, log_phi - float(log_phi.max()), psi0)
+    # psi0 = phi / phi(0) in the array eval_S1 returned
+    psi0 = np.subtract(log_phi, log_phi[0], out=s1)
+    np.exp(psi0, out=psi0)
+    log_phi -= float(log_phi.max())
+    return TrialFunction(p, grid, log_phi, psi0)

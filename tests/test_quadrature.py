@@ -284,6 +284,13 @@ def test_grid_convergence_of_nested_outputs():
     assert abs(vals[2000] - vals[4000]) <= 1e-7 * max(1.0, abs(vals[4000]))
 
 
+def peak_split(f, iv: np.ndarray) -> np.ndarray:
+    """_peak_split of the interval integrals iv (node order), in a new array."""
+    out = np.append(iv, np.nan)
+    _peak_split(f, out)
+    return out
+
+
 def reference_scans(log_phi: np.ndarray, iv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """prefix(x_k) and suffix(x_k) at every node by per-node recurrences that
     re-anchor at each node: suffix_k = suffix_{k+1} phi^2_{k+1}/phi^2_k + iv_k
@@ -338,7 +345,7 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
     if slope_left > 0.0 and slope_right > 0.0:
         assert f.peak == i_peak
     iv = rng.uniform(0.1, 1.0, n_iv)
-    got = _peak_split(f, iv)
+    got = peak_split(f, iv)
     prefix, suffix = reference_scans(log_phi, iv)
     np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
@@ -366,7 +373,7 @@ def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
             assert len(scan.blocks) <= math.ceil(span / _SCAN_BAND) + 1
     if (g, a, n) == (20.0, 12.0, 2000):
         iv = _interval_integrals(np.ones((2, n + 1)), grid, f.stencil).ravel()
-        got = _peak_split(f, iv)
+        got = peak_split(f, iv)
         prefix, suffix = reference_scans(t.log_phi, iv)
         np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)

@@ -49,12 +49,14 @@ class TestPolynomials:
         assert float(alpha(2.0, 0.0)) == 36.0
 
     def test_gamma_table_matches_gamma_poly(self):
-        # the (s, a) coefficient table behind the gamma curve and the
-        # ordering check, read along both of its axes
+        # the (s, a) coefficient table behind u, the gamma curve and the
+        # ordering check, read along both of its axes and by gamma_poly,
+        # against the factored form
         rng = np.random.default_rng(13)
         a = rng.uniform(1e-3, 2.0, 2000)
         x = rng.uniform(0.0, 2.0, 2000)
-        ref = gamma_poly(a, x)
+        s = x * x
+        ref = g1(x) * (15.0 * s * s + 36.0 * a * s) + g2(a, x)
         scale = np.abs(ref) + 1.0
         in_s = np.polynomial.polynomial.polyval(x * x, region._coeffs(region._GAMMA, a),
                                                 tensor=False)
@@ -62,6 +64,7 @@ class TestPolynomials:
                                                 tensor=False)
         assert float(np.max(np.abs(in_s - ref) / scale)) <= 1e-12
         assert float(np.max(np.abs(in_a - ref) / scale)) <= 1e-12
+        assert float(np.max(np.abs(gamma_poly(a, x) - ref) / scale)) <= 1e-12
 
     def test_g2_positive(self):
         a_vals = np.geomspace(1e-3, 10.0, 200)

@@ -18,6 +18,7 @@ from gdwell import (
     PotentialParams,
 )
 from conftest import TABLE_CASES
+from gdwell import closed_forms as cf
 from gdwell import quadrature
 from gdwell import solver as solver_module
 from gdwell.quadrature import QuadratureRule, integrate_against_phi2
@@ -32,7 +33,7 @@ from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 # SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
-PINNED_VIOLATIONS_SHA256 = "853ca7b175da8151e11e9483d562b467175d3b9544e6b7a93af699760b57b0ea"
+PINNED_VIOLATIONS_SHA256 = "7479bc71d131422903364c4e8203493861eb76fe0c9424145f5a2cc628de4b9a"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
@@ -304,8 +305,7 @@ def test_solve_path_writes_only_into_arrays_it_owns(bc):
     curly = energy_step(t, rule, w, f_prev)
     h = (w - curly) * grid.panels(f_prev)
     f = quadrature._factors(t, rule)
-    iv = quadrature._interval_integrals(h, grid, f.stencil).ravel()
-    kept = [w, f_prev, h, iv, t.log_phi, t.psi0, t.quadrature_factors]
+    kept = [w, f_prev, h, t.log_phi, t.psi0, t.quadrature_factors]
     before = _bits(kept)
     calls = {
         "energy_step": lambda: energy_step(t, rule, w, f_prev),
@@ -314,7 +314,7 @@ def test_solve_path_writes_only_into_arrays_it_owns(bc):
         "nested_origin": lambda: quadrature.nested_origin(t, rule, h),
         "integrate_against_phi2 (nodes)": lambda: integrate_against_phi2(t, rule, f_prev),
         "integrate_against_phi2 (panels)": lambda: integrate_against_phi2(t, rule, w),
-        "_peak_split": lambda: quadrature._peak_split(f, iv),
+        "_inner_scaled": lambda: quadrature._inner_scaled(f, grid, h),
     }
     for name, call in calls.items():
         call()
@@ -324,6 +324,64 @@ def test_solve_path_writes_only_into_arrays_it_owns(bc):
     for i, a in enumerate(report.f_history):
         for b in report.f_history[i + 1 :]:
             assert not np.shares_memory(a, b)
+
+
+def _arrays(obj):
+    """Every array in obj, however nested."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for x in obj for a in _arrays(x)]
+    return []
+
+
+def test_setup_writes_only_into_arrays_it_owns():
+    # build_trial, w_samples, the factors and the closed forms work in place
+    # too, in arrays they allocated: never in the grid's nodes, an argument
+    # or h, and no two of the arrays they return share memory
+    p, grid = PotentialParams(12.0, 12.0), Grid(4.0, 1000)
+    rule = QuadratureRule(grid)
+    x = np.array(grid.nodes)
+    x_inner = x[: grid.i_one + 1].copy()
+    h = w_samples(p, grid) - 0.5
+    kept = [grid.nodes, x, x_inner, h]
+    before = _bits(kept)
+    t = build_trial(p, grid)
+    w = w_samples(p, grid)
+    f = quadrature._factors(t, rule)
+    assert _bits(kept) == before, "the setup wrote into an array it does not own"
+    calls = {
+        "_truncation_tail_ratio": lambda: solver_module._truncation_tail_ratio(p, t, rule, h),
+        **{f"{name} (nodes)": lambda name=name: getattr(cf, name)(p, x)
+           for name in ("eval_S0", "eval_S0_mirror", "eval_S1", "eval_u", "eval_ghat")},
+        **{f"{name} (inner)": lambda name=name: getattr(cf, name)(p, x_inner)
+           for name in ("eval_u", "eval_ghat")},
+    }
+    for name, call in calls.items():
+        call()
+        assert _bits(kept) == before, f"{name} wrote into an array it does not own"
+    arrays = [t.log_phi, t.psi0, w, *_arrays(f)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+# the closed forms the benchmark's SOLVE_PATH (perfbench/tests_bench.py)
+# expects one solve to reach through the closed_forms module
+SOLVE_PATH_CLOSED_FORMS = ("eval_S0", "eval_S0_mirror", "eval_S0_prime", "eval_S1",
+                           "eval_S1_prime", "eval_u", "eval_ghat")
+
+
+def test_solve_reaches_each_closed_form_through_the_module(monkeypatch):
+    counts = dict.fromkeys(SOLVE_PATH_CLOSED_FORMS, 0)
+    for name in SOLVE_PATH_CLOSED_FORMS:
+        def counted(*args, _real=getattr(cf, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cf, name, counted)
+    solve(PotentialParams(3.0, 2.0), Grid(4.0, 400), BoundaryCondition.II)
+    assert all(counts.values()), counts
 
 
 class TestHierarchy:

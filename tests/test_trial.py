@@ -47,6 +47,12 @@ class TestGrid:
             with pytest.raises(GridMismatchError):
                 g.panels(bad)
 
+    def test_nodes_are_read_only(self):
+        g = Grid(4.0, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            g.nodes[3] = 0.5
+        assert g.nodes[3] == 0.375
+
     def test_rejects_bad_configs(self):
         with pytest.raises(GridError):
             Grid(0.5, 100)

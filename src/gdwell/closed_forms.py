@@ -242,8 +242,6 @@ def _horner(coeffs: list, s: np.ndarray) -> np.ndarray:
 
 # alpha, beta and gamma at s = x^2, by Horner in s from coefficients formed
 # once per a: floats for a float a, arrays of a's shape otherwise
-
-
 def _alpha(a, s) -> np.ndarray:
     return _horner([8.0 * a * a + 2.0 * a, 8.0 * a * a + 12.0 * a + 7.0,
                     6.0 * (3.0 * a - 1.0), 15.0], s)

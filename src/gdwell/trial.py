@@ -71,12 +71,6 @@ class Grid:
         """Index of the shared node x = 1."""
         return self.n_per_panel
 
-    def panel_slice(self, panel: int) -> slice:
-        """Slice of .nodes covering panel 0 ([0,1]) or 1 ([1,x_max]),
-        both including the shared node."""
-        n = self.n_per_panel
-        return slice(0, n + 1) if panel == 0 else slice(n, 2 * n + 1)
-
     def panel_h(self, panel: int) -> float:
         return self.h_inner if panel == 0 else self.h_outer
 

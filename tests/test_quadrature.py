@@ -205,36 +205,30 @@ class TestNestedOperators:
         phi2 = np.exp(2.0 * g.panels(t.log_phi))
         iv_parts = _interval_integrals(h_samp * phi2, g)
         # T at each node of each panel by full re-summation
+        n = g.n_per_panel
         t_nodes = np.empty(g.n_points)
         for p in (0, 1):
-            sl = g.panel_slice(p)
-            n = g.n_per_panel
             for j in range(n + 1):
                 tail = iv_parts[p][j:].sum()
                 if p == 0:
                     tail += iv_parts[1].sum()
-                t_nodes[sl.start + j] = tail
-        tt = np.empty(g.n_points)
-        for p in (0, 1):
-            sl = g.panel_slice(p)
-            tt[sl] = t_nodes[sl] / phi2[p]
+                t_nodes[p * n + j] = tail
+        tt = t_nodes / np.exp(2.0 * t.log_phi)
         F_naive = np.empty(g.n_points)
         iv2 = _interval_integrals(g.panels(tt), g)
         for p in (0, 1):
-            sl = g.panel_slice(p)
-            n = g.n_per_panel
             for j in range(n + 1):
                 val = iv2[p][j:].sum()
                 if p == 0:
                     val += iv2[1].sum()
-                F_naive[sl.start + j] = val
+                F_naive[p * n + j] = val
         scale = np.abs(F).max()
         assert float(np.max(np.abs(F - F_naive))) <= 1e-12 * scale
 
     def test_folded_exponents_stay_negative_beyond_peak(self):
         g = Grid(4.0, 400)
         t = build_trial(PotentialParams(3.0, 2.0), g)
-        dlp = 2.0 * np.diff(t.log_phi[g.panel_slice(1)])
+        dlp = 2.0 * np.diff(g.panels(t.log_phi)[1])
         i_peak = int(np.argmax(t.log_phi))
         assert float(dlp[max(0, i_peak - g.i_one) + 1 :].max()) <= 0.0
         assert float(np.abs(dlp).max()) <= 30.0

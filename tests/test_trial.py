@@ -124,7 +124,7 @@ class TestBuildTrial:
         t = build_trial(P12, Grid(4.0, 64))
         # the outer branch is pinned to the inner value at the shared node
         inner_val = t.log_phi[t.grid.i_one]
-        outer_first = t.log_phi[t.grid.panel_slice(1)][0]
+        outer_first = t.grid.panels(t.log_phi)[1, 0]
         assert inner_val == outer_first
 
 

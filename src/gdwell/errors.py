@@ -21,9 +21,9 @@ class GridMismatchError(GdwellError):
 
 
 class OverflowGuardError(GridError):
-    """A folded log-ratio exponent exceeded the safety bound (+30): the grid
-    spacing is too coarse for the trial function, a configuration error like
-    every GridError."""
+    """A step of 2 log phi between adjacent nodes exceeded the safety bound
+    (10 in size): the grid spacing is too coarse for the trial function, a
+    configuration error like every GridError."""
 
 
 class DegenerateDenominatorError(GdwellError):

@@ -90,6 +90,16 @@ def _wkb_half_domain(p: PotentialParams) -> float:
         hi = 1.0 + 2.0 * (hi - 1.0)
 
 
+def _domain_advice(cfg: OracleConfig, wkb: float, k: int) -> str:
+    """What to change when the energies on the half-domain min(cfg.L, wkb)
+    with k nodes a side show a too-short domain: L only if it capped the
+    WKB half-domain wkb, which no larger L moves."""
+    if cfg.L < wkb:
+        return "L likely truncates psi; increase L"
+    return (f"the WKB half-domain was not capped by L; its node spacing is "
+            f"{wkb / k:.3g}")
+
+
 def _even_ground(p: PotentialParams, delta: float, k: int) -> tuple[float, np.ndarray]:
     """Lowest even eigenpair on the nodes j Delta, |j| <= k.
 
@@ -143,11 +153,13 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
     extension moves the energy by more than 1e-3 (cfg.L too short), when a
     growth step fails to halve the previous energy gap (cfg.L too short for
     the extension check to see), or when 2K + 1 reaches cfg.n before the
-    energies agree.
+    energies agree.  The first two messages advise a larger L only where
+    cfg.L capped the WKB half-domain; otherwise they give the node spacing.
     """
     if cfg is None:
         cfg = OracleConfig()
-    half = min(cfg.L, _wkb_half_domain(p))
+    wkb = _wkb_half_domain(p)
+    half = min(cfg.L, wkb)
     k = K_START
     energy, c = _even_ground(p, half / k, k)
     # the truncation shows at any spacing, and a too-short domain would stall
@@ -156,7 +168,7 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
     if shift > MAX_EXTENSION_SHIFT:
         raise DiscretizationError(
             f"extending the half-domain {half:.3g} by {L_EXTENSION}x moves E by "
-            f"{shift:.2e} (> {MAX_EXTENSION_SHIFT:.0e}); increase L"
+            f"{shift:.2e} (> {MAX_EXTENSION_SHIFT:.0e}); {_domain_advice(cfg, wkb, k)}"
         )
     k_max = (cfg.n - 1) // 2
     gap = math.inf
@@ -180,8 +192,8 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
         rounding = np.finfo(float).eps * math.pi**2 / (2.0 * delta * delta)
         if gap_prev > rounding and gap > gap_prev / 2.0:
             raise DiscretizationError(
-                f"energy gaps stalled at {gap_prev:.2e}, {gap:.2e} ({2 * k + 1} nodes); "
-                f"the half-domain {half:.3g} likely truncates psi; increase L"
+                f"energy gaps stalled at {gap_prev:.2e}, {gap:.2e} ({2 * k + 1} nodes) "
+                f"on the half-domain {half:.3g}; {_domain_advice(cfg, wkb, k)}"
             )
     half_psi = _sinc_interpolate(c, np.arange(OVERSAMPLE * k + 1) / OVERSAMPLE) / c[0]
     half_x = half / k / OVERSAMPLE * np.arange(half_psi.size)

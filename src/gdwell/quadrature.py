@@ -14,16 +14,19 @@ h_p c_k phi^2(x_k), where c_k are the composite weights of the cubic interval
 rule.  phi^2 = exp(2 log phi) is at most 1 by the peak normalization, so the
 weights can underflow but never overflow.
 
-The nested operators never form phi^2 or 1/phi^2 directly.  Each of their
-interval integrals of h phi^2 over [x_k, x_{k+1}] is carried scaled by
-phi^2(x_k), with the phi^2 ratios of its stencil folded into single
-exponentials of log differences between nodes at most three intervals apart;
-an overflow guard trips if any of those exponents exceeds
-MAX_FOLDED_EXPONENT.  These stencil factors, and the node weights of the phi^2
-integral, depend only on the trial function: they are built once per
-TrialFunction, on first use, and kept on it.  The plain integrals of the
-outer cumulative run the same kernel without a stencil: it skips the
-multiplications by the factors of log phi = 0, which are exactly 1.
+The nested operators never form phi^2 or 1/phi^2 directly.  They keep one
+trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
+phi^2(x_k), the exponential of one step of 2 log phi.  An overflow guard
+trips if any step exceeds _MAX_STEP = 10 in size, so every up_k lies in
+[e^-10, e^10].  Each interval integral of h phi^2 over [x_k, x_{k+1}] is
+carried scaled by phi^2(x_k); the phi^2 ratios of its stencil, between nodes
+at most three intervals apart, are products and quotients of at most three
+step ratios, formed where they are used, so each lies in [e^-30, e^30].  The
+step ratios, and the node weights of the phi^2 integral, depend only on the
+trial function: they are built once per TrialFunction, on first use, and
+kept on it.  The plain integrals of the outer cumulative run the same kernel
+without step ratios: it skips the multiplications by the ratios of
+log phi = 0, which are exactly 1.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -33,13 +36,16 @@ the peak, would be amplified by up to e^{+2 g |S0|}):
     right of the peak   suffix(x_k) = integral_{x_k}^{x_max} h phi^2 / phi^2(x_k)
     left of the peak    prefix(x_k) = integral_0^{x_k} h phi^2 / phi^2(x_k)
 
-Both are blocked scans: contiguous runs of nodes whose 2 log phi lies in one
-band [m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in
-the units of e^{m B}, and the running sum is carried to the next band by a
+Both are blocked scans of terms scaled by phi^2 at their own node: the
+suffix terms are the interval integrals as they are, and each prefix term
+moves to the right node of its interval and is divided by that interval's
+step ratio.  Contiguous runs of nodes whose 2 log phi lies in one band
+[m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in the
+units of e^{m B}, and the running sum is carried to the next band by a
 factor e^{+-B}.  The overflow guard caps every step of 2 log phi at
-MAX_FOLDED_EXPONENT = 30 < B, so adjacent blocks differ by exactly one band.
-No exponent the scan evaluates exceeds B + 30 in size, so none of its factors
-is subnormal, and no partial sum of N terms exceeds N e^{2B} times the largest
+_MAX_STEP = 10 < B, so adjacent blocks differ by exactly one band.  No
+exponent the scan evaluates exceeds B in size, so none of its factors is
+subnormal, and no partial sum of N terms exceeds N e^{2B} times the largest
 term, far inside the double range, however deep the well.  The only Python
 loop runs over the bands, which is why they are much wider than the guard's
 cap.  The band layout and its exponentials are trial-only factors too.
@@ -57,7 +63,7 @@ psi0, quadrature_factors); _run_scan and _peak_split scan in place the array
 their caller allocated for them.  Within that rule the kernels work in place,
 with the same operations in the same order as the expressions they stand
 for, so a large grid costs few temporaries and no bits.  The setup keeps the
-same rule: _factors builds the stencil ratios, the node weights and the scan
+same rule: _factors builds the step ratios, the node weights and the scan
 layouts from one array of 2 log phi with out=; the interval integrals of the
 nested operators are written straight into the scan output; build_trial
 (gdwell.trial) and solver.w_samples form log phi, psi0 and w in the arrays
@@ -82,7 +88,8 @@ __all__ = [
     "nested_origin",
 ]
 
-MAX_FOLDED_EXPONENT = 30.0
+# cap on the size of every step of 2 log phi; see the module docstring
+_MAX_STEP = 10.0
 # width of the scan bands in 2 log phi; see the module docstring
 _SCAN_BAND = 200.0
 
@@ -107,60 +114,16 @@ def _samples(grid: Grid, values) -> np.ndarray:
     return values if values.shape == (2, grid.n_per_panel + 1) else grid.panels(values)
 
 
-def _guard_exponents(dlp: np.ndarray, tri: np.ndarray) -> None:
-    """Raise OverflowGuardError if a folded exponent exceeds the cap; tri is
-    the caller's scratch array of dlp's shape less two columns."""
-    # stencils reach at most three intervals, so the largest folded exponent
-    # of a panel is a sum of at most three adjacent log-phi^2 increments
-    np.add(dlp[:, :-2], dlp[:, 1:-1], out=tri)
-    tri += dlp[:, 2:]
-    np.abs(tri, out=tri)
+def _guard_steps(dlp: np.ndarray) -> None:
+    """Raise OverflowGuardError if a step of 2 log phi exceeds _MAX_STEP in
+    size."""
     # max |dlp| without the array |dlp|: abs is exact
-    worst = np.maximum(np.maximum(dlp.max(axis=1), -dlp.min(axis=1)), tri.max(axis=1))
-    over = worst[worst > MAX_FOLDED_EXPONENT]
-    if over.size:
+    worst = max(float(dlp.max()), -float(dlp.min()))
+    if worst > _MAX_STEP:
         raise OverflowGuardError(
-            f"folded log-ratio exponent {over[0]:.1f} exceeds +{MAX_FOLDED_EXPONENT:g}; "
+            f"step of 2 log phi {worst:.1f} exceeds {_MAX_STEP:g} in size; "
             "grid spacing too coarse for this trial function"
         )
-
-
-class _Stencil(NamedTuple):
-    """Trial-only factors of the scaled interval stencils, row p for panel p
-    (n intervals each): phi^2 ratios between nearby nodes."""
-
-    up: np.ndarray    # phi^2(k+1)/phi^2(k), k < n
-    prev: np.ndarray  # phi^2(k-1)/phi^2(k), 1 <= k <= n-2
-    nxt2: np.ndarray  # phi^2(k+2)/phi^2(k), 1 <= k <= n-2
-    e02: np.ndarray   # phi^2(2)/phi^2(0)
-    e03: np.ndarray   # phi^2(3)/phi^2(0)
-    em2: np.ndarray   # phi^2(n-2)/phi^2(n-1)
-    em3: np.ndarray   # phi^2(n-3)/phi^2(n-1)
-
-
-def _stencil(l2: np.ndarray) -> _Stencil:
-    """The stencil factors from 2 log phi as a panel array."""
-    n = l2.shape[1] - 1
-    # the increments of 2 log phi: doubling is exact, so these are the
-    # doubled increments of log phi bit for bit
-    dlp = np.subtract(l2[:, 1:], l2[:, :-1])
-    nxt2 = np.empty((2, n - 2))
-    _guard_exponents(dlp, nxt2)
-    up = np.exp(dlp)
-    prev = np.negative(dlp[:, 0 : n - 2])
-    np.exp(prev, out=prev)
-    np.add(dlp[:, 1 : n - 1], dlp[:, 2:n], out=nxt2)
-    np.exp(nxt2, out=nxt2)
-    e02 = up[:, 0] * up[:, 1]
-    return _Stencil(
-        up=up,
-        prev=prev,
-        nxt2=nxt2,
-        e02=e02,
-        e03=e02 * up[:, 2],
-        em2=np.exp(-dlp[:, n - 2]),
-        em3=np.exp(-(dlp[:, n - 2] + dlp[:, n - 3])),
-    )
 
 
 # composite node weights of the cubic interval rule, in units of h, on the
@@ -183,29 +146,26 @@ def _weights(l2: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class _Scan(NamedTuple):
-    """Layout of one blocked scan out_i = sum_{j<=i} c_j exp(l2c_j - l2n_i):
+    """Layout of one blocked scan out_i = sum_{j<=i} c_j exp(l2_j - l2_i):
     each block shares one anchor A = m B, its band's lower edge, B = _SCAN_BAND."""
 
-    into: np.ndarray  # exp(l2c_j - A) of term j's block, in [1, e^B)
-    out: np.ndarray   # exp(A - l2n_i) of output i's block, in [e^{-B-30}, e^30]
+    into: np.ndarray  # exp(l2_j - A) of node j's block, in [1, e^B)
     blocks: list[tuple[int, int, float]]  # (start, stop, exp(A_previous - A))
 
 
-def _scan_layout(l2c: np.ndarray, l2n: np.ndarray) -> _Scan:
-    # the bands, their anchors and then the out factors in one array
-    anchor = np.divide(l2c, _SCAN_BAND)
+def _scan_layout(l2: np.ndarray) -> _Scan:
+    # the bands, their anchors and then the into factors in one array
+    anchor = np.divide(l2, _SCAN_BAND)
     np.floor(anchor, out=anchor)
     starts = np.flatnonzero(np.diff(anchor, prepend=np.nan))  # 0 and each band change
-    stops = [*starts[1:].tolist(), l2c.size]
+    stops = [*starts[1:].tolist(), l2.size]
     anchor *= _SCAN_BAND
     # adjacent bands differ by one, as the guard caps every step of 2 log phi
-    # at MAX_FOLDED_EXPONENT < B; the first block has nothing to carry
+    # at _MAX_STEP < B; the first block has nothing to carry
     carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
-    into = np.subtract(l2c, anchor)
+    into = np.subtract(l2, anchor, out=anchor)
     np.exp(into, out=into)
-    out = np.subtract(anchor, l2n, out=anchor)
-    np.exp(out, out=out)
-    return _Scan(into, out, list(zip(starts.tolist(), stops, carry)))
+    return _Scan(into, list(zip(starts.tolist(), stops, carry)))
 
 
 def _run_scan(x: np.ndarray, scan: _Scan) -> None:
@@ -218,17 +178,17 @@ def _run_scan(x: np.ndarray, scan: _Scan) -> None:
         seg[0] += carry * factor
         np.cumsum(seg, out=seg)
         carry = seg[-1]
-    x *= scan.out
+    x /= scan.into
 
 
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
-    of the phi^2 integral, the stencil factors, the phi^2 peak node and the
-    layouts of the prefix scan (left of the peak) and of the suffix scan (from
-    the peak on, in reverse node order)."""
+    of the phi^2 integral, the step ratios up, row p for panel p, the phi^2
+    peak node and the layouts of the prefix scan (left of the peak) and of
+    the suffix scan (from the peak on, in reverse node order)."""
 
     weights: np.ndarray
-    stencil: _Stencil
+    up: np.ndarray  # phi^2(k+1)/phi^2(k), (2, n_per_panel)
     peak: int
     prefix: _Scan
     suffix: _Scan
@@ -244,24 +204,28 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
     if t.quadrature_factors is None:
         l2 = np.multiply(2.0, t.log_phi)
         l2p = t.grid.panels(l2)
-        stencil = _stencil(l2p)
+        # the steps of 2 log phi: doubling is exact, so these are the doubled
+        # steps of log phi bit for bit; then their exponentials in place
+        up = np.subtract(l2p[:, 1:], l2p[:, :-1])
+        _guard_steps(up)
+        np.exp(up, out=up)
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
-        tail = l2[peak:-1][::-1]
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(l2p, t.grid), stencil, peak,
-            _scan_layout(l2[:m], l2[1 : m + 1]), _scan_layout(tail, tail)
+            _weights(l2p, t.grid), up, peak,
+            _scan_layout(l2[1 : m + 1]), _scan_layout(l2[peak:-1][::-1])
         ))
     return t.quadrature_factors
 
 
-def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None,
+def _interval_integrals(y: np.ndarray, grid: Grid, up: np.ndarray | None = None,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Integrals of y * phi^2 over the intervals of both panels, each scaled
     by phi^2(left node), from the cubic through the four nearest nodes with
-    the phi^2 ratios of the stencil s folded into its weights; without s, the
-    plain interval integrals of y (every ratio 1).  They are written into
-    out, a (2, n_per_panel) array of the caller's own, or a new one."""
+    the phi^2 ratios of its stencil, formed from the step ratios up, folded
+    into its weights; without up, the plain interval integrals of y (every
+    ratio 1).  They are written into out, a (2, n_per_panel) array of the
+    caller's own, or a new one."""
     n = grid.n_per_panel
     if out is None:
         out = np.empty((2, n))
@@ -269,24 +233,37 @@ def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None,
     # row by row: 1-D slices run about 3x faster than (2, .) ones
     for p, (v, o) in enumerate(zip(y, out)):
         h = grid.panel_h(p)
-        up0, e02, e03, em2, em3, upn = (1.0,) * 6 if s is None else (
-            s.up[p, 0], s.e02[p], s.e03[p], s.em2[p], s.em3[p], s.up[p, n - 1])
+        if up is None:
+            up0 = e02 = e03 = em2 = em3 = upn = 1.0
+        else:
+            # the end stencils' phi^2(2)/phi^2(0), phi^2(3)/phi^2(0),
+            # phi^2(n-2)/phi^2(n-1) and phi^2(n-3)/phi^2(n-1)
+            u = up[p]
+            up0, upn, em2 = u[0], u[n - 1], 1.0 / u[n - 2]
+            e02 = up0 * u[1]
+            e03, em3 = e02 * u[2], em2 / u[n - 3]
         o[0] = h * (9.0 * v[0] + 19.0 * v[1] * up0 - 5.0 * v[2] * e02 + v[3] * e03) / 24.0
         o[-1] = h * (v[n - 3] * em3 - 5.0 * v[n - 2] * em2 + 19.0 * v[n - 1]
                      + 9.0 * v[n] * upn) / 24.0
-        # h (-v_{k-1} prev + 13 v_k + 13 v_{k+1} up - v_{k+2} nxt2) / 24 in
-        # place, with the same operations in the same order as that
-        # expression; the plain rule skips the factors, which are exactly 1
+        # h (-v_{k-1} / up_{k-1} + 13 v_k + 13 v_{k+1} up_k
+        # - v_{k+2} up_k up_{k+1}) / 24 in place, with the same operations in
+        # the same order as that expression; the plain rule skips the ratios,
+        # which are exactly 1
         mid = o[1:-1]
         np.negative(v[0 : n - 2], out=mid)
-        if s is not None:
-            mid *= s.prev[p]
+        if up is not None:
+            mid /= u[0 : n - 2]
         mid += np.multiply(13.0, v[1 : n - 1], out=t)
         np.multiply(13.0, v[2:n], out=t)
-        if s is not None:
-            t *= s.up[p, 1 : n - 1]
+        if up is not None:
+            t *= u[1 : n - 1]
         mid += t
-        mid -= v[3 : n + 1] if s is None else np.multiply(v[3 : n + 1], s.nxt2[p], out=t)
+        if up is None:
+            mid -= v[3 : n + 1]
+        else:
+            np.multiply(v[3 : n + 1], u[1 : n - 1], out=t)
+            t *= u[2:n]
+            mid -= t
         mid *= h
         mid /= 24.0
     return out
@@ -294,7 +271,10 @@ def _interval_integrals(y: np.ndarray, grid: Grid, s: _Stencil | None = None,
 
 def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
     """Integral of values * phi^2 over [0, x_max]: the samples of both
-    panels dotted with the node weights."""
+    panels dotted with the node weights.  The order of the sum follows the
+    memory layout of values, so node values of a continuous function go in
+    as they are, through the Grid.panels view, not as a (2, n_per_panel+1)
+    copy, which would round differently."""
     w = _factors(t, rule).weights
     # einsum sums in numpy, not in BLAS, whose ddot splits long rows across
     # threads and so would make the rounding depend on the core count
@@ -308,9 +288,14 @@ def _peak_split(f: _Factors, out: np.ndarray) -> None:
     both panels in node order on entry.  The interval ending at node k is
     summed into prefix(x_k) and the one starting there into suffix(x_k), so
     the prefix terms move one node up first; the interval into the peak
-    enters neither, and out is 0 at x_max and, but for a peak at 0, at 0."""
+    enters neither, and out is 0 at x_max and, but for a peak at 0, at 0.
+    Divided by its interval's step ratio, each prefix term is scaled by phi^2
+    at the node it moved to, as the suffix terms are at theirs."""
     m = max(f.peak - 1, 0)
+    # a plain copy, then the divide: a divide into the overlapping slice
+    # would go through a temporary
     out[1 : m + 1] = out[:m]
+    out[1 : m + 1] /= f.up.reshape(-1)[:m]
     out[: min(f.peak, 1)] = 0.0
     out[-1] = 0.0
     _run_scan(out[1 : m + 1], f.prefix)
@@ -324,7 +309,7 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     over [0, x])."""
     n = grid.n_per_panel
     inner = np.empty(2 * n + 1)
-    _interval_integrals(_samples(grid, h_samples), grid, f.stencil,
+    _interval_integrals(_samples(grid, h_samples), grid, f.up,
                         out=inner[: 2 * n].reshape(2, n))
     _peak_split(f, inner)
     np.negative(inner[: f.peak], out=inner[: f.peak])

@@ -89,7 +89,9 @@ class SolveReport:
         return self.f_history[-1]
 
     def f_n(self, n: int) -> np.ndarray:
-        """f_n samples; n=0 is the constant seed."""
+        """f_n samples, 0 <= n <= iterations; n=0 is the constant seed."""
+        if not 0 <= n <= self.iterations:
+            raise IndexError(f"iterate index {n} outside 0..{self.iterations}")
         if n == 0:
             return np.ones(self.grid.n_points)
         return self.f_history[n - 1]

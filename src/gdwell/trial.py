@@ -58,21 +58,8 @@ class Grid:
     def n_points(self) -> int:
         return self.nodes.size
 
-    @property
-    def h_inner(self) -> float:
-        return 1.0 / self.n_per_panel
-
-    @property
-    def h_outer(self) -> float:
-        return (self.x_max - 1.0) / self.n_per_panel
-
-    @property
-    def i_one(self) -> int:
-        """Index of the shared node x = 1."""
-        return self.n_per_panel
-
     def panel_h(self, panel: int) -> float:
-        return self.h_inner if panel == 0 else self.h_outer
+        return (1.0 if panel == 0 else self.x_max - 1.0) / self.n_per_panel
 
     def panels(self, values) -> np.ndarray:
         """Node values as a read-only (2, n_per_panel+1) view: row p is panel
@@ -100,7 +87,7 @@ class TrialFunction:
     as a single exponential of a log_phi difference.  psi0 is phi at the
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
     far tail).  quadrature_factors holds what gdwell.quadrature derives from
-    log_phi alone (the node weights of the phi^2 integral, the stencil
+    log_phi alone (the node weights of the phi^2 integral, the phi^2 step
     ratios of both panels, the phi^2 peak and the scan layouts); it builds
     them on first use.  build_trial forms log_phi in the array eval_S0
     returns and psi0 in the one eval_S1 returns, and nothing downstream
@@ -122,7 +109,7 @@ def build_trial(p: PotentialParams, grid: Grid | None = None) -> TrialFunction:
     if grid is None:
         grid = Grid()
     x = grid.nodes
-    n = grid.i_one
+    n = grid.n_per_panel  # x[n] = 1
     s1 = cf.eval_S1(p, x)
     # log phi_+ = -g S0 - S1, then log phi, in the array eval_S0 returns
     log_phi = cf.eval_S0(p, x)

@@ -42,9 +42,9 @@ def test_dumps_json_is_valid_and_deterministic():
 
 # SHA-256 of the default solve report in schema v2, with the phi^2 integral
 # as one node-weighted sum, 200-wide scan bands, the closed forms free of
-# float powers and u by Horner in x^2; any other change to the report's bytes
-# shows here
-DEFAULT_REPORT_SHA256 = "6a7684bbd26e8ee6d139fb8f1db8b92df0bd0aaeece105396e38b2d1a809ae56"
+# float powers, u by Horner in x^2 and the stencil ratios formed from the
+# phi^2 step ratios; any other change to the report's bytes shows here
+DEFAULT_REPORT_SHA256 = "4f7ec79af90573088b7489d759a187b92d5cdf33272fc9f83c44802b19e7aba7"
 # SHA-256 of region.trace_curves(50)'s report, as written before lists of
 # float rows were formatted in one pass
 TRACE_50_REPORT_SHA256 = "35309bdfbe679bfeab68adc3c618f3a60541824b213cb846c231e5eb0be89f09"

@@ -61,6 +61,14 @@ class TestEigensolver:
         with pytest.raises(DiscretizationError, match="half-domain"):
             oracle_ground_state(PotentialParams(3.0, 2.0), OracleConfig(L=1.1, n=500))
 
+    def test_uncapped_half_domain_is_not_blamed_on_L(self):
+        # at (100, 1e4) the WKB half-domain 1.06 lies inside the default
+        # L = 6, so a larger L cannot help
+        with pytest.raises(DiscretizationError, match="half-domain") as err:
+            oracle_ground_state(PotentialParams(100.0, 1e4))
+        assert "not capped by L" in str(err.value) and "node spacing" in str(err.value)
+        assert "increase L" not in str(err.value)
+
     def test_node_cap_guard(self, monkeypatch):
         # energies that never agree grow the node count to the cap n and stop
         monkeypatch.setattr(oracle, "REL_TOL", 0.0)

@@ -17,8 +17,8 @@ from gdwell.quadrature import (
     nested_tail,
 )
 from gdwell.quadrature import (
+    _MAX_STEP,
     _SCAN_BAND,
-    MAX_FOLDED_EXPONENT,
     _factors,
     _interval_integrals,
     _peak_split,
@@ -113,7 +113,7 @@ class TestIntegrate:
         c = np.polynomial.Polynomial([1.0, 0.5, -1.0, 2.0])
         C = c.integ()
         f = _factors(t, QuadratureRule(g))
-        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, f.stencil)
+        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, f.up)
         x = g.panels(g.nodes)
         anchors = np.exp(2.0 * g.panels(t.log_phi)[:, :-1])  # phi^2(x_k), k < n
         np.testing.assert_allclose(iv * anchors, C(x[:, 1:]) - C(x[:, :-1]),
@@ -127,7 +127,7 @@ class TestIntegrate:
         t = mock_trial(g, -g.nodes / 2.0)
         ends = np.array([8.0, 31.0, 20.0, 25.0])
         c = np.concatenate([ends, np.full(g.n_per_panel - 7, 24.0), ends[::-1]]) / 24.0
-        h = np.array([[g.h_inner], [g.h_outer]])
+        h = np.array([[g.panel_h(0)], [g.panel_h(1)]])
         w = _factors(t, QuadratureRule(g)).weights
         np.testing.assert_allclose(w, h * c * np.exp(-g.panels(g.nodes)), rtol=1e-15, atol=0.0)
         # on phi = 1 the weights are h_p c_k, which sum to each panel's length
@@ -145,10 +145,10 @@ class TestIntegrate:
         grid = Grid(4.0, 2000)
         t = build_trial(p, grid)
         rule = QuadratureRule(grid)
-        stencil = _factors(t, rule).stencil
+        up = _factors(t, rule).up
         anchors = np.exp(2.0 * grid.panels(t.log_phi)[:, :-1])
         for y in (np.ones((2, grid.n_per_panel + 1)), w_samples(p, grid)):
-            ref = float(np.sum(_interval_integrals(y, grid, stencil) * anchors))
+            ref = float(np.sum(_interval_integrals(y, grid, up) * anchors))
             assert integrate_against_phi2(t, rule, y) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
@@ -230,7 +230,7 @@ class TestNestedOperators:
         t = build_trial(PotentialParams(3.0, 2.0), g)
         dlp = 2.0 * np.diff(g.panels(t.log_phi)[1])
         i_peak = int(np.argmax(t.log_phi))
-        assert float(dlp[max(0, i_peak - g.i_one) + 1 :].max()) <= 0.0
+        assert float(dlp[max(0, i_peak - g.n_per_panel) + 1 :].max()) <= 0.0
         assert float(np.abs(dlp).max()) <= 30.0
 
     def test_overflow_guard_trips_on_absurd_slope(self):
@@ -239,6 +239,22 @@ class TestNestedOperators:
         rule = QuadratureRule(g)
         with pytest.raises(OverflowGuardError):
             nested_tail(t, rule, np.ones(g.n_points))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_guard_caps_every_single_step(self, sign):
+        # one step of 2 log phi, up or down, on a flat trial function: every
+        # sum of three adjacent steps stays far below 30, yet a step just over
+        # the cap trips the guard and one just under it does not
+        g = Grid(4.0, 16)
+        rule = QuadratureRule(g)
+        for step, admitted in [(_MAX_STEP - 0.01, True), (_MAX_STEP + 0.01, False)]:
+            l2 = np.where(np.arange(g.n_points) > 20, sign * step, 0.0)
+            t = mock_trial(g, (l2 - l2.max()) / 2.0)
+            if admitted:
+                assert _factors(t, rule).up.max() <= math.exp(_MAX_STEP)
+            else:
+                with pytest.raises(OverflowGuardError):
+                    _factors(t, rule)
 
     @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])
     def test_far_side_of_peak_stays_finite(self, op, peak):
@@ -319,13 +335,13 @@ def reference_scans(log_phi: np.ndarray, iv: np.ndarray) -> tuple[np.ndarray, np
 @example(n=1024, peak="x=1", slope_left=5.0, slope_right=5.0, seed=3)
 def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_right, seed):
     # 2 log phi rises by up to 9.5 per interval to the peak and falls after
-    # it (three-interval sums stay below the guard's 30); steep slopes cross
+    # it (every step stays below the guard's cap of 10); steep slopes cross
     # a 200-wide scan band every few dozen nodes, so 2048 intervals force
     # many blocks
     g = Grid(4.0, n)
     rng = np.random.default_rng(seed)
     n_iv = g.n_points - 1
-    i_peak = {"first": 0, "last": n_iv, "x=1": g.i_one,
+    i_peak = {"first": 0, "last": n_iv, "x=1": g.n_per_panel,
               "interior": int(rng.integers(1, n_iv))}[peak]
     rise = slope_left * (1.0 + 0.9 * rng.uniform(-1.0, 1.0, n_iv))
     fall = slope_right * (1.0 + 0.9 * rng.uniform(-1.0, 1.0, n_iv))
@@ -350,24 +366,24 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
 @pytest.mark.parametrize("n", [2000, 16000])
 @pytest.mark.parametrize("g,a", [(20.0, 12.0), (20.0, 100.0)])
 def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
-    # 2 log phi spans thousands here; every scaled factor stays a normal
-    # float within the band bounds, and the blocks are as few as the bands
-    # the scan crosses allow
+    # 2 log phi spans thousands here; every scaled factor and every scan
+    # output stays a normal float, the scans match the per-node recurrences,
+    # and the blocks are as few as the bands the scan crosses allow
     grid = Grid(4.0, n)
     t = build_trial(PotentialParams(g, a), grid)
     f = _factors(t, QuadratureRule(grid))
     l2 = 2.0 * t.log_phi
     m = max(f.peak - 1, 0)
-    for scan, l2c in [(f.prefix, l2[:m]), (f.suffix, l2[f.peak : -1])]:
+    for scan, l2c in [(f.prefix, l2[1 : m + 1]), (f.suffix, l2[f.peak : -1])]:
         assert np.all((scan.into >= 1.0) & (scan.into < math.exp(_SCAN_BAND)))
-        assert np.all((scan.out >= math.exp(-_SCAN_BAND - MAX_FOLDED_EXPONENT))
-                      & (scan.out <= math.exp(MAX_FOLDED_EXPONENT)))
         if l2c.size:
             span = float(l2c.max() - l2c.min())
             assert len(scan.blocks) <= math.ceil(span / _SCAN_BAND) + 1
-    if (g, a, n) == (20.0, 12.0, 2000):
-        iv = _interval_integrals(np.ones((2, n + 1)), grid, f.stencil).ravel()
-        got = peak_split(f, iv)
-        prefix, suffix = reference_scans(t.log_phi, iv)
-        np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
+    iv = _interval_integrals(np.ones((2, n + 1)), grid, f.up).ravel()
+    got = peak_split(f, iv)
+    for scanned in (got[1 : m + 1], got[f.peak : -1]):
+        assert np.all(np.isfinite(scanned))
+        assert np.all(np.abs(scanned) >= np.finfo(float).tiny)
+    prefix, suffix = reference_scans(t.log_phi, iv)
+    np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)

@@ -33,7 +33,7 @@ from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 # SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
-PINNED_VIOLATIONS_SHA256 = "7479bc71d131422903364c4e8203493861eb76fe0c9424145f5a2cc628de4b9a"
+PINNED_VIOLATIONS_SHA256 = "d667bee7f88041ec2bb44a59199ef7b76bf10fd7e019a7329b370284769330f8"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
@@ -190,6 +190,17 @@ class TestSolve:
         for n in range(rep.iterations + 1):
             assert rep.psi_n(n)[0] == 1.0
 
+    def test_iterate_index_out_of_range_rejected(self):
+        rep = solve(P12, Grid(4.0, 200), max_iter=4, tol=0.0)
+        assert rep.iterations == 4
+        assert np.array_equal(rep.f_n(0), np.ones(rep.grid.n_points))
+        assert rep.f_n(4) is rep.f_final
+        for n in (-1, 5):
+            with pytest.raises(IndexError, match="0..4"):
+                rep.f_n(n)
+        with pytest.raises(IndexError, match="0..4"):
+            rep.psi_n(-2)
+
     def test_extreme_coupling_dynamic_range(self, solve_cache, oracle_cache):
         # at g=5 the squared trial function spans ~e^-623 across the grid;
         # the folded recurrences must still agree with the independent solver
@@ -342,7 +353,7 @@ def test_setup_writes_only_into_arrays_it_owns():
     p, grid = PotentialParams(12.0, 12.0), Grid(4.0, 1000)
     rule = QuadratureRule(grid)
     x = np.array(grid.nodes)
-    x_inner = x[: grid.i_one + 1].copy()
+    x_inner = x[: grid.n_per_panel + 1].copy()
     h = w_samples(p, grid) - 0.5
     kept = [grid.nodes, x, x_inner, h]
     before = _bits(kept)

@@ -24,7 +24,7 @@ class TestGrid:
     def test_nodes_contract(self):
         g = Grid(4.0, 100)
         assert g.nodes[0] == 0.0
-        assert g.nodes[g.i_one] == 1.0
+        assert g.nodes[g.n_per_panel] == 1.0
         assert g.nodes[-1] == 4.0
         assert g.n_points == 201
         assert np.all(np.diff(g.nodes) > 0.0)
@@ -109,21 +109,21 @@ class TestBuildTrial:
     def test_phi_prime_zero_at_origin(self):
         t = build_trial(P12, Grid())
         ph = np.exp(t.log_phi)
-        d0 = one_sided_deriv5(ph[:5], t.grid.h_inner, forward=True)
+        d0 = one_sided_deriv5(ph[:5], t.grid.panel_h(0), forward=True)
         assert abs(d0) <= 1e-8 * ph[0]
 
     def test_c1_continuity_at_matching_point(self):
         t = build_trial(P12, Grid())
         ph = np.exp(t.log_phi)
-        i1 = t.grid.i_one
-        d_left = one_sided_deriv5(ph[i1 - 4 : i1 + 1][::-1], t.grid.h_inner, forward=True)
-        d_right = one_sided_deriv5(ph[i1 : i1 + 5], t.grid.h_outer, forward=True)
+        i1 = t.grid.n_per_panel
+        d_left = one_sided_deriv5(ph[i1 - 4 : i1 + 1][::-1], t.grid.panel_h(0), forward=True)
+        d_right = one_sided_deriv5(ph[i1 : i1 + 5], t.grid.panel_h(1), forward=True)
         assert abs(-d_left - d_right) <= 1e-8 * max(abs(d_left), abs(d_right))
 
     def test_value_continuity_at_matching_point_is_exact(self):
         t = build_trial(P12, Grid(4.0, 64))
         # the outer branch is pinned to the inner value at the shared node
-        inner_val = t.log_phi[t.grid.i_one]
+        inner_val = t.log_phi[t.grid.n_per_panel]
         outer_first = t.grid.panels(t.log_phi)[1, 0]
         assert inner_val == outer_first
 
@@ -138,7 +138,7 @@ class TestTrialLogRatio:
     def test_matches_direct_evaluation_at_moderate_x(self):
         t = build_trial(P12, Grid(4.0, 600))
         g = t.grid
-        for i in range(g.i_one + 5, g.i_one + 9):
+        for i in range(g.n_per_panel + 5, g.n_per_panel + 9):
             xz, xy = g.nodes[i + 1], g.nodes[i]
             direct = math.exp(
                 -2.0 * P12.g * float(eval_S0(P12, xz) - eval_S0(P12, xy))

@@ -91,9 +91,9 @@ def _wkb_half_domain(p: PotentialParams) -> float:
 
 
 def _domain_advice(cfg: OracleConfig, wkb: float, k: int) -> str:
-    """What to change when the energies on the half-domain min(cfg.L, wkb)
-    with k nodes a side show a too-short domain: L only if it capped the
-    WKB half-domain wkb, which no larger L moves."""
+    """The advice of a too-short-domain error at k nodes a side: a larger L
+    if cfg.L capped the WKB half-domain wkb; otherwise the node spacing, as
+    no larger L moves wkb."""
     if cfg.L < wkb:
         return "L likely truncates psi; increase L"
     return (f"the WKB half-domain was not capped by L; its node spacing is "

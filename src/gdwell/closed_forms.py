@@ -43,10 +43,14 @@ __all__ = [
 
 def find_a_g(g: float) -> float:
     """Shape bound equivalent to a positive mixing coefficient:
-    a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2)."""
-    if not g > 0.0:
-        raise ValueError("g must be > 0")
-    return (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
+    a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2).  Raises ValueError unless g > 0
+    is finite, 4 g^2 is finite and nonzero, and a_g itself is finite."""
+    if not (0.0 < g < math.inf and 0.0 < 4.0 * g * g < math.inf):
+        raise ValueError(f"coupling g must be > 0 with 4 g^2 finite and nonzero, got {g}")
+    a_g = (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
+    if a_g == math.inf:  # 2 g^2 is subnormal
+        raise ValueError(f"a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2) overflows at g = {g}")
+    return a_g
 
 
 @dataclass(frozen=True)

@@ -263,10 +263,12 @@ _ALPHA_TILDE_FOLD = (1715, -588, -88896, -253892, 3975, -4728, 398)
 _GAMMA_TILDE_FOLD = (295, 3390, 751812, -790006, 160852605, -512297472, 405514240)
 
 
-def _real_roots(coeffs, lo: float, hi: float) -> list[np.ndarray]:
-    """Sorted real roots in [lo, hi] of the polynomials whose coefficients
-    (low to high) run down the columns of coeffs, one array per column, from
-    the eigenvalues of their stacked companion matrices."""
+def _real_roots(coeffs, lo: float, hi: float) -> np.ndarray:
+    """Real roots in [lo, hi] of the polynomials whose coefficients (low to
+    high) run down the columns of coeffs, from the eigenvalues of their
+    stacked companion matrices: one row per column, of width the degree,
+    holding that polynomial's roots sorted and then +inf in the unused
+    slots."""
     c = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
     deg = c.shape[0] - 1
     comp = np.zeros((c.shape[1], deg, deg))
@@ -275,18 +277,29 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[np.ndarray]:
     lam = np.linalg.eigvals(comp)
     real = np.abs(lam.imag) <= _ROOT_TOL * (1.0 + np.abs(lam.real))
     keep = real & (lam.real >= lo) & (lam.real <= hi)
-    return [np.sort(row.real[k]) for row, k in zip(lam, keep)]
+    return np.sort(np.where(keep, lam.real, np.inf), axis=1)
+
+
+def _largest(roots: np.ndarray) -> np.ndarray:
+    """The largest root of each row of a _real_roots array; -inf for a row
+    with none."""
+    return np.where(np.isfinite(roots), roots, -np.inf).max(axis=1)
 
 
 def _fold(factor, table: np.ndarray, var: str, lo: float, hi: float) -> float:
     """The largest root in (0, 1] of an integer discriminant factor at which
     the curve polynomial in table, in var ("s" or "z") at that a, has a real
     double root in [lo, hi]."""
-    candidates = _real_roots(factor, 0.0, 1.0)[0][::-1]
-    for a, roots in zip(candidates, _real_roots(_coeffs(table, candidates, var), lo, hi)):
-        if np.any(np.diff(roots) <= _ROOT_TOL * (1.0 + np.abs(roots[1:]))):
-            return float(a)
-    raise BracketError(f"no root of the factor {factor} is a fold on [{lo}, {hi}]")
+    candidates = _real_roots(factor, 0.0, 1.0)[0]
+    candidates = candidates[np.isfinite(candidates)][::-1]
+    # nan for the padding, so that no gap to or between the inf slots counts
+    roots = _real_roots(_coeffs(table, candidates, var), lo, hi)
+    roots[np.isinf(roots)] = np.nan
+    close = np.diff(roots, axis=1) <= _ROOT_TOL * (1.0 + np.abs(roots[:, 1:]))
+    folds = np.flatnonzero(close.any(axis=1))
+    if folds.size == 0:
+        raise BracketError(f"no root of the factor {factor} is a fold on [{lo}, {hi}]")
+    return float(candidates[folds[0]])
 
 
 @dataclass(frozen=True)
@@ -350,6 +363,13 @@ class RegionReport:
         }
 
 
+def _points(a: np.ndarray, roots: np.ndarray) -> list[tuple[float, float]]:
+    """The (a, root) pairs of a sweep, row by row: each a paired with each
+    finite entry of its row of roots."""
+    finite = np.isfinite(roots)
+    return list(zip(np.repeat(a, finite.sum(axis=1)).tolist(), roots[finite].tolist()))
+
+
 def trace_curves(resolution: int = 200) -> RegionReport:
     """Trace the zero loci that bound the monotone-convergence region.
 
@@ -361,6 +381,8 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     root are recorded as misses, not errors.  Also verifies the stated
     geometry: the beta curve lies above the gamma curve, and just above each
     tilde curve the signs are alpha_tilde < 0, beta_tilde < 0, gamma_tilde > 0.
+    Each sweep's roots are one _real_roots array, sorted and inf-padded, and
+    every output is read from it with array operations.
     """
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
@@ -369,14 +391,14 @@ def trace_curves(resolution: int = 200) -> RegionReport:
 
     # beta = 0: x = sqrt((1 - 2a)/3), present exactly when a < 1/2
     a = np.geomspace(1e-4, 0.4999, resolution)
-    curves["beta_zero"] = [(float(p), float(q)) for p, q in zip(a, np.sqrt((1.0 - 2.0 * a) / 3.0))]
+    curves["beta_zero"] = list(zip(a.tolist(), np.sqrt((1.0 - 2.0 * a) / 3.0).tolist()))
 
     # gamma = 0: roots in s = x^2 on (0, x0^2), where g1 < 0
     s_hi = X_G1_ROOT**2
     a = np.geomspace(1e-5, _fold(_GAMMA_FOLD, _GAMMA, "s", 0.0, s_hi), resolution)
     roots = _real_roots(_coeffs(_GAMMA, a), 0.0, s_hi)
-    curves["gamma_zero"] = [(float(p), math.sqrt(s)) for p, r in zip(a, roots) for s in r]
-    misses["gamma_zero"] = sum(r.size == 0 for r in roots)
+    curves["gamma_zero"] = _points(a, np.sqrt(roots))
+    misses["gamma_zero"] = int(np.isinf(roots[:, 0]).sum())
 
     # tilde curves in the (z, a) plane: beta_tilde's root reaches z = 0 at
     # a = 1/2, where its constant term a (1 - 2a) vanishes
@@ -391,20 +413,21 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     for name, (table, sign_above, a_top) in tilde.items():
         a = np.geomspace(1e-4, a_top, resolution)
         roots = _real_roots(_coeffs(table, a, "z"), *_Z_WINDOW)
-        curves[name] = [(float(p), float(z)) for p, r in zip(a, roots) for z in r]
-        found = [r.size > 0 for r in roots]
-        misses[name] = found.count(False)
+        curves[name] = _points(a, roots)
+        found = np.isfinite(roots[:, 0])
+        misses[name] = int(np.count_nonzero(~found))
         # just above the outermost root the region sign must hold
         a_up = 1.05 * a[found]
-        probe = _horner(a_up * [r[-1] for r in roots if r.size], _coeffs(table, a_up))
+        probe = _horner(a_up * _largest(roots[found]), _coeffs(table, a_up))
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
     # geometry of the (x, a) curves: beta curve above gamma curve, with
-    # gamma as a quartic in a at fixed x
+    # gamma as a quartic in a at fixed x; a row with no root is a violation
     x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, max(resolution, 200))
     a_gamma = _real_roots(_coeffs(_GAMMA, x * x, "a"), 1e-9, 1.0)
     a_beta = (1.0 - 3.0 * x * x) / 2.0
-    ordering_bad = sum(bool(r.size == 0 or not ab > r[-1]) for ab, r in zip(a_beta, a_gamma))
+    ordering_bad = int(np.count_nonzero(
+        np.isinf(a_gamma[:, 0]) | ~(a_beta > _largest(a_gamma))))
 
     return RegionReport(
         resolution=resolution,

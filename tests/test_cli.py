@@ -1,6 +1,7 @@
 """Command-line behavior: printed sequences, exit codes, file outputs,
 determinism, and config handling."""
 
+import csv
 import json
 import math
 import os
@@ -271,6 +272,14 @@ class TestRegionCommand:
         assert 0.654 <= doc["a_c"] <= 0.674
         sweep = {round(e["g"], 3): e["a_g"] for e in doc["a_g_sweep"]}
         assert sweep[2.0] == pytest.approx((1.0 + math.sqrt(17.0)) / 8.0, rel=1e-12)
+
+    def test_csv_rows_equal_the_json_curve_points(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "region", "--resolution", "60", "--out-dir", str(tmp_path))
+        assert code == 0
+        curves = json.loads((tmp_path / "region.json").read_text())["curves"]
+        for name, points in curves.items():
+            rows = list(csv.reader((tmp_path / f"{name}.csv").read_text().splitlines()[2:]))
+            assert [[float(v) for v in row] for row in rows] == points, name
 
 
 class TestOracleCommand:

@@ -48,6 +48,8 @@ DEFAULT_REPORT_SHA256 = "4f7ec79af90573088b7489d759a187b92d5cdf33272fc9f83c44802
 # SHA-256 of region.trace_curves(50)'s report, as written before lists of
 # float rows were formatted in one pass
 TRACE_50_REPORT_SHA256 = "35309bdfbe679bfeab68adc3c618f3a60541824b213cb846c231e5eb0be89f09"
+# and of trace_curves(200)'s, the default resolution of `gdwell region`
+TRACE_200_REPORT_SHA256 = "067f014c0170f7c7d7679879db4addafafbfceae751946c5f071bf534378104e"
 
 
 def test_default_solve_report_bytes_are_pinned(solve_cache):
@@ -58,6 +60,11 @@ def test_default_solve_report_bytes_are_pinned(solve_cache):
 def test_trace_curves_report_bytes_are_pinned():
     text = dumps_json(region.trace_curves(50).to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_50_REPORT_SHA256
+
+
+def test_default_resolution_trace_curves_report_bytes_are_pinned():
+    text = dumps_json(region.trace_curves(200).to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_200_REPORT_SHA256
 
 
 def test_solve_report_nodes_rebuild_from_config(solve_cache, tmp_path):

@@ -214,6 +214,20 @@ class TestCriticalValues:
         with pytest.raises(ValueError):
             find_a_g(0.0)
 
+    # from g = 6.7e153 on, g^2 is finite but 4 g^2 is not; below
+    # g = 7.5e-155, 2 g^2 is subnormal and a_g overflows
+    @pytest.mark.parametrize("g", [math.inf, math.nan, -1.0, 1e200, 1e-200, 7e153, 1.3e154,
+                                   1e-160])
+    def test_a_g_rejects_g_it_cannot_evaluate(self, g):
+        with pytest.raises(ValueError, match="g"):
+            find_a_g(g)
+
+    @pytest.mark.parametrize("g", [6.6e153, 1e150, 1e-150, 8e-155])
+    def test_a_g_finite_near_the_ends_of_its_range(self, g):
+        a_g = find_a_g(g)
+        assert 0.0 < a_g < math.inf
+        assert a_g == (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -288,7 +302,8 @@ class TestCurves:
         # at a = 0.0488 gamma_tilde has two roots in z that no sample of a
         # 600-point geometric z scan separates
         a = 0.0488
-        (roots,) = region._real_roots(region._coeffs(region._GAMMA_TILDE, a, "z"), 0.0, 4.0)
+        (row,) = region._real_roots(region._coeffs(region._GAMMA_TILDE, a, "z"), 0.0, 4.0)
+        roots = row[np.isfinite(row)]
         pair = roots[np.abs(roots - 0.45) < 0.01]
         assert len(pair) == 2
         z_scan = np.geomspace(1e-4, 4.0, 600)
@@ -303,3 +318,46 @@ def test_default_resolution_meets_density_contract():
     rep = trace_curves()  # default resolution 200
     for name, pts in rep.curves.items():
         assert len(pts) >= 200, name
+
+
+def _real_roots_per_row(coeffs, lo, hi):
+    """The real roots in [lo, hi] as region._real_roots found them before it
+    returned one padded array: a list with one sorted array per column."""
+    c = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
+    deg = c.shape[0] - 1
+    comp = np.zeros((c.shape[1], deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -(c[:-1] / c[-1]).T
+    lam = np.linalg.eigvals(comp)
+    real = np.abs(lam.imag) <= region._ROOT_TOL * (1.0 + np.abs(lam.real))
+    keep = real & (lam.real >= lo) & (lam.real <= hi)
+    return [np.sort(row.real[k]) for row, k in zip(lam, keep)]
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_real_roots_rows_match_the_per_row_version(degree):
+    rng = np.random.default_rng(100 + degree)
+    planted = rng.uniform(-1.5, 2.5, (60, degree))
+    planted[0, :2] = 0.5                        # a double root
+    planted[1] = rng.uniform(3.0, 4.0, degree)  # no root in the window
+    planted[2:4] = rng.uniform(-0.5, 1.5, (2, degree))
+    planted[2, 0], planted[3, 0] = -0.9, 1.9    # the window's ends, below
+    columns = [np.polynomial.polynomial.polyfromroots(r) * rng.uniform(0.5, 2.0)
+               for r in planted]
+    # and columns of random coefficients, whose roots are mostly complex
+    coeffs = np.column_stack(columns + list(rng.normal(size=(40, degree + 1))))
+    # the window ends exactly at a computed root, so both ends are kept
+    everywhere = _real_roots_per_row(coeffs, -np.inf, np.inf)
+    lo, hi = everywhere[2][0], everywhere[3][-1]
+    assert lo == pytest.approx(-0.9, abs=1e-9) and hi == pytest.approx(1.9, abs=1e-9)
+
+    got = region._real_roots(coeffs, lo, hi)
+    ref = _real_roots_per_row(coeffs, lo, hi)
+    assert got.shape == (coeffs.shape[1], degree)
+    for row, r in zip(got, ref):
+        assert row[:r.size].tobytes() == r.tobytes()
+        assert np.all(row[r.size:] == np.inf)
+    assert ref[1].size == 0
+    assert np.sum(np.abs(ref[0] - 0.5) < 1e-6) == 2
+    assert lo in got[2] and hi in got[3]
+    assert any(r.size == 0 for r in ref[len(planted):])

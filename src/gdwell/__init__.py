@@ -25,7 +25,6 @@ from .errors import (
     GridMismatchError,
     NonConvergenceWarning,
     OutsideRegionWarning,
-    OverflowGuardError,
     PositivityLossError,
 )
 from .oracle import OracleConfig, OracleResult, oracle_ground_state, peak_census
@@ -83,7 +82,6 @@ __all__ = [
     "ConvergenceDomainError",
     "GridError",
     "GridMismatchError",
-    "OverflowGuardError",
     "DegenerateDenominatorError",
     "PositivityLossError",
     "DiscretizationError",

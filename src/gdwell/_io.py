@@ -4,13 +4,13 @@ JSON is emitted by a small recursive serializer so every float is printed
 with 17 significant digits (lossless round-trip) and identical configs
 produce byte-identical files.  A list of Python floats, such as a
 wavefunction, is written by one %-format over the whole list, not element by
-element.  So is a list of equal-length lists of Python floats, such as the
-region report's [a, x] curve pairs, one row to a line; any other list of
-lists (ragged rows, or a row that holds an int) takes the per-element path,
-which writes the same bytes.  A non-finite float raises ValueError, because
-JSON has no literal for it.  CSV files start with a schema/config comment
-line followed by a header row; table cells carry 4 decimals, and a cell that
-holds a comma or a quote is quoted.
+element.  So is a list of equal-length lists or tuples of Python floats,
+such as the region report's (a, x) curve pairs, one row to a line; any
+other list of lists (ragged rows, or a row that holds an int) takes the
+per-element path, which writes the same bytes.  A non-finite float raises
+ValueError, because JSON has no literal for it.  CSV files start with a
+schema/config comment line followed by a header row; table cells carry 4
+decimals, and a cell that holds a comma or a quote is quoted.
 """
 
 from __future__ import annotations

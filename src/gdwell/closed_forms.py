@@ -4,7 +4,13 @@ Everything here is a pure function of the model parameters (g, a) and the
 coordinate x >= 0: the potential V, the two phase integrals S0 and S1 of the
 large-g expansion together with their slopes, and the effective perturbations
 u, ghat and w = u + ghat that drive the iteration, with the polynomials
-alpha, beta, g1, g2 and gamma that build u (``gdwell.region`` reads them here).
+alpha, beta and gamma that build u (``gdwell.region`` reads them here).
+
+gamma here, like the curve polynomials of ``gdwell.region``, is a table of
+integer coefficients in (x^2, a), and one function, _coeffs, reads every
+such table: numpy's polyval forms the coefficients of a table's polynomial
+in one variable at fixed values of the other, and one in-place Horner,
+_horner, evaluates them.
 
 All formulas are evaluated in cancellation-safe arrangements:
 
@@ -22,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConvergenceDomainError
 
@@ -70,11 +77,9 @@ class PotentialParams:
     a_g: float = field(init=False)
 
     def __post_init__(self):
-        # V scales with g^2 and u with a^4, as Python floats, whose powers
-        # raise OverflowError rather than give inf; a_g divides by g^2
-        if not (0.0 < self.g < math.inf and 0.0 < self.g * self.g < math.inf):
-            raise ValueError(
-                f"coupling g must be > 0 with g^2 finite and nonzero, got {self.g}")
+        # find_a_g validates g, first; V scales with g^2 and u with a^4, as
+        # Python floats, whose powers raise OverflowError rather than give inf
+        a_g = find_a_g(self.g)
         a2 = self.a * self.a
         if not (0.0 < self.a < math.inf and a2 * a2 < math.inf):
             raise ValueError(
@@ -82,7 +87,7 @@ class PotentialParams:
         e0 = math.sqrt(1.0 + self.a)
         object.__setattr__(self, "E0", e0)
         object.__setattr__(self, "Gamma", (self.g * self.a - e0) / (self.g * self.a + e0))
-        object.__setattr__(self, "a_g", find_a_g(self.g))
+        object.__setattr__(self, "a_g", a_g)
 
     @property
     def mixing_positive(self) -> bool:
@@ -223,9 +228,10 @@ def eval_S1_prime_quotient(p: PotentialParams, x):
     )
 
 
-# gamma = g1 (15 s^2 + 36 a s) + g2 as an (s, a) table, s = x^2: entry [i, j]
-# is the coefficient of s^i a^j.  gdwell.region traces its zero curve from
-# this table.
+# gamma = (15 s^2 + 18 s - 1)(15 s^2 + 36 a s) + 4 a^2 (141 s^2 + 90 s + 1)
+# + 32 a^3 (9 s + 1) + 64 a^4 as an (s, a) table, s = x^2: entry [i, j] is
+# the coefficient of s^i a^j.  gdwell.region traces its zero curve from this
+# table.
 _GAMMA = np.array([[0, 0, 4, 32, 64],
                    [0, -36, 360, 288, 0],
                    [-15, 648, 564, 0, 0],
@@ -233,8 +239,23 @@ _GAMMA = np.array([[0, 0, 4, 32, 64],
                    [225, 0, 0, 0, 0]], dtype=float)
 
 
-def _horner(coeffs: list, s: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] s^i by Horner, in one array of the broadcast shape."""
+def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
+    """Coefficients (low to high) of the polynomial whose coefficient of
+    s^i a^j is table[i, j]: in s at a = t, in z = s/a at a = t, or in a at
+    s = t, each by Horner in t down the table.  The result has shape
+    (degree + 1,) + t.shape."""
+    t = np.asarray(t, dtype=float)
+    if var == "a":
+        return polyval(t, table)
+    c = polyval(t, table.T)
+    if var == "z":
+        c *= t ** np.arange(table.shape[0]).reshape((-1,) + (1,) * t.ndim)
+    return c
+
+
+def _horner(coeffs, s) -> np.ndarray:
+    """sum_i coeffs[i] s^i by Horner, in one array of the broadcast shape;
+    coeffs is a list, or an array whose first axis runs over i."""
     out = np.empty(np.broadcast_shapes(np.shape(s), *map(np.shape, coeffs)))
     np.multiply(coeffs[-1], s, out=out)
     for c in coeffs[-2:0:-1]:
@@ -259,14 +280,7 @@ def _beta(a, x, s) -> np.ndarray:
 
 
 def _gamma(a, s) -> np.ndarray:
-    # each coefficient in s from its row of the table, by Horner in a
-    coeffs = []
-    for row in _GAMMA.tolist():
-        c = row[-1]
-        for r in row[-2::-1]:
-            c = c * a + r
-        coeffs.append(c)
-    return _horner(coeffs, s)
+    return _horner(_coeffs(_GAMMA, a), s)
 
 
 def alpha(a, x):
@@ -283,21 +297,9 @@ def beta(a, x):
     return _beta(a, x, x * x)
 
 
-def g1(x):
-    """15 x^4 + 18 x^2 - 1; its sign gates the gamma = 0 locus."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return 15.0 * x2 * x2 + 18.0 * x2 - 1.0
-
-
-def g2(a, x):
-    """Strictly positive remainder of gamma for a > 0."""
-    x2 = np.asarray(x, dtype=float) ** 2
-    return (4.0 * (141.0 * x2 * x2 + 90.0 * x2 + 1.0) * a * a
-            + 32.0 * (9.0 * x2 + 1.0) * a**3 + 64.0 * a**4)
-
-
 def gamma_poly(a, x):
-    """gamma = g1 (15 x^4 + 36 a x^2) + g2, the no-pole numerator of u:
+    """gamma = (15 x^4 + 18 x^2 - 1)(15 x^4 + 36 a x^2) plus a remainder
+    positive for a > 0, the no-pole numerator of u:
     alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
     x = np.asarray(x, dtype=float)
     return _gamma(a, x * x)

@@ -13,17 +13,12 @@ class ConvergenceDomainError(GdwellError):
 class GridError(GdwellError):
     """Computational grid unfit for the run: malformed (x_max not above 1,
     too few points, ...), too short for the trial function's tail, or too
-    coarse for it (OverflowGuardError)."""
+    coarse for it (a step of 2 log phi between adjacent nodes above the
+    quadrature's bound of 10 in size)."""
 
 
 class GridMismatchError(GdwellError):
     """Sampled values do not match the quadrature rule's grid."""
-
-
-class OverflowGuardError(GridError):
-    """A step of 2 log phi between adjacent nodes exceeded the safety bound
-    (10 in size): the grid spacing is too coarse for the trial function, a
-    configuration error like every GridError."""
 
 
 class DegenerateDenominatorError(GdwellError):

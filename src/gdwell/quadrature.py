@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError, OverflowGuardError
+from .errors import GridError, GridMismatchError
 from .trial import Grid, TrialFunction
 
 __all__ = [
@@ -115,12 +115,11 @@ def _samples(grid: Grid, values) -> np.ndarray:
 
 
 def _guard_steps(dlp: np.ndarray) -> None:
-    """Raise OverflowGuardError if a step of 2 log phi exceeds _MAX_STEP in
-    size."""
+    """Raise GridError if a step of 2 log phi exceeds _MAX_STEP in size."""
     # max |dlp| without the array |dlp|: abs is exact
     worst = max(float(dlp.max()), -float(dlp.min()))
     if worst > _MAX_STEP:
-        raise OverflowGuardError(
+        raise GridError(
             f"step of 2 log phi {worst:.1f} exceeds {_MAX_STEP:g} in size; "
             "grid spacing too coarse for this trial function"
         )

@@ -6,7 +6,8 @@ The slope of u factors through pairs of polynomials in (x^2, a): the pair
 and each pair satisfies a difference-of-squares identity that cancels the
 (x^2-1) pole/zero so signs can be read off polynomial loci.  The u
 polynomials come from ``gdwell.closed_forms``; the curve polynomials are
-integer tables in (x^2, a).  This module traces their zero curves as
+integer tables in (x^2, a), read, like gamma's, by closed_forms._coeffs and
+evaluated by closed_forms._horner.  This module traces their zero curves as
 companion-matrix eigenvalues, verifies the a=2 positivity chain, and
 computes the critical shape value a_c below which u' turns positive
 somewhere, as a root of a discriminant factor.
@@ -21,17 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from .closed_forms import (
-    _GAMMA, alpha, beta, find_a_g, g1, g2, gamma_poly, pole_free_quotient)
+    _GAMMA, _coeffs, _horner, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
 from .errors import BracketError
 
 __all__ = [
     "A_C",
     "X_G1_ROOT",
-    "alpha",
-    "beta",
-    "g1",
-    "g2",
-    "gamma_poly",
     "gamma_tilde_coeffs",
     "gamma_tilde",
     "identity_residuals",
@@ -48,24 +44,15 @@ __all__ = [
     "trace_curves",
 ]
 
-# positive root of g1: x^2 = (-9 + sqrt(96))/15; above it g1 > 0 and the
-# gamma = 0 locus cannot exist
+# positive root of gamma's factor 15 x^4 + 18 x^2 - 1: x^2 = (-9 + sqrt(96))/15;
+# above it that factor is positive and the gamma = 0 locus cannot exist
 X_G1_ROOT = math.sqrt((-9.0 + math.sqrt(96.0)) / 15.0)
-
-
-def _horner(t, coeffs_low_to_high):
-    """Polynomial in t, Horner form, lowest coefficient first; exact when t
-    and the coefficients are Fractions and ints."""
-    acc = 0 * t
-    for c in reversed(coeffs_low_to_high):
-        acc = acc * t + c
-    return acc
 
 
 # Curve polynomials as integer tables: entry [i, j] is the coefficient of
 # s^i a^j, s = x^2, so rows give a polynomial in s at fixed a and columns
-# one in a at fixed s.  gamma's table, _GAMMA, is the one
-# closed_forms.gamma_poly evaluates.
+# one in a at fixed s; closed_forms._coeffs reads them.  gamma's table,
+# _GAMMA, is the one closed_forms.gamma_poly evaluates.
 # alpha_tilde / x
 _ALPHA_TILDE = np.array([[0, -6, 0, -48],
                          [14, 18, -144, -16],
@@ -87,30 +74,16 @@ _GAMMA_TILDE = np.array([[0, 0, 0, 64, -192, 0, 256],
                          [900, 0, 0, 0, 0, 0, 0]], dtype=float)
 
 
-def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
-    """Coefficients (low to high) of the curve polynomial in table: in s at
-    a = t, in z = s/a at a = t, or in a at s = t.  The result has shape
-    (degree + 1,) + t.shape."""
-    t = np.asarray(t, dtype=float)
-    if var == "a":
-        table = table.T
-    column = (-1,) + (1,) * t.ndim
-    c = np.tensordot(table, t ** np.arange(table.shape[1]).reshape(column), 1)
-    if var == "z":
-        c = c * t ** np.arange(table.shape[0]).reshape(column)
-    return c
-
-
 def _alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
-    return x * _horner(x * x, _coeffs(_ALPHA_TILDE, a))
+    return x * _horner(_coeffs(_ALPHA_TILDE, a), x * x)
 
 
 def _beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(x2, _coeffs(_BETA_TILDE, a))
+    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(_coeffs(_BETA_TILDE, a), x2)
 
 
 def gamma_tilde_coeffs(a) -> np.ndarray:
@@ -121,7 +94,7 @@ def gamma_tilde_coeffs(a) -> np.ndarray:
 
 
 def gamma_tilde(a, x):
-    return _horner(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a))
+    return _horner(gamma_tilde_coeffs(a), np.asarray(x, dtype=float) ** 2)
 
 
 def identity_residuals(a, x) -> tuple[float, float, float]:
@@ -158,7 +131,7 @@ _C2_COEFFS = [1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0]
 def poly_A(x):
     """a=2 denominator polynomial 5x^6 + 10x^4 + 21x^2 + 12."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return _horner(x2, [12.0, 21.0, 10.0, 5.0])
+    return _horner([12.0, 21.0, 10.0, 5.0], x2)
 
 
 def poly_B(x):
@@ -170,13 +143,13 @@ def poly_B(x):
 def _poly_C1(x):
     """Odd numerator polynomial of -u' at a=2 (only its x term is negative)."""
     x = np.asarray(x, dtype=float)
-    return x * _horner(x * x, _C1_COEFFS)
+    return x * _horner(_C1_COEFFS, x * x)
 
 
 def _poly_C2(x):
     """Even numerator polynomial of -u' at a=2, times 8 sqrt(3); positive."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return 8.0 * math.sqrt(3.0) * _horner(x2, _C2_COEFFS)
+    return 8.0 * math.sqrt(3.0) * _horner(_C2_COEFFS, x2)
 
 
 def u_prime_a2(x):
@@ -319,20 +292,31 @@ def find_a_c() -> ACResult:
     gamma_tilde curve.  It is polished by Newton steps in exact rational
     arithmetic, rounded to a double after each step; the bracket is its two
     neighbouring doubles, at which the factor's exact signs must differ."""
+
+    def exact(coeffs, t: Fraction) -> Fraction:
+        # sum_k c_k t^k for integer c_k, low to high: with t = n/d, one
+        # integer sum over the common denominator d^deg
+        n, d, deg = t.numerator, t.denominator, len(coeffs) - 1
+        return Fraction(sum(c * n**k * d**(deg - k) for k, c in enumerate(coeffs)), d**deg)
+
     r = _fold(_GAMMA_TILDE_FOLD, _GAMMA_TILDE, "z", *_Z_WINDOW)
     p = _GAMMA_TILDE_FOLD
     dp = [k * c for k, c in enumerate(p)][1:]
     for _ in range(3):  # the eigenvalue is good to ~1e-15; Newton squares that
         t = Fraction(r)
-        r = float(t - _horner(t, p) / _horner(t, dp))
+        r = float(t - exact(p, t) / exact(dp, t))
     lo, hi = math.nextafter(r, 0.0), math.nextafter(r, 1.0)
-    if (_horner(Fraction(lo), p) > 0) == (_horner(Fraction(hi), p) > 0):
+    if (exact(p, Fraction(lo)) > 0) == (exact(p, Fraction(hi)) > 0):
         raise BracketError(f"the a_c factor does not change sign on [{lo!r}, {hi!r}]")
     return ACResult(a_c=r, width=hi - lo, bracket=(lo, hi))
 
 
 # critical shape value: at or below it monotone convergence is not guaranteed
 A_C = find_a_c().a_c
+
+# where the gamma and alpha_tilde curves end: the ends of their sweeps
+_GAMMA_END = _fold(_GAMMA_FOLD, _GAMMA, "s", 0.0, X_G1_ROOT**2)
+_ALPHA_TILDE_END = _fold(_ALPHA_TILDE_FOLD, _ALPHA_TILDE, "z", *_Z_WINDOW)
 
 
 # ---- curve tracing ------------------------------------------------------------
@@ -359,7 +343,7 @@ class RegionReport:
             "ordering_violations": self.ordering_violations,
             "sign_region_violations": dict(self.sign_region_violations),
             "misses": dict(self.misses),
-            "curves": {k: [[p, q] for (p, q) in v] for k, v in self.curves.items()},
+            "curves": dict(self.curves),
         }
 
 
@@ -374,7 +358,7 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     """Trace the zero loci that bound the monotone-convergence region.
 
     In the (x, a) plane: beta = 0 (exists for a < 1/2) and gamma = 0 (exists
-    for small a, at x below the positive root of g1).  In the (z, a) plane
+    for small a, at x below X_G1_ROOT).  In the (z, a) plane
     with z = x^2/a: the zero loci of alpha_tilde, beta_tilde and gamma_tilde.
     Each locus is sampled on a log-spaced a sweep that ends where the curve
     does, so it carries at least `resolution` points; sweep values with no
@@ -393,19 +377,17 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     a = np.geomspace(1e-4, 0.4999, resolution)
     curves["beta_zero"] = list(zip(a.tolist(), np.sqrt((1.0 - 2.0 * a) / 3.0).tolist()))
 
-    # gamma = 0: roots in s = x^2 on (0, x0^2), where g1 < 0
-    s_hi = X_G1_ROOT**2
-    a = np.geomspace(1e-5, _fold(_GAMMA_FOLD, _GAMMA, "s", 0.0, s_hi), resolution)
-    roots = _real_roots(_coeffs(_GAMMA, a), 0.0, s_hi)
+    # gamma = 0: roots in s = x^2 on (0, X_G1_ROOT^2)
+    a = np.geomspace(1e-5, _GAMMA_END, resolution)
+    roots = _real_roots(_coeffs(_GAMMA, a), 0.0, X_G1_ROOT**2)
     curves["gamma_zero"] = _points(a, np.sqrt(roots))
     misses["gamma_zero"] = int(np.isinf(roots[:, 0]).sum())
 
     # tilde curves in the (z, a) plane: beta_tilde's root reaches z = 0 at
     # a = 1/2, where its constant term a (1 - 2a) vanishes
     ac = find_a_c()
-    a_top_alpha = _fold(_ALPHA_TILDE_FOLD, _ALPHA_TILDE, "z", *_Z_WINDOW)
     tilde = {  # table, sign just above the curve, end of the sweep
-        "alpha_tilde_zero": (_ALPHA_TILDE, -1.0, a_top_alpha),
+        "alpha_tilde_zero": (_ALPHA_TILDE, -1.0, _ALPHA_TILDE_END),
         "beta_tilde_zero": (_BETA_TILDE, -1.0, 0.5),
         "gamma_tilde_zero": (_GAMMA_TILDE, 1.0, ac.a_c),
     }
@@ -418,7 +400,7 @@ def trace_curves(resolution: int = 200) -> RegionReport:
         misses[name] = int(np.count_nonzero(~found))
         # just above the outermost root the region sign must hold
         a_up = 1.05 * a[found]
-        probe = _horner(a_up * _largest(roots[found]), _coeffs(table, a_up))
+        probe = _horner(_coeffs(table, a_up), a_up * _largest(roots[found]))
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
     # geometry of the (x, a) curves: beta curve above gamma curve, with

@@ -71,6 +71,15 @@ class TestParams:
         with pytest.raises(ValueError, match=name):
             PotentialParams(g, a)
 
+    # g is validated once, by find_a_g, and before a
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, 1e-200, 7e-155, 7e153,
+                                   1.34e154, 1e200])
+    def test_rejects_every_g_find_a_g_rejects(self, g):
+        with pytest.raises(ValueError, match="coupling g|overflows at g"):
+            PotentialParams(g, 2.0)
+        with pytest.raises(ValueError, match="coupling g|overflows at g"):
+            PotentialParams(g, math.nan)
+
     @pytest.mark.parametrize("g,a", [(1e150, 2.0), (1e-150, 2.0), (2.0, 1e76), (2.0, 1e-300)])
     def test_accepts_squares_and_fourth_powers_in_range(self, g, a):
         p = PotentialParams(g, a)

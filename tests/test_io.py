@@ -45,11 +45,11 @@ def test_dumps_json_is_valid_and_deterministic():
 # float powers, u by Horner in x^2 and the stencil ratios formed from the
 # phi^2 step ratios; any other change to the report's bytes shows here
 DEFAULT_REPORT_SHA256 = "4f7ec79af90573088b7489d759a187b92d5cdf33272fc9f83c44802b19e7aba7"
-# SHA-256 of region.trace_curves(50)'s report, as written before lists of
-# float rows were formatted in one pass
-TRACE_50_REPORT_SHA256 = "35309bdfbe679bfeab68adc3c618f3a60541824b213cb846c231e5eb0be89f09"
+# SHA-256 of region.trace_curves(50)'s report, with every coefficient table
+# read by numpy's polyval (Horner in a)
+TRACE_50_REPORT_SHA256 = "c2dc9b712f2d44385f8fdbed359c544c05378993b3147513f87cab205f07cb2f"
 # and of trace_curves(200)'s, the default resolution of `gdwell region`
-TRACE_200_REPORT_SHA256 = "067f014c0170f7c7d7679879db4addafafbfceae751946c5f071bf534378104e"
+TRACE_200_REPORT_SHA256 = "e81889e5a40af3a81cc7a29630ecd68a1eae02a92d6adad7320c5dfb406e3061"
 
 
 def test_default_solve_report_bytes_are_pinned(solve_cache):

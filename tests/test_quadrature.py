@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdwell import GridMismatchError, OverflowGuardError, PotentialParams
+from gdwell import GridError, GridMismatchError, PotentialParams
 from gdwell.quadrature import (
     QuadratureRule,
     integrate_against_phi2,
@@ -237,7 +237,7 @@ class TestNestedOperators:
         g = Grid(4.0, 16)
         t = mock_trial(g, -20.0 * np.arange(g.n_points, dtype=float))
         rule = QuadratureRule(g)
-        with pytest.raises(OverflowGuardError):
+        with pytest.raises(GridError, match="step of 2 log phi"):
             nested_tail(t, rule, np.ones(g.n_points))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -253,7 +253,7 @@ class TestNestedOperators:
             if admitted:
                 assert _factors(t, rule).up.max() <= math.exp(_MAX_STEP)
             else:
-                with pytest.raises(OverflowGuardError):
+                with pytest.raises(GridError, match="step of 2 log phi"):
                     _factors(t, rule)
 
     @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])

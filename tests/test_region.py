@@ -10,22 +10,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdwell import PotentialParams, region
-from gdwell.closed_forms import eval_u
+from gdwell import PotentialParams, closed_forms, region
+from gdwell.closed_forms import _coeffs, alpha, beta, eval_u, gamma_poly
 from gdwell.region import (
     X_G1_ROOT,
     _alpha_tilde,
     _beta_tilde,
     _poly_C1,
     _poly_C2,
-    alpha,
-    beta,
     eval_u_prime,
     find_a_c,
     find_a_g,
-    g1,
-    g2,
-    gamma_poly,
     gamma_tilde,
     gamma_tilde_coeffs,
     identity_residuals,
@@ -36,6 +31,71 @@ from gdwell.region import (
 
 finite_a = st.floats(min_value=1e-3, max_value=5.0, allow_nan=False)
 finite_x = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+
+
+# gamma = g1 (15 x^4 + 36 a x^2) + g2, factored independently of its table
+def g1(x):
+    """15 x^4 + 18 x^2 - 1; its sign gates the gamma = 0 locus."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return 15.0 * x2 * x2 + 18.0 * x2 - 1.0
+
+
+def g2(a, x):
+    """Strictly positive remainder of gamma for a > 0."""
+    x2 = np.asarray(x, dtype=float) ** 2
+    return (4.0 * (141.0 * x2 * x2 + 90.0 * x2 + 1.0) * a * a
+            + 32.0 * (9.0 * x2 + 1.0) * a**3 + 64.0 * a**4)
+
+
+def coeffs_by_loop(table, t, var):
+    """The coefficients _coeffs forms, by one Python Horner loop per entry:
+    along each row of the table (each column for var "a") in t, and for var
+    "z" times t^i as numpy's power forms it."""
+    out = []
+    for row in (table.T if var == "a" else table).tolist():
+        c = row[-1]
+        for r in row[-2::-1]:
+            c = c * t + r
+        out.append(c)
+    out = np.array(out)
+    if var == "z":
+        t = np.asarray(t, dtype=float)
+        out *= t ** np.arange(len(out)).reshape((-1,) + (1,) * t.ndim)
+    return out
+
+
+TABLES = {"gamma": closed_forms._GAMMA, "alpha_tilde": region._ALPHA_TILDE,
+          "beta_tilde": region._BETA_TILDE, "gamma_tilde": region._GAMMA_TILDE}
+
+
+@pytest.mark.parametrize("var", ["s", "a", "z"])
+@pytest.mark.parametrize("name", list(TABLES))
+def test_coeffs_equal_the_horner_loop_bit_for_bit(name, var):
+    table = TABLES[name]
+    rng = np.random.default_rng(17)
+    for t in [0.5, 0.0417, 2.0, 1e-4, rng.uniform(1e-4, 5.0, 300),
+              rng.uniform(1e-4, 1.0, (4, 25))]:
+        got = _coeffs(table, t, var)
+        ref = coeffs_by_loop(table, t, var)
+        assert got.shape == ref.shape == (table.shape[1 if var == "a" else 0],) + np.shape(t)
+        assert got.tobytes() == ref.tobytes(), (name, var, t)
+
+
+def test_gamma_poly_equals_the_hand_loop_then_horner_in_s():
+    rng = np.random.default_rng(19)
+    a = rng.uniform(1e-3, 20.0, 2000)
+    x = rng.uniform(0.0, 4.0, 2000)
+    ref = np.empty(2000)
+    for k in range(2000):  # gamma's coefficients at one a, then Horner in s
+        coeffs = coeffs_by_loop(closed_forms._GAMMA, float(a[k]), "s").tolist()
+        s = float(x[k]) ** 2
+        acc = coeffs[-1] * s
+        for c in coeffs[-2:0:-1]:
+            acc = (acc + c) * s
+        ref[k] = acc + coeffs[0]
+    assert gamma_poly(a, x).tobytes() == ref.tobytes()
+    assert np.array_equal(gamma_poly(a[:7], x[:7]),
+                          [float(gamma_poly(float(p), float(q))) for p, q in zip(a[:7], x[:7])])
 
 
 class TestPolynomials:
@@ -58,9 +118,9 @@ class TestPolynomials:
         s = x * x
         ref = g1(x) * (15.0 * s * s + 36.0 * a * s) + g2(a, x)
         scale = np.abs(ref) + 1.0
-        in_s = np.polynomial.polynomial.polyval(x * x, region._coeffs(region._GAMMA, a),
+        in_s = np.polynomial.polynomial.polyval(x * x, _coeffs(closed_forms._GAMMA, a),
                                                 tensor=False)
-        in_a = np.polynomial.polynomial.polyval(a, region._coeffs(region._GAMMA, x * x, "a"),
+        in_a = np.polynomial.polynomial.polyval(a, _coeffs(closed_forms._GAMMA, x * x, "a"),
                                                 tensor=False)
         assert float(np.max(np.abs(in_s - ref) / scale)) <= 1e-12
         assert float(np.max(np.abs(in_a - ref) / scale)) <= 1e-12
@@ -239,7 +299,7 @@ def report():
 # skips root pairs closer than one sample, so it stopped 2.8e-6 short of
 # the alpha_tilde fold, at 0.1177274195
 @pytest.mark.parametrize("curve, table, frozen, bisected, tol", [
-    ("gamma_zero", region._GAMMA, region._GAMMA_FOLD, 0.0417631688, 1e-8),
+    ("gamma_zero", closed_forms._GAMMA, region._GAMMA_FOLD, 0.0417631688, 1e-8),
     ("alpha_tilde_zero", region._ALPHA_TILDE, region._ALPHA_TILDE_FOLD, 0.1177274195, 1e-5),
     ("gamma_tilde_zero", region._GAMMA_TILDE, region._GAMMA_TILDE_FOLD, 0.66380005, 8.5e-5),
 ], ids=["gamma_zero", "alpha_tilde_zero", "gamma_tilde_zero"])
@@ -302,7 +362,7 @@ class TestCurves:
         # at a = 0.0488 gamma_tilde has two roots in z that no sample of a
         # 600-point geometric z scan separates
         a = 0.0488
-        (row,) = region._real_roots(region._coeffs(region._GAMMA_TILDE, a, "z"), 0.0, 4.0)
+        (row,) = region._real_roots(_coeffs(region._GAMMA_TILDE, a, "z"), 0.0, 4.0)
         roots = row[np.isfinite(row)]
         pair = roots[np.abs(roots - 0.45) < 0.01]
         assert len(pair) == 2

@@ -249,7 +249,10 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
         return polyval(t, table)
     c = polyval(t, table.T)
     if var == "z":
-        c *= t ** np.arange(table.shape[0]).reshape((-1,) + (1,) * t.ndim)
+        # coefficient i times t, i times over: IEEE products round alike on
+        # every CPU, where a vectorized power need not
+        for i in range(1, table.shape[0]):
+            c[i:] *= t
     return c
 
 

@@ -8,25 +8,28 @@ either such an array, which keeps the two one-sided values of a function
 that jumps at x = 1, or the node values of a continuous function, which they
 view as one through Grid.panels.
 
-The phi^2 integral is one weighted sum over the nodes of both panels: the
-rule is linear, so its total is the samples dotted with fixed node weights
-h_p c_k phi^2(x_k), where c_k are the composite weights of the cubic interval
-rule.  phi^2 = exp(2 log phi) is at most 1 by the peak normalization, so the
-weights can underflow but never overflow.
+The rule integrates each interval [x_k, x_{k+1}] of a panel with the cubic
+through the four nearest nodes, h (-u_{k-1} + 13 u_k + 13 u_{k+1} - u_{k+2})
+/ 24, where past a panel end u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3 is the
+ghost value of the cubic through the four end nodes.  The intervals before
+node b, 1 <= b <= n, then sum to a running sum of node terms plus a closure
+at node b itself,
+
+    h sum_{1<=j<b} u_j + (h/24)(12 u_0 + u_1 - u_{-1}) + (h/24)(u_{b-1} + 12 u_b - u_{b+1}),
+
+which at b = n gives the composite node weights h (8, 31, 20, 25)/24 at each
+panel end and h inside.  The phi^2 integral is the samples dotted with the
+node weights h_p c_k phi^2(x_k) of that composite rule.  phi^2 = exp(2 log
+phi) is at most 1 by the peak normalization, so they can underflow but never
+overflow.
 
 The nested operators never form phi^2 or 1/phi^2 directly.  They keep one
 trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
 phi^2(x_k), the exponential of one step of 2 log phi.  An overflow guard
 trips if any step exceeds _MAX_STEP = 10 in size, so every up_k lies in
-[e^-10, e^10].  Each interval integral of h phi^2 over [x_k, x_{k+1}] is
-carried scaled by phi^2(x_k); the phi^2 ratios of its stencil, between nodes
-at most three intervals apart, are products and quotients of at most three
-step ratios, formed where they are used, so each lies in [e^-30, e^30].  The
-step ratios, and the node weights of the phi^2 integral, depend only on the
-trial function: they are built once per TrialFunction, on first use, and
-kept on it.  The plain integrals of the outer cumulative run the same kernel
-without step ratios: it skips the multiplications by the ratios of
-log phi = 0, which are exactly 1.
+[e^-10, e^10].  The step ratios, and the node weights of the phi^2 integral,
+depend only on the trial function: they are built once per TrialFunction,
+on first use, and kept on it.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -36,12 +39,17 @@ the peak, would be amplified by up to e^{+2 g |S0|}):
     right of the peak   suffix(x_k) = integral_{x_k}^{x_max} h phi^2 / phi^2(x_k)
     left of the peak    prefix(x_k) = integral_0^{x_k} h phi^2 / phi^2(x_k)
 
-Both are blocked scans of terms scaled by phi^2 at their own node: the
-suffix terms are the interval integrals as they are, and each prefix term
-moves to the right node of its interval and is divided by that interval's
-step ratio.  Contiguous runs of nodes whose 2 log phi lies in one band
-[m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in the
-units of e^{m B}, and the running sum is carried to the next band by a
+Both are the running sums above, in units of phi^2 at each node.  The node
+terms (the end terms at x = 0 and x_max, at x = 1 panel 0's closing term
+plus panel 1's opening term) move one node toward the peak, divided or
+multiplied by the step ratio between, are scanned, and the closure at each
+node is added: (h/24)(h_{k-1}/up_{k-1} + 12 h_k - h_{k+1} up_k) for the
+prefix, its mirror for the suffix.  Every phi^2 ratio is a product of at
+most three step ratios, formed where it is used, so it lies in [e^-30, e^30].
+
+The scans are blocked.  Contiguous runs of nodes whose 2 log phi lies in one
+band [m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in
+the units of e^{m B}, and the running sum is carried to the next band by a
 factor e^{+-B}.  The overflow guard caps every step of 2 log phi at
 _MAX_STEP = 10 < B, so adjacent blocks differ by exactly one band.  No
 exponent the scan evaluates exceeds B in size, so none of its factors is
@@ -50,25 +58,23 @@ term, far inside the double range, however deep the well.  The only Python
 loop runs over the bands, which is why they are much wider than the guard's
 cap.  The band layout and its exponentials are trial-only factors too.
 
-Both nested operators take one inner integral, the tail one: the suffix sum
-from the peak on, and minus the prefix sum left of it.  That rests on one
-precondition, that the integral of h phi^2 over [0, x_max] vanishes in this
-rule's sense up to rounding; curly_E arranges exactly that for every integrand
-the iteration builds.  The total is never formed, so its rounding residual is
-never divided by phi^2, and nested_origin uses the same array negated.
+Both nested operators take the two one-sided sums, unsigned, and negate one
+side: nested_tail the prefix and nested_origin the suffix.  That rests on
+one precondition, that the integral of h phi^2 over [0, x_max] vanishes in
+this rule's sense up to rounding; curly_E arranges exactly that for every
+integrand the iteration builds.  The total is never formed, so its rounding
+residual is never divided by phi^2.
 
 Ownership: every function here writes only into arrays it allocated itself,
 never into one its caller passed in or one the TrialFunction keeps (log_phi,
-psi0, quadrature_factors); _run_scan and _peak_split scan in place the array
-their caller allocated for them.  Within that rule the kernels work in place,
-with the same operations in the same order as the expressions they stand
-for, so a large grid costs few temporaries and no bits.  The setup keeps the
-same rule: _factors builds the step ratios, the node weights and the scan
-layouts from one array of 2 log phi with out=; the interval integrals of the
-nested operators are written straight into the scan output; build_trial
-(gdwell.trial) and solver.w_samples form log phi, psi0 and w in the arrays
-the closed forms return.  Grid.nodes is read-only, so a stray write into the
-grid raises.
+psi0, quadrature_factors); _run_scan scans in place the array its caller
+allocated for it.  Within that rule the kernels work in place, with the same
+operations in the same order as the expressions they stand for, so a large
+grid costs few temporaries and no bits.  _factors builds the step ratios,
+the node weights and the scan layouts from one array of 2 log phi with out=;
+build_trial (gdwell.trial) and solver.w_samples form log phi, psi0 and w in
+the arrays the closed forms return.  Grid.nodes is read-only, so a stray
+write into the grid raises.
 """
 
 from __future__ import annotations
@@ -217,57 +223,6 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
     return t.quadrature_factors
 
 
-def _interval_integrals(y: np.ndarray, grid: Grid, up: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Integrals of y * phi^2 over the intervals of both panels, each scaled
-    by phi^2(left node), from the cubic through the four nearest nodes with
-    the phi^2 ratios of its stencil, formed from the step ratios up, folded
-    into its weights; without up, the plain interval integrals of y (every
-    ratio 1).  They are written into out, a (2, n_per_panel) array of the
-    caller's own, or a new one."""
-    n = grid.n_per_panel
-    if out is None:
-        out = np.empty((2, n))
-    t = np.empty(n - 2)
-    # row by row: 1-D slices run about 3x faster than (2, .) ones
-    for p, (v, o) in enumerate(zip(y, out)):
-        h = grid.panel_h(p)
-        if up is None:
-            up0 = e02 = e03 = em2 = em3 = upn = 1.0
-        else:
-            # the end stencils' phi^2(2)/phi^2(0), phi^2(3)/phi^2(0),
-            # phi^2(n-2)/phi^2(n-1) and phi^2(n-3)/phi^2(n-1)
-            u = up[p]
-            up0, upn, em2 = u[0], u[n - 1], 1.0 / u[n - 2]
-            e02 = up0 * u[1]
-            e03, em3 = e02 * u[2], em2 / u[n - 3]
-        o[0] = h * (9.0 * v[0] + 19.0 * v[1] * up0 - 5.0 * v[2] * e02 + v[3] * e03) / 24.0
-        o[-1] = h * (v[n - 3] * em3 - 5.0 * v[n - 2] * em2 + 19.0 * v[n - 1]
-                     + 9.0 * v[n] * upn) / 24.0
-        # h (-v_{k-1} / up_{k-1} + 13 v_k + 13 v_{k+1} up_k
-        # - v_{k+2} up_k up_{k+1}) / 24 in place, with the same operations in
-        # the same order as that expression; the plain rule skips the ratios,
-        # which are exactly 1
-        mid = o[1:-1]
-        np.negative(v[0 : n - 2], out=mid)
-        if up is not None:
-            mid /= u[0 : n - 2]
-        mid += np.multiply(13.0, v[1 : n - 1], out=t)
-        np.multiply(13.0, v[2:n], out=t)
-        if up is not None:
-            t *= u[1 : n - 1]
-        mid += t
-        if up is None:
-            mid -= v[3 : n + 1]
-        else:
-            np.multiply(v[3 : n + 1], u[1 : n - 1], out=t)
-            t *= u[2:n]
-            mid -= t
-        mid *= h
-        mid /= 24.0
-    return out
-
-
 def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
     """Integral of values * phi^2 over [0, x_max]: the samples of both
     panels dotted with the node weights.  The order of the sum follows the
@@ -280,59 +235,92 @@ def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> fl
     return float(np.einsum("ij,ij->", w, _samples(rule.grid, values)))
 
 
-def _peak_split(f: _Factors, out: np.ndarray) -> None:
-    """prefix(x_k) at the nodes left of the phi^2 peak and suffix(x_k) from
-    the peak on, in place in out, the caller's own array of one entry per
-    node, whose entries but the last hold the scaled interval integrals of
-    both panels in node order on entry.  The interval ending at node k is
-    summed into prefix(x_k) and the one starting there into suffix(x_k), so
-    the prefix terms move one node up first; the interval into the peak
-    enters neither, and out is 0 at x_max and, but for a peak at 0, at 0.
-    Divided by its interval's step ratio, each prefix term is scaled by phi^2
-    at the node it moved to, as the suffix terms are at theirs."""
-    m = max(f.peak - 1, 0)
-    # a plain copy, then the divide: a divide into the overlapping slice
-    # would go through a temporary
-    out[1 : m + 1] = out[:m]
-    out[1 : m + 1] /= f.up.reshape(-1)[:m]
-    out[: min(f.peak, 1)] = 0.0
-    out[-1] = 0.0
-    _run_scan(out[1 : m + 1], f.prefix)
-    _run_scan(out[f.peak : -1][::-1], f.suffix)
+def _ghost_end(h: float, a, b, c, d) -> float:
+    """The end term (h/24)(12 u_0 + u_1 - u_{-1}) of a panel, with the
+    cubic's ghost value u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3, from the node
+    values a, b, c, d of u_0..u_3 counted from that end."""
+    return h * (8.0 * a + 7.0 * b - 4.0 * c + d) / 24.0
 
 
 def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
-    """The tail inner integral, integral_x^xmax h phi^2, in units of the local
-    phi^2 at every node: suffix from the peak on and -prefix left of it (the
-    total of h phi^2 is zero, so the part over [x, x_max] is minus the part
-    over [0, x])."""
-    n = grid.n_per_panel
-    inner = np.empty(2 * n + 1)
-    _interval_integrals(_samples(grid, h_samples), grid, f.up,
-                        out=inner[: 2 * n].reshape(2, n))
-    _peak_split(f, inner)
-    np.negative(inner[: f.peak], out=inner[: f.peak])
+    """The inner integral in units of the local phi^2 at every node, summed
+    from the side where phi^2 is small: prefix(x_k) left of the peak and
+    suffix(x_k) from the peak on, both unsigned."""
+    n, peak = grid.n_per_panel, f.peak
+    inner = np.empty(2 * n + 1)  # node terms, moved, scanned, then closed
+    close = np.empty(2 * n + 1)
+    t = np.empty(n - 1)
+    ends = []
+    for p, (v, q) in enumerate(zip(_samples(grid, h_samples), f.up)):
+        h = grid.panel_h(p)
+        np.multiply(h, v[1:-1], out=inner[p * n + 1 : p * n + n])
+        # the closures h (12 v_k + s (v_{k-1} / up_{k-1} - v_{k+1} up_k)) / 24
+        # at the interior nodes, s = +1 left of the peak and -1 from it on
+        c = close[p * n + 1 : p * n + n]
+        np.divide(v[:-2], q[:-1], out=c)
+        c -= np.multiply(v[2:], q[1:], out=t)
+        k = min(max(peak - p * n - 1, 0), n - 1)
+        np.negative(c[k:], out=c[k:])
+        c += np.multiply(12.0, v[1:-1], out=t)
+        c *= h / 24.0
+        # the ghost-closed end terms, in units of phi^2 at their own end node
+        up2, dn2 = q[0] * q[1], q[n - 1] * q[n - 2]
+        ends.append((_ghost_end(h, v[0], v[1] * q[0], v[2] * up2, v[3] * (up2 * q[2])),
+                     _ghost_end(h, v[n], v[n - 1] / q[n - 1], v[n - 2] / dn2,
+                                v[n - 3] / (dn2 * q[n - 3]))))
+    (open0, close0), (open1, close1) = ends
+    inner[0], inner[n], inner[-1] = open0, close0 + open1, close1
+    # at x = 1 panel 0 closes the prefix and panel 1 opens the suffix; a
+    # suffix from a peak at 0 closes with the x = 0 term
+    close[0] = open0 if peak == 0 else 0.0
+    close[n] = close0 if n < peak else open1
+    close[-1] = 0.0
+    # each term moves one node toward the peak, scaled by phi^2 there: a
+    # plain copy, then the step ratio, as an operation into the overlapping
+    # slice would go through a temporary
+    r = f.up.reshape(-1)
+    m = max(peak - 1, 0)
+    inner[1 : m + 1] = inner[:m]
+    inner[1 : m + 1] /= r[:m]
+    inner[peak:-1] = inner[peak + 1 :]
+    inner[peak:-1] *= r[peak:]
+    inner[: min(peak, 1)] = 0.0
+    inner[-1] = 0.0
+    _run_scan(inner[1 : m + 1], f.prefix)
+    _run_scan(inner[peak:-1][::-1], f.suffix)
+    inner += close
     return inner
 
 
 def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
-    (suffix=True) or from 0 up (suffix=False), chained across the panels:
-    each panel's partial sums, then the total of the panel summed first is
-    added to those of the other."""
+    (suffix=True) or from 0 up (suffix=False), on reversed views from x_max:
+    each panel's running sum of node terms plus the closure at each node,
+    then the total of the panel summed first is added to those of the other."""
     n = grid.n_per_panel
-    iv = _interval_integrals(grid.panels(tt), grid)
     out = np.empty(2 * n + 1)
+    hs = [grid.panel_h(0), grid.panel_h(1)]
+    u, o = (tt[::-1], out[::-1]) if suffix else (tt, out)
     if suffix:
-        out[-1] = 0.0
-        np.cumsum(iv[1, ::-1], out=out[2 * n - 1 : n - 1 : -1])
-        np.cumsum(iv[0, ::-1], out=out[n - 1 :: -1])
-        out[:n] += out[n]
-    else:
-        out[0] = 0.0
-        np.cumsum(iv[0], out=out[1 : n + 1])
-        np.cumsum(iv[1], out=out[n + 1 :])
-        out[n + 1 :] += out[n]
+        hs.reverse()
+    o[0] = 0.0
+    close = np.empty(n)
+    for p, h in enumerate(hs):
+        v, s = u[p * n : p * n + n + 1], o[p * n + 1 : p * n + n + 1]
+        # the node terms, the panel's opening end first, and their running sum
+        np.multiply(h, v[:-1], out=s)
+        s[0] = _ghost_end(h, *v[:4])
+        np.cumsum(s, out=s)
+        # the closures h (v_{b-1} + 12 v_b - v_{b+1}) / 24, ghost-closed at b = n
+        c = close[:-1]
+        np.multiply(12.0, v[1:-1], out=c)
+        c += v[:-2]
+        c -= v[2:]
+        c *= h / 24.0
+        close[-1] = _ghost_end(h, *v[:-5:-1])
+        s += close
+        if p:
+            s += o[n]
     return out
 
 
@@ -347,8 +335,10 @@ def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray
     minus the prefix sum, so the O(eps) residual of the total is never
     divided by phi^2.
     """
-    return _node_cumulative(rule.grid, _inner_scaled(_factors(t, rule), rule.grid, h_samples),
-                            suffix=True)
+    f = _factors(t, rule)
+    inner = _inner_scaled(f, rule.grid, h_samples)
+    np.negative(inner[: f.peak], out=inner[: f.peak])
+    return _node_cumulative(rule.grid, inner, suffix=True)
 
 
 def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
@@ -360,5 +350,7 @@ def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarr
     like e^{+2g|S0|}, the inner integral is then minus the suffix sum: the
     bounded solution branch.
     """
-    inner = _inner_scaled(_factors(t, rule), rule.grid, h_samples)
-    return _node_cumulative(rule.grid, np.negative(inner, out=inner), suffix=False)
+    f = _factors(t, rule)
+    inner = _inner_scaled(f, rule.grid, h_samples)
+    np.negative(inner[f.peak :], out=inner[f.peak :])
+    return _node_cumulative(rule.grid, inner, suffix=False)

@@ -298,7 +298,7 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
     A run with one iterate is checked too; the curly_E relations need two.
     """
     ce = report.curly_energies
-    fs = [report.f_n(0)] + list(report.f_history)
+    fs = report.f_history  # fs[n - 1] is f_n
     bc_i = report.bc is BoundaryCondition.I
     # (check, first index, stride, sign): sign (curly_E_n - curly_E_{n-stride}) > 0
     sequences = [("energy-ascending", 0, 1, 1.0)] if bc_i else [
@@ -316,19 +316,19 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
         ("iterate-lower-bound", "dips below 1", 1.0) if bc_i
         else ("iterate-upper-bound", "exceeds 1", -1.0))
     iterates, ratios = [], []
-    for n in range(1, len(fs)):
-        iterates.append((bound, f"f_{n} {bound_detail}", _margin(fs[n] - 1.0, bound_sign)))
+    for n, f in enumerate(fs, start=1):
+        iterates.append((bound, f"f_{n} {bound_detail}", _margin(f - 1.0, bound_sign)))
         if bc_i and n >= 2:
             iterates.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
-                             _margin(fs[n] - fs[n - 1])))
+                             _margin(f - fs[n - 2])))
         iterates.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
-                         _margin(np.diff(fs[n]), -1.0)))
+                         _margin(np.diff(f), -1.0)))
         # f_1/f_0 is f_1 itself, whose slope is checked above
         if n >= 2:
             slope = -1.0 if bc_i or n % 2 == 1 else 1.0
             ratios.append(("ratio-monotonicity",
                            f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
-                           _margin(np.diff(fs[n] / fs[n - 1]), slope)))
+                           _margin(np.diff(f / fs[n - 2]), slope)))
     out = [HierarchyViolation(c, d, -m) for c, d, m in energies if m <= -HIERARCHY_TOL]
     return out + [HierarchyViolation(c, d, -m)
                   for c, d, m in iterates + ratios if m < -HIERARCHY_TOL]

@@ -42,14 +42,16 @@ def test_dumps_json_is_valid_and_deterministic():
 
 # SHA-256 of the default solve report in schema v2, with the phi^2 integral
 # as one node-weighted sum, 200-wide scan bands, the closed forms free of
-# float powers, u by Horner in x^2 and the stencil ratios formed from the
-# phi^2 step ratios; any other change to the report's bytes shows here
-DEFAULT_REPORT_SHA256 = "4f7ec79af90573088b7489d759a187b92d5cdf33272fc9f83c44802b19e7aba7"
+# float powers, u by Horner in x^2, the phi^2 ratios formed from the step
+# ratios and the cumulative integrals as running node sums with ghost-closed
+# ends; any other change to the report's bytes shows here
+DEFAULT_REPORT_SHA256 = "fa1ee336973729aa26a73b584d93ed4eb9987b1dbeec5e1e13b3d464d67f4eca"
 # SHA-256 of region.trace_curves(50)'s report, with every coefficient table
-# read by numpy's polyval (Horner in a)
-TRACE_50_REPORT_SHA256 = "c2dc9b712f2d44385f8fdbed359c544c05378993b3147513f87cab205f07cb2f"
+# read by numpy's polyval (Horner in a) and the coefficients in z = s/a
+# scaled by repeated products, not powers
+TRACE_50_REPORT_SHA256 = "c841b1f1fef650fe9097292035bbdda6b936a3f6f7e3ed6c6e15c10ef1525d02"
 # and of trace_curves(200)'s, the default resolution of `gdwell region`
-TRACE_200_REPORT_SHA256 = "e81889e5a40af3a81cc7a29630ecd68a1eae02a92d6adad7320c5dfb406e3061"
+TRACE_200_REPORT_SHA256 = "2fd8e1167557730dcc25880b5e32a9a5f0010e919bafbf5faa3bdcb5f985e3c1"
 
 
 def test_default_solve_report_bytes_are_pinned(solve_cache):

@@ -1,6 +1,7 @@
 """Quadrature layer: exactness, analytic double-integral oracles against a
 mocked trial function, the naive-summation cross-check on a zero-total
-integrand, and the overflow guard."""
+integrand, the running node sums against the interval-by-interval
+reference, and the overflow guard."""
 
 import math
 
@@ -20,13 +21,124 @@ from gdwell.quadrature import (
     _MAX_STEP,
     _SCAN_BAND,
     _factors,
-    _interval_integrals,
-    _peak_split,
+    _ghost_end,
+    _inner_scaled,
+    _node_cumulative,
+    _run_scan,
+    _samples,
 )
-from gdwell.solver import w_samples
+from gdwell.solver import energy_step, w_samples
 from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
+
+
+# The reference: the interval-by-interval form of the same rule, against
+# which the package's running node sums are checked.  Every interval
+# integral is formed from its own stencil, with hand-written one-sided
+# stencils at the panel ends, and the cumulatives are scans of those
+# integrals.
+
+def _interval_integrals(y: np.ndarray, grid: Grid, up: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Integrals of y * phi^2 over the intervals of both panels, each scaled
+    by phi^2(left node), from the cubic through the four nearest nodes with
+    the phi^2 ratios of its stencil, formed from the step ratios up, folded
+    into its weights; without up, the plain interval integrals of y (every
+    ratio 1).  They are written into out, a (2, n_per_panel) array of the
+    caller's own, or a new one."""
+    n = grid.n_per_panel
+    if out is None:
+        out = np.empty((2, n))
+    t = np.empty(n - 2)
+    for p, (v, o) in enumerate(zip(y, out)):
+        h = grid.panel_h(p)
+        if up is None:
+            up0 = e02 = e03 = em2 = em3 = upn = 1.0
+        else:
+            # the end stencils' phi^2(2)/phi^2(0), phi^2(3)/phi^2(0),
+            # phi^2(n-2)/phi^2(n-1) and phi^2(n-3)/phi^2(n-1)
+            u = up[p]
+            up0, upn, em2 = u[0], u[n - 1], 1.0 / u[n - 2]
+            e02 = up0 * u[1]
+            e03, em3 = e02 * u[2], em2 / u[n - 3]
+        o[0] = h * (9.0 * v[0] + 19.0 * v[1] * up0 - 5.0 * v[2] * e02 + v[3] * e03) / 24.0
+        o[-1] = h * (v[n - 3] * em3 - 5.0 * v[n - 2] * em2 + 19.0 * v[n - 1]
+                     + 9.0 * v[n] * upn) / 24.0
+        # h (-v_{k-1} / up_{k-1} + 13 v_k + 13 v_{k+1} up_k
+        # - v_{k+2} up_k up_{k+1}) / 24
+        mid = o[1:-1]
+        np.negative(v[0 : n - 2], out=mid)
+        if up is not None:
+            mid /= u[0 : n - 2]
+        mid += np.multiply(13.0, v[1 : n - 1], out=t)
+        np.multiply(13.0, v[2:n], out=t)
+        if up is not None:
+            t *= u[1 : n - 1]
+        mid += t
+        if up is None:
+            mid -= v[3 : n + 1]
+        else:
+            np.multiply(v[3 : n + 1], u[1 : n - 1], out=t)
+            t *= u[2:n]
+            mid -= t
+        mid *= h
+        mid /= 24.0
+    return out
+
+
+def _peak_split(f, out: np.ndarray) -> None:
+    """prefix(x_k) at the nodes left of the phi^2 peak and suffix(x_k) from
+    the peak on, in place in out, whose entries but the last hold the scaled
+    interval integrals of both panels in node order on entry.  The interval
+    ending at node k is summed into prefix(x_k) and the one starting there
+    into suffix(x_k), so the prefix terms move one node up first; the
+    interval into the peak enters neither, and out is 0 at x_max and, but
+    for a peak at 0, at 0."""
+    m = max(f.peak - 1, 0)
+    out[1 : m + 1] = out[:m]
+    out[1 : m + 1] /= f.up.reshape(-1)[:m]
+    out[: min(f.peak, 1)] = 0.0
+    out[-1] = 0.0
+    _run_scan(out[1 : m + 1], f.prefix)
+    _run_scan(out[f.peak : -1][::-1], f.suffix)
+
+
+def reference_inner(f, grid: Grid, h_samples) -> np.ndarray:
+    """_inner_scaled by interval integrals: unsigned prefix and suffix."""
+    n = grid.n_per_panel
+    inner = np.empty(2 * n + 1)
+    _interval_integrals(_samples(grid, h_samples), grid, f.up,
+                        out=inner[: 2 * n].reshape(2, n))
+    _peak_split(f, inner)
+    return inner
+
+
+def reference_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
+    """_node_cumulative by interval integrals, chained across the panels."""
+    n = grid.n_per_panel
+    iv = _interval_integrals(grid.panels(tt), grid)
+    out = np.empty(2 * n + 1)
+    if suffix:
+        out[-1] = 0.0
+        np.cumsum(iv[1, ::-1], out=out[2 * n - 1 : n - 1 : -1])
+        np.cumsum(iv[0, ::-1], out=out[n - 1 :: -1])
+        out[:n] += out[n]
+    else:
+        out[0] = 0.0
+        np.cumsum(iv[0], out=out[1 : n + 1])
+        np.cumsum(iv[1], out=out[n + 1 :])
+        out[n + 1 :] += out[n]
+    return out
+
+
+def reference_nested(t: TrialFunction, h_samples, tail: bool) -> np.ndarray:
+    """nested_tail (tail=True) or nested_origin by interval integrals."""
+    f = _factors(t, QuadratureRule(t.grid))
+    inner = reference_inner(f, t.grid, h_samples)
+    side = slice(None, f.peak) if tail else slice(f.peak, None)
+    inner[side] *= -1.0
+    return reference_cumulative(t.grid, inner, suffix=tail)
 
 
 def mock_trial(grid: Grid, log_phi: np.ndarray) -> TrialFunction:
@@ -387,3 +499,94 @@ def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
     prefix, suffix = reference_scans(t.log_phi, iv)
     np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
+
+
+
+def integer_stencils(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes u_{-1}..u_{n+1} of one panel as integer weight rows over
+    u_0..u_n, ghosts from the cubic through the four end nodes, and the
+    interior stencil (-1, 13, 13, -1) of every interval on them, in units of
+    h/24, one row per interval."""
+    eye = np.eye(n + 1, dtype=int)
+    ghost_lo = 4 * eye[0] - 6 * eye[1] + 4 * eye[2] - eye[3]
+    ghost_hi = 4 * eye[n] - 6 * eye[n - 1] + 4 * eye[n - 2] - eye[n - 3]
+    ext = np.vstack([ghost_lo, eye, ghost_hi])  # ext[j + 1] is u_j
+    return ext, -ext[:-3] + 13 * ext[1:-2] + 13 * ext[2:-1] - ext[3:]
+
+
+def test_ghost_identity_on_integer_stencil_weights():
+    # the one-sided end stencils are the interior one with the ghost values,
+    # and the intervals before node b sum to 24 per node 1..b-1, the end
+    # term and the closure at b; at b = n that is the composite rule
+    n = 10
+    ext, stencils = integer_stencils(n)
+    assert stencils[0, :4].tolist() == [9, 19, -5, 1] and not stencils[0, 4:].any()
+    assert stencils[-1, -4:].tolist() == [1, -5, 19, 9] and not stencils[-1, :-4].any()
+    opening = 12 * ext[1] + ext[2] - ext[0]
+    assert opening[:4].tolist() == [8, 7, -4, 1] and not opening[4:].any()
+    assert [_ghost_end(24.0, *e) for e in np.eye(4)] == [8.0, 7.0, -4.0, 1.0]
+    for b in range(1, n + 1):
+        closure = ext[b] + 12 * ext[b + 1] - ext[b + 2]
+        assert np.array_equal(stencils[:b].sum(axis=0),
+                              24 * ext[2 : b + 1].sum(axis=0) + opening + closure)
+    assert stencils.sum(axis=0).tolist() == [8, 31, 20, 25] + [24] * (n - 7) + [25, 20, 31, 8]
+    # the reference kernel's stencils are these, on both panels
+    g = Grid(3.0, 8)
+    _, stencils = integer_stencils(8)
+    for p in (0, 1):
+        got = np.array([_interval_integrals(np.vstack([e, e]), g)[p] for e in np.eye(9)]).T
+        np.testing.assert_allclose(got * 24.0 / g.panel_h(p), stencils, rtol=0.0, atol=1e-13)
+
+
+def assert_matches_reference(t: TrialFunction, h_samples, rtol: float, atol_of_max: float):
+    """nested_tail, nested_origin and _inner_scaled against the interval
+    reference, within rtol at every node plus atol_of_max of the largest
+    reference value; the nested operators' pinned ends stay exactly 0."""
+    rule = QuadratureRule(t.grid)
+    f = _factors(t, rule)
+    tail, origin = nested_tail(t, rule, h_samples), nested_origin(t, rule, h_samples)
+    assert tail[-1] == 0.0 and origin[0] == 0.0
+    for got, ref in [(tail, reference_nested(t, h_samples, True)),
+                     (origin, reference_nested(t, h_samples, False)),
+                     (_inner_scaled(f, t.grid, h_samples), reference_inner(f, t.grid, h_samples))]:
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol_of_max * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("g, a, n", [
+    (1.0, 2.0, 64), (1.0, 2.0, 2000), (0.88, 2.0, 64), (0.88, 2.0, 2000), (3.0, 2.0, 200),
+    (3.0, 2.0, 2000), (8.0, 6.0, 1000), (12.0, 12.0, 1000), (20.0, 100.0, 2000)])
+def test_running_sums_match_the_interval_reference(g, a, n):
+    # census trial functions, with integrands (w - curly_E) f of the
+    # iteration's form; 1e-12 per node, but where a sum crosses zero its
+    # rounding is relative to its neighbours, so a floor far below one ulp
+    # of the largest value is allowed
+    p = PotentialParams(g, a)
+    grid = Grid(4.0, n)
+    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    x = grid.nodes
+    for f in (np.ones(grid.n_points), 1.0 + 0.5 * np.cos(3.0 * x), 1.0 / (1.0 + x * x)):
+        h = (w - energy_step(t, rule, w, f)) * grid.panels(f)
+        assert_matches_reference(t, h, rtol=1e-12, atol_of_max=1e-16)
+
+
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_running_sums_match_the_interval_reference_for_every_peak(n):
+    # synthetic trial functions with the phi^2 peak at every node in turn,
+    # steps of 2 log phi up to 3 in size, zero-total random integrands; the
+    # plain cumulatives in both directions too
+    grid = Grid(4.0, n)
+    rng = np.random.default_rng(n)
+    k = np.arange(grid.n_points - 1)
+    for peak in range(grid.n_points):
+        steps = np.where(k < peak, 1.0, -1.0) * rng.uniform(0.1, 3.0, k.size)
+        log_phi = np.concatenate([[0.0], np.cumsum(steps)]) / 2.0
+        log_phi -= log_phi.max()
+        t = TrialFunction(P12, grid, log_phi, np.exp(log_phi))
+        assert _factors(t, QuadratureRule(grid)).peak == peak
+        assert_matches_reference(t, zero_total(t, rng.uniform(-1.0, 1.0, grid.n_points)),
+                                 rtol=0.0, atol_of_max=1e-13)
+    tt = rng.uniform(-1.0, 1.0, grid.n_points)
+    for suffix in (True, False):
+        ref = reference_cumulative(grid, tt, suffix)
+        np.testing.assert_allclose(_node_cumulative(grid, tt, suffix), ref,
+                                   rtol=0.0, atol=1e-13 * np.abs(ref).max())

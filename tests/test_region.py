@@ -50,7 +50,7 @@ def g2(a, x):
 def coeffs_by_loop(table, t, var):
     """The coefficients _coeffs forms, by one Python Horner loop per entry:
     along each row of the table (each column for var "a") in t, and for var
-    "z" times t^i as numpy's power forms it."""
+    "z" coefficient i multiplied by t, i times over."""
     out = []
     for row in (table.T if var == "a" else table).tolist():
         c = row[-1]
@@ -59,8 +59,9 @@ def coeffs_by_loop(table, t, var):
         out.append(c)
     out = np.array(out)
     if var == "z":
-        t = np.asarray(t, dtype=float)
-        out *= t ** np.arange(len(out)).reshape((-1,) + (1,) * t.ndim)
+        for i in range(1, len(out)):
+            for _ in range(i):
+                out[i] = out[i] * t
     return out
 
 

@@ -14,7 +14,7 @@ class GridError(GdwellError):
     """Computational grid unfit for the run: malformed (x_max not above 1,
     too few points, ...), too short for the trial function's tail, or too
     coarse for it (a step of 2 log phi between adjacent nodes above the
-    quadrature's bound of 10 in size)."""
+    solver's STEP_CAP of 2.7 in size, where the iteration breaks down)."""
 
 
 class GridMismatchError(GdwellError):

@@ -25,11 +25,12 @@ overflow.
 
 The nested operators never form phi^2 or 1/phi^2 directly.  They keep one
 trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
-phi^2(x_k), the exponential of one step of 2 log phi.  An overflow guard
-trips if any step exceeds _MAX_STEP = 10 in size, so every up_k lies in
-[e^-10, e^10].  The step ratios, and the node weights of the phi^2 integral,
-depend only on the trial function: they are built once per TrialFunction,
-on first use, and kept on it.
+phi^2(x_k), the exponential of one step of 2 log phi.  Precondition: every
+step is far below B = _SCAN_BAND = 200 in size, which gdwell.solver.solve
+guarantees by rejecting, before it iterates, every grid with a step above
+its STEP_CAP of 2.7.  The step ratios, the largest step and the node weights
+of the phi^2 integral depend only on the trial function: they are built
+once per TrialFunction, on first use, and kept on it.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -45,23 +46,22 @@ plus panel 1's opening term) move one node toward the peak, divided or
 multiplied by the step ratio between, are scanned, and the closure at each
 node is added: (h/24)(h_{k-1}/up_{k-1} + 12 h_k - h_{k+1} up_k) for the
 prefix, its mirror for the suffix.  Every phi^2 ratio is a product of at
-most three step ratios, formed where it is used, so it lies in [e^-30, e^30].
+most three step ratios, formed where it is used, so it cannot overflow.
 
 The scans are blocked.  Contiguous runs of nodes whose 2 log phi lies in one
-band [m B, (m+1) B), B = _SCAN_BAND = 200, are summed by one numpy cumsum in
-the units of e^{m B}, and the running sum is carried to the next band by a
-factor e^{+-B}.  The overflow guard caps every step of 2 log phi at
-_MAX_STEP = 10 < B, so adjacent blocks differ by exactly one band.  No
-exponent the scan evaluates exceeds B in size, so none of its factors is
-subnormal, and no partial sum of N terms exceeds N e^{2B} times the largest
-term, far inside the double range, however deep the well.  The only Python
-loop runs over the bands, which is why they are much wider than the guard's
-cap.  The band layout and its exponentials are trial-only factors too.
+band [m B, (m+1) B) are summed by one numpy cumsum in the units of e^{m B},
+and the running sum is carried to the next band by a factor e^{+-B}; by the
+precondition adjacent blocks differ by exactly one band.  No exponent the
+scan evaluates exceeds B in size, so none of its factors is subnormal, and
+no partial sum of N terms exceeds N e^{2B} times the largest term, far
+inside the double range, however deep the well.  The only Python loop runs
+over the bands, which is why they are much wider than a step.  The band
+layout and its exponentials are trial-only factors too.
 
 Both nested operators take the two one-sided sums, unsigned, and negate one
-side: nested_tail the prefix and nested_origin the suffix.  That rests on
-one precondition, that the integral of h phi^2 over [0, x_max] vanishes in
-this rule's sense up to rounding; curly_E arranges exactly that for every
+side: nested_tail the prefix and nested_origin the suffix.  That rests on a
+second precondition, that the integral of h phi^2 over [0, x_max] vanishes
+in this rule's sense up to rounding; curly_E arranges exactly that for every
 integrand the iteration builds.  The total is never formed, so its rounding
 residual is never divided by phi^2.
 
@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridError, GridMismatchError
+from .errors import GridMismatchError
 from .trial import Grid, TrialFunction
 
 __all__ = [
@@ -94,8 +94,6 @@ __all__ = [
     "nested_origin",
 ]
 
-# cap on the size of every step of 2 log phi; see the module docstring
-_MAX_STEP = 10.0
 # width of the scan bands in 2 log phi; see the module docstring
 _SCAN_BAND = 200.0
 
@@ -118,17 +116,6 @@ def _samples(grid: Grid, values) -> np.ndarray:
     values through Grid.panels, which rejects every other shape."""
     values = np.asarray(values, dtype=float)
     return values if values.shape == (2, grid.n_per_panel + 1) else grid.panels(values)
-
-
-def _guard_steps(dlp: np.ndarray) -> None:
-    """Raise GridError if a step of 2 log phi exceeds _MAX_STEP in size."""
-    # max |dlp| without the array |dlp|: abs is exact
-    worst = max(float(dlp.max()), -float(dlp.min()))
-    if worst > _MAX_STEP:
-        raise GridError(
-            f"step of 2 log phi {worst:.1f} exceeds {_MAX_STEP:g} in size; "
-            "grid spacing too coarse for this trial function"
-        )
 
 
 # composite node weights of the cubic interval rule, in units of h, on the
@@ -165,8 +152,8 @@ def _scan_layout(l2: np.ndarray) -> _Scan:
     starts = np.flatnonzero(np.diff(anchor, prepend=np.nan))  # 0 and each band change
     stops = [*starts[1:].tolist(), l2.size]
     anchor *= _SCAN_BAND
-    # adjacent bands differ by one, as the guard caps every step of 2 log phi
-    # at _MAX_STEP < B; the first block has nothing to carry
+    # adjacent bands differ by one, as every step of 2 log phi is below B by
+    # the precondition; the first block has nothing to carry
     carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
     into = np.subtract(l2, anchor, out=anchor)
     np.exp(into, out=into)
@@ -188,12 +175,14 @@ def _run_scan(x: np.ndarray, scan: _Scan) -> None:
 
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
-    of the phi^2 integral, the step ratios up, row p for panel p, the phi^2
-    peak node and the layouts of the prefix scan (left of the peak) and of
-    the suffix scan (from the peak on, in reverse node order)."""
+    of the phi^2 integral, the step ratios up, row p for panel p, the largest
+    step of 2 log phi in size, the phi^2 peak node and the layouts of the
+    prefix scan (left of the peak) and of the suffix scan (from the peak on,
+    in reverse node order)."""
 
     weights: np.ndarray
     up: np.ndarray  # phi^2(k+1)/phi^2(k), (2, n_per_panel)
+    max_step: float  # max |2 log phi(k+1) - 2 log phi(k)|
     peak: int
     prefix: _Scan
     suffix: _Scan
@@ -212,12 +201,12 @@ def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
         # the steps of 2 log phi: doubling is exact, so these are the doubled
         # steps of log phi bit for bit; then their exponentials in place
         up = np.subtract(l2p[:, 1:], l2p[:, :-1])
-        _guard_steps(up)
+        max_step = max(float(up.max()), -float(up.min()))  # without |up|
         np.exp(up, out=up)
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(l2p, t.grid), up, peak,
+            _weights(l2p, t.grid), up, max_step, peak,
             _scan_layout(l2[1 : m + 1]), _scan_layout(l2[peak:-1][::-1])
         ))
     return t.quadrature_factors

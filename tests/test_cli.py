@@ -14,6 +14,7 @@ import pytest
 
 import gdwell
 from gdwell import OracleConfig, PotentialParams, oracle_ground_state
+from gdwell.closed_forms import find_a_g
 from gdwell.cli import main
 
 
@@ -173,10 +174,11 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_too_coarse_grid_exit_2(self, capsys):
-        # at g = 12 a 400-interval panel folds exponents beyond the guard
+        # at g = 12 a 400-interval panel takes steps of 2 log phi beyond the cap
         code, _, err = run(capsys, "solve", "--g", "12", "--a", "2", "--n-points", "400")
         assert code == 2
         assert "configuration error" in err and "grid spacing too coarse" in err
+        assert "use n_per_panel >= " in err
 
     def test_a_whose_fourth_power_overflows_exit_2(self, capsys):
         code, _, err = run(capsys, "solve", "--g", "2", "--a", "1e300", "--n-points", "400")
@@ -339,7 +341,10 @@ class TestViolationExitCode:
         assert "hierarchy violation" in captured.err
 
     def test_one_iterate_run_exits_1(self, capsys):
-        code, _, err = run(capsys, "solve", "--g", "3", "--a", "2", "--n-points", "400",
-                           "--max-iter", "1", "--tol", "0")
+        # just above a_g(5), below the critical shape value, f_1 rises in x
+        a = repr(1.001 * find_a_g(5.0))
+        with pytest.warns(gdwell.OutsideRegionWarning):
+            code, _, err = run(capsys, "solve", "--g", "5", "--a", a, "--n-points", "2000",
+                               "--max-iter", "1", "--tol", "0")
         assert code == 1
         assert "f_1 increases in x" in err and "f_1/f_0" not in err

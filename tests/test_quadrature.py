@@ -1,7 +1,7 @@
 """Quadrature layer: exactness, analytic double-integral oracles against a
 mocked trial function, the naive-summation cross-check on a zero-total
 integrand, the running node sums against the interval-by-interval
-reference, and the overflow guard."""
+reference, and the solver's step cap on trial functions the rule takes."""
 
 import math
 
@@ -18,7 +18,6 @@ from gdwell.quadrature import (
     nested_tail,
 )
 from gdwell.quadrature import (
-    _MAX_STEP,
     _SCAN_BAND,
     _factors,
     _ghost_end,
@@ -27,7 +26,7 @@ from gdwell.quadrature import (
     _run_scan,
     _samples,
 )
-from gdwell.solver import energy_step, w_samples
+from gdwell.solver import STEP_CAP, _check_grid, energy_step, w_samples
 from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
@@ -346,27 +345,33 @@ class TestNestedOperators:
         assert float(np.abs(dlp).max()) <= 30.0
 
     def test_overflow_guard_trips_on_absurd_slope(self):
+        # the rule takes the steep trial function; the solve's check rejects it
         g = Grid(4.0, 16)
         t = mock_trial(g, -20.0 * np.arange(g.n_points, dtype=float))
         rule = QuadratureRule(g)
+        assert np.all(np.isfinite(nested_tail(t, rule, np.ones(g.n_points))))
         with pytest.raises(GridError, match="step of 2 log phi"):
-            nested_tail(t, rule, np.ones(g.n_points))
+            _check_grid(P12, t, rule, w_samples(P12, g))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_guard_caps_every_single_step(self, sign):
-        # one step of 2 log phi, up or down, on a flat trial function: every
-        # sum of three adjacent steps stays far below 30, yet a step just over
-        # the cap trips the guard and one just under it does not
+        # one step of 2 log phi, up or down, among steps of -2 whose tail
+        # leaves phi^2(x_max) below e^-59: a step just over the cap trips the
+        # check and one just under it passes both of its tests
         g = Grid(4.0, 16)
         rule = QuadratureRule(g)
-        for step, admitted in [(_MAX_STEP - 0.01, True), (_MAX_STEP + 0.01, False)]:
-            l2 = np.where(np.arange(g.n_points) > 20, sign * step, 0.0)
+        w = w_samples(P12, g)
+        for step, admitted in [(STEP_CAP - 0.01, True), (STEP_CAP + 0.01, False)]:
+            steps = np.full(g.n_points - 1, -2.0)
+            steps[20] = sign * step
+            l2 = np.concatenate([[0.0], np.cumsum(steps)])
             t = mock_trial(g, (l2 - l2.max()) / 2.0)
             if admitted:
-                assert _factors(t, rule).up.max() <= math.exp(_MAX_STEP)
+                _check_grid(P12, t, rule, w)
+                assert _factors(t, rule).max_step == pytest.approx(step, abs=1e-12)
             else:
                 with pytest.raises(GridError, match="step of 2 log phi"):
-                    _factors(t, rule)
+                    _check_grid(P12, t, rule, w)
 
     @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])
     def test_far_side_of_peak_stays_finite(self, op, peak):

@@ -3,6 +3,7 @@ boundary-value exactness, hierarchy checking, and failure modes."""
 
 import copy
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from gdwell import (
     BoundaryCondition,
     ConvergenceDomainError,
     DegenerateDenominatorError,
+    GridError,
     NonConvergenceWarning,
     OutsideRegionWarning,
     PositivityLossError,
@@ -32,8 +34,11 @@ from gdwell.solver import (
 from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
+# shapes just above a_g, below the critical shape value, where runs on fine
+# grids break the hierarchy (or, at g = 10 under II, lose positivity)
+A5, A3, A10 = 1.001 * cf.find_a_g(5.0), 1.001 * cf.find_a_g(3.0), 1.05 * cf.find_a_g(10.0)
 # SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
-PINNED_VIOLATIONS_SHA256 = "70fec45225d9651731743d93a2ed9a235f347e34050310de91498371a1774412"
+PINNED_VIOLATIONS_SHA256 = "8ae592fa3a5a9277a9a511e6793ee7aa58c212420a1265652880864c5a73d75d"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
@@ -130,8 +135,6 @@ class TestSolve:
             solve(PotentialParams(1.0, 1.0), Grid(4.0, 16))
 
     def test_rejects_too_small_domain(self):
-        from gdwell import GridError
-
         with pytest.raises(GridError):
             solve(P12, Grid(1.5, 64), max_iter=2, tol=0.0)
 
@@ -147,7 +150,7 @@ class TestSolve:
         def region_warnings(a):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                solve(PotentialParams(2.0, a), Grid(4.0, 200), max_iter=1, tol=0.0)
+                solve(PotentialParams(2.0, a), Grid(4.0, 400), max_iter=1, tol=0.0)
             return [w for w in caught if issubclass(w.category, OutsideRegionWarning)]
 
         assert not region_warnings(0.6639)
@@ -157,7 +160,7 @@ class TestSolve:
         # far outside, the iterate turns negative and the run must stop
         with pytest.warns(OutsideRegionWarning):
             with pytest.raises(PositivityLossError):
-                solve(PotentialParams(5.0, 0.6), Grid(4.0, 200), max_iter=4, tol=0.0)
+                solve(PotentialParams(10.0, A10), Grid(4.0, 2000), max_iter=4, tol=0.0)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_rejects_max_iter_below_one(self, max_iter):
@@ -296,6 +299,73 @@ def test_solve_calls_quadrature_by_position(bc, nested, monkeypatch):
         assert rule.grid == grid and np.shape(samples) in {(401,), (2, 201)}
 
 
+def _count_energy_steps(monkeypatch) -> list:
+    """Count the energy_step calls of every solve from here on."""
+    calls = []
+    real = solver_module.energy_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "energy_step", counted)
+    return calls
+
+
+# coarse explicit grids on which the iteration used to run and then break the
+# hierarchy or lose positivity; (1, 2) and (0.88, 2) are published table cases
+COARSE_CASES = [(1.0, 2.0, 64), (0.88, 2.0, 64), (3.0, 2.0, 200), (3.0, 2.0, 400)]
+
+
+@pytest.mark.parametrize("g,a,n", COARSE_CASES)
+def test_coarse_grid_is_rejected_before_iterating(g, a, n, monkeypatch):
+    calls = _count_energy_steps(monkeypatch)
+    p = PotentialParams(g, a)
+    with pytest.raises(GridError, match="step of 2 log phi .* grid spacing too coarse") as exc:
+        solve(p, Grid(4.0, n))
+    assert calls == []
+    advised = int(re.search(r"use n_per_panel >= (\d+)", str(exc.value)).group(1))
+    assert advised > n and advised % 2 == 0
+    for bc in BoundaryCondition:
+        rep = solve(p, Grid(4.0, advised), bc)
+        assert len(calls) == rep.iterations and rep.converged
+        assert not rep.violations, [str(v) for v in rep.violations]
+        calls.clear()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+@pytest.mark.parametrize("g,a,n,step", [(12.0, 6.0, 2000, 2.532), (0.88, 30.0, 200, 2.681)])
+def test_steps_just_under_the_cap_run_clean(g, a, n, step, bc):
+    p, grid = PotentialParams(g, a), Grid(4.0, n)
+    s = quadrature._factors(build_trial(p, grid), QuadratureRule(grid)).max_step
+    assert s == pytest.approx(step, abs=1e-3) and s <= solver_module.STEP_CAP
+    rep = solve(p, grid, bc)
+    assert rep.converged
+    assert not rep.violations, [str(v) for v in rep.violations]
+
+
+# the census lattice of (g, a) on the default grid, Gamma > 0 only
+CENSUS = [(g, a) for g in (0.6, 1.0, 2.0, 5.0, 8.0, 12.0, 20.0)
+          for a in (0.665, 0.7, 1.0, 3.0, 12.0, 30.0, 100.0)
+          if PotentialParams(g, a).Gamma > 0]
+
+
+def test_census_runs_are_clean_or_rejected_before_iterating(monkeypatch):
+    calls = _count_energy_steps(monkeypatch)
+    outcomes = {"clean": 0, "rejected": 0}
+    for (g, a), bc in ((ga, bc) for ga in CENSUS for bc in BoundaryCondition):
+        calls.clear()
+        try:
+            rep = solve(PotentialParams(g, a), Grid(4.0, 2000), bc)
+        except GridError as exc:
+            assert calls == [] and "step of 2 log phi" in str(exc), (g, a, bc)
+            outcomes["rejected"] += 1
+            continue
+        assert not rep.violations, (g, a, bc, [str(v) for v in rep.violations])
+        outcomes["clean"] += 1
+    assert outcomes == {"clean": 62, "rejected": 22}
+
+
 def _bits(obj):
     """obj with every array in it, however nested, as (dtype, shape, bytes)."""
     if isinstance(obj, np.ndarray):
@@ -309,7 +379,7 @@ def _bits(obj):
 def test_solve_path_writes_only_into_arrays_it_owns(bc):
     # the kernels work in place, but only on arrays they allocated: never on
     # an argument, nor on what the TrialFunction keeps
-    p, grid = PotentialParams(12.0, 12.0), Grid(4.0, 1000)
+    p, grid = PotentialParams(12.0, 6.0), Grid(4.0, 2000)
     t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
     ones = np.ones(grid.n_points)
     f_prev = f_step(t, rule, w, energy_step(t, rule, w, ones), ones, bc)
@@ -352,7 +422,7 @@ def test_setup_writes_only_into_arrays_it_owns():
     # build_trial, w_samples, the factors and the closed forms work in place
     # too, in arrays they allocated: never in the grid's nodes, an argument
     # or h, and no two of the arrays they return share memory
-    p, grid = PotentialParams(12.0, 12.0), Grid(4.0, 1000)
+    p, grid = PotentialParams(12.0, 6.0), Grid(4.0, 2000)
     rule = QuadratureRule(grid)
     x = np.array(grid.nodes)
     x_inner = x[: grid.n_per_panel + 1].copy()
@@ -364,7 +434,7 @@ def test_setup_writes_only_into_arrays_it_owns():
     f = quadrature._factors(t, rule)
     assert _bits(kept) == before, "the setup wrote into an array it does not own"
     calls = {
-        "_truncation_tail_ratio": lambda: solver_module._truncation_tail_ratio(p, t, rule, h),
+        "_check_grid": lambda: solver_module._check_grid(p, t, rule, h),
         **{f"{name} (nodes)": lambda name=name: getattr(cf, name)(p, x)
            for name in ("eval_S0", "eval_S0_mirror", "eval_S1", "eval_u", "eval_ghat")},
         **{f"{name} (inner)": lambda name=name: getattr(cf, name)(p, x_inner)
@@ -393,7 +463,7 @@ def test_solve_reaches_each_closed_form_through_the_module(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cf, name, counted)
-    solve(PotentialParams(3.0, 2.0), Grid(4.0, 400), BoundaryCondition.II)
+    solve(PotentialParams(3.0, 2.0), Grid(4.0, 800), BoundaryCondition.II)
     assert all(counts.values()), counts
 
 
@@ -470,11 +540,12 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("bc, checks", [
         ("I", ["iterate-nonincreasing-in-x"]),
-        ("II", ["iterate-nonincreasing-in-x"]),
+        ("II", ["iterate-upper-bound", "iterate-nonincreasing-in-x"]),
     ])
     def test_one_iterate_run_is_checked(self, bc, checks):
-        rep = solve(PotentialParams(3.0, 2.0), Grid(4.0, 400), BoundaryCondition(bc),
-                    max_iter=1, tol=0.0)
+        with pytest.warns(OutsideRegionWarning):
+            rep = solve(PotentialParams(5.0, A5), Grid(4.0, 2000), BoundaryCondition(bc),
+                        max_iter=1, tol=0.0)
         assert rep.iterations == 1
         assert [v.check for v in rep.violations] == checks
         assert all(v.detail.startswith("f_1") for v in rep.violations)
@@ -484,14 +555,14 @@ class TestHierarchy:
         order, over natural runs that break the iterate relations and two
         injected reports that break every energy relation and
         iterate-ascending."""
-        reports = [
-            solve_cache(g, a, bc, n=n)
-            for g, a, bc, n in [
-                (3.0, 2.0, "I", 400), (3.0, 2.0, "II", 400),
-                (5.0, 1.0, "I", 400), (5.0, 1.0, "II", 400),
-                (20.0, 2.0, "I", 2000), (12.0, 30.0, "II", 1000),
+        with pytest.warns(OutsideRegionWarning):
+            reports = [
+                solve_cache(g, a, bc)
+                for g, a, bc in [
+                    (5.0, A5, "I"), (5.0, A5, "II"), (3.0, A3, "I"), (3.0, A3, "II"),
+                    (10.0, A10, "I"),
+                ]
             ]
-        ]
         for bc, curly in [("I", [0.7, 0.6, 0.8]), ("II", [0.7, 0.65, 0.6, 0.9])]:
             rep = solve_cache(1.0, 2.0, bc)
             fake = copy.copy(rep)

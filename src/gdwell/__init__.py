@@ -24,6 +24,7 @@ from .errors import (
     GridError,
     GridMismatchError,
     NonConvergenceWarning,
+    NonFiniteOutputError,
     OutsideRegionWarning,
     PositivityLossError,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "PositivityLossError",
     "DiscretizationError",
     "BracketError",
+    "NonFiniteOutputError",
     "NonConvergenceWarning",
     "OutsideRegionWarning",
 ]

@@ -8,7 +8,10 @@ element.  So is a list of equal-length lists or tuples of Python floats,
 such as the region report's (a, x) curve pairs, one row to a line; any
 other list of lists (ragged rows, or a row that holds an int) takes the
 per-element path, which writes the same bytes.  A non-finite float raises
-ValueError, because JSON has no literal for it.  CSV files start with a
+NonFiniteOutputError, because JSON has no literal for it.  That error is a
+GdwellError, a numeric failure upstream (the CLI exits 3), and a ValueError;
+write_json formats the whole document before it opens the file, so it
+leaves no file behind.  CSV files start with a
 schema/config comment line followed by a header row; table cells carry 4
 decimals, and a cell that holds a comma or a quote is quoted.
 """
@@ -20,6 +23,8 @@ import json
 import math
 from typing import Any, Iterable, Sequence
 
+from .errors import NonFiniteOutputError
+
 SCHEMA_CSV = "gdwell-csv-v1"
 _SCALARS = (int, float, bool, str, type(None))
 
@@ -28,8 +33,8 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _non_finite(v: Any) -> ValueError:
-    return ValueError(f"JSON has no literal for the non-finite float {v!r}")
+def _non_finite(v: Any) -> NonFiniteOutputError:
+    return NonFiniteOutputError(f"JSON has no literal for the non-finite float {v!r}")
 
 
 def _format_floats(fmt: str, values: Sequence[float]) -> str:
@@ -93,8 +98,9 @@ def dumps_json(obj: Any) -> str:
 
 
 def write_json(path: str, obj: Any) -> None:
+    text = dumps_json(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)
 
 
 def csv_preamble(config: dict) -> str:

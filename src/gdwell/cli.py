@@ -1,7 +1,8 @@
 """Command-line front end: solve / table / region / oracle / verify.
 
 Exit codes: 0 success, 1 checks or hierarchy violations failed, 2 bad
-configuration, 3 numeric failure inside a computation.
+configuration, 3 numeric failure inside a computation (a non-finite number
+bound for a JSON report among them).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _io, reference, region
 from .closed_forms import PotentialParams, eval_u
-from .errors import ConvergenceDomainError, GdwellError, GridError
+from .errors import ConvergenceDomainError, GdwellError, GridError, NonFiniteOutputError
 from .oracle import OracleConfig, oracle_ground_state, peak_census
 from .solver import BoundaryCondition, SolveReport, solve
 from .trial import Grid
@@ -328,6 +329,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except NonFiniteOutputError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, ConvergenceDomainError, GridError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

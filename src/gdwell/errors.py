@@ -40,6 +40,12 @@ class DiscretizationError(GdwellError):
     agree."""
 
 
+class NonFiniteOutputError(GdwellError, ValueError):
+    """A float bound for a JSON report is inf or nan: a computation produced
+    a number that JSON cannot hold.  Also a ValueError, the type the report
+    writer raised for it before."""
+
+
 class BracketError(GdwellError):
     """A root bracket does not enclose a sign change, or no root of a
     discriminant factor is a fold of its curve."""

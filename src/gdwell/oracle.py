@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_forms import PotentialParams, eval_potential
 from .errors import DiscretizationError
@@ -212,6 +211,19 @@ class PeakReport:
     peaks: list[tuple[float, float]]   # (|x|, value) of detected maxima, x >= 0
 
 
+def _window_max(ys: np.ndarray, w: int) -> np.ndarray:
+    """The max over each node's +-w window, clipped at both ends of ys: 2w
+    running maxima of shifted views of ys padded with -inf.  A NaN in a
+    window gives NaN, as np.maximum propagates it."""
+    n = ys.size
+    pad = np.full(w, -np.inf)
+    padded = np.concatenate((pad, ys, pad))
+    out = padded[:n].copy()
+    for k in range(1, 2 * w + 1):
+        np.maximum(out, padded[k:k + n], out=out)
+    return out
+
+
 def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     """Classify the shape of an (even) wavefunction by its strict local
     maxima of |psi|.
@@ -231,9 +243,7 @@ def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     n = xs.size
     w = 5
     floor = 1e-3 * float(ys.max())
-    # the max over each node's +-w window, clipped at both ends of the grid
-    pad = np.full(w, -np.inf)
-    window_max = sliding_window_view(np.concatenate((pad, ys, pad)), 2 * w + 1).max(axis=1)
+    window_max = _window_max(ys, w)
     # written as negated "<" so that a NaN compares as the per-node test did
     cand = ~(ys < floor) & ~(ys < window_max)
     # strictness: must exceed both window ends, except the left end of a

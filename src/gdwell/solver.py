@@ -116,8 +116,15 @@ class SolveReport:
         return [f"{e:.4f}" for e in self.energies]
 
     def to_json_dict(self) -> dict:
+        """The report as schema gdwell-solve-report-v3.
+
+        Each array is written once: psi_final, the paper's object, and not
+        f_final, which it fixes.  f = psi_final / psi0, with psi0 from
+        build_trial on the config's grid, Grid(x_max, n_per_panel); where
+        psi0 underflows to 0, f cannot be recovered.
+        """
         return {
-            "schema": "gdwell-solve-report-v2",
+            "schema": "gdwell-solve-report-v3",
             "config": {
                 "g": self.params.g,
                 "a": self.params.a,
@@ -138,7 +145,6 @@ class SolveReport:
             "violations": [str(v) for v in self.violations],
             "warnings": list(self.warnings),
             "psi_final": self.psi_final.tolist(),
-            "f_final": self.f_final.tolist(),
         }
 
 

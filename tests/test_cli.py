@@ -70,7 +70,8 @@ class TestSolveCommand:
         b1, b2 = out1.read_bytes(), out2.read_bytes()
         assert b1 == b2
         doc = json.loads(b1)
-        assert doc["schema"] == "gdwell-solve-report-v2"
+        assert doc["schema"] == "gdwell-solve-report-v3"
+        assert "f_final" not in doc
         assert doc["config"]["bc"] == "II"
         assert doc["converged"] is True
 
@@ -339,6 +340,26 @@ class TestViolationExitCode:
         captured = capsys.readouterr()
         assert code == 1
         assert "hierarchy violation" in captured.err
+
+    def test_non_finite_report_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        import gdwell.cli as cli
+
+        real_solve = cli.solve
+
+        def doctored(*args, **kwargs):
+            rep = real_solve(*args, **kwargs)
+            rep.psi0 = rep.psi0.copy()
+            rep.psi0[7] = np.inf
+            return rep
+
+        monkeypatch.setattr(cli, "solve", doctored)
+        out = tmp_path / "r.json"
+        code = cli.main(["solve", "--g", "1", "--a", "2", "--bc", "II",
+                         "--n-points", "200", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "numeric error" in captured.err and "inf" in captured.err
+        assert not out.exists()
 
     def test_one_iterate_run_exits_1(self, capsys):
         # just above a_g(5), below the critical shape value, f_1 rises in x

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdwell import Grid, region
+from gdwell import Grid, PotentialParams, build_trial, region
 from gdwell._io import _float_rows, csv_preamble, dumps_json, format_float, write_csv, write_json
 
 
@@ -40,12 +40,14 @@ def test_dumps_json_is_valid_and_deterministic():
     assert parsed == doc
 
 
-# SHA-256 of the default solve report in schema v2, with the phi^2 integral
+# SHA-256 of the default solve report in schema v3, with the phi^2 integral
 # as one node-weighted sum, 200-wide scan bands, the closed forms free of
 # float powers, u by Horner in x^2, the phi^2 ratios formed from the step
 # ratios and the cumulative integrals as running node sums with ghost-closed
-# ends; any other change to the report's bytes shows here
-DEFAULT_REPORT_SHA256 = "fa1ee336973729aa26a73b584d93ed4eb9987b1dbeec5e1e13b3d464d67f4eca"
+# ends; its text is the v2 report's with the f_final member dropped and the
+# schema string swapped, byte for byte; any other change to the report's
+# bytes shows here
+DEFAULT_REPORT_SHA256 = "c69c5966e0edfd7d16d28927f3349fbab596b9e149ac6d32613786835a1d2a05"
 # SHA-256 of region.trace_curves(50)'s report, with every coefficient table
 # read by numpy's polyval (Horner in a) and the coefficients in z = s/a
 # scaled by repeated products, not powers
@@ -77,7 +79,21 @@ def test_solve_report_nodes_rebuild_from_config(solve_cache, tmp_path):
     assert "x" not in doc and "rule" not in doc["config"]
     nodes = Grid(doc["config"]["x_max"], doc["config"]["n_per_panel"]).nodes
     assert np.array_equal(nodes, rep.grid.nodes)
-    assert len(doc["psi_final"]) == len(doc["f_final"]) == nodes.size
+    assert len(doc["psi_final"]) == nodes.size
+    assert "f_final" not in doc
+
+
+@pytest.mark.parametrize("g, a, bc", [(1.0, 2.0, "I"), (1.0, 2.0, "II"),
+                                      (3.0, 2.0, "II"), (0.88, 2.0, "II")])
+def test_f_final_recovers_from_report(solve_cache, g, a, bc):
+    """f = psi_final / psi0, with psi0 rebuilt from the report's config."""
+    rep = solve_cache(g, a, bc)
+    doc = json.loads(dumps_json(rep.to_json_dict()))
+    cfg = doc["config"]
+    psi0 = build_trial(PotentialParams(cfg["g"], cfg["a"]),
+                       Grid(cfg["x_max"], cfg["n_per_panel"])).psi0
+    f = np.array(doc["psi_final"]) / psi0
+    assert np.all(np.abs(f - rep.f_final) <= np.finfo(float).eps * np.abs(rep.f_final))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,10 +1,14 @@
 """Reference eigensolver: the exactly solvable case, a dense cross-check of
 the even-sector eigensolve, evenness, and shape classification."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gdwell import DiscretizationError, Grid, OracleConfig, PotentialParams, oracle_ground_state
 from gdwell import oracle
@@ -179,13 +183,21 @@ def reference_peak_census(x, psi):
     return PeakReport(kind=kind, peaks=peaks)
 
 
+def sliding_window_max(ys, w):
+    """The window max as numpy's sliding_window_view forms it: the reference
+    that the running maxima of oracle._window_max must match bit for bit."""
+    pad = np.full(w, -np.inf)
+    return sliding_window_view(np.concatenate((pad, ys, pad)), 2 * w + 1).max(axis=1)
+
+
 # few distinct levels give ties and flat tops; 1e-4 sits under the floor
 LEVELS = st.one_of(st.sampled_from([0.0, 1e-4, 0.5, 1.0, 1.0, 2.0]),
                    st.floats(-3.0, 3.0, allow_nan=False))
+LEVELS_NAN = st.one_of(LEVELS, st.just(math.nan))
 
 
 @st.composite
-def census_inputs(draw):
+def census_inputs(draw, levels=LEVELS):
     layout = draw(st.sampled_from(["half-line", "full-line", "two-panel"]))
     if layout == "half-line":
         # sizes around the 2w+1 = 11 node window, where both ends clip
@@ -196,7 +208,7 @@ def census_inputs(draw):
     else:
         # the iteration grid: two panels whose spacings differ
         x = Grid(draw(st.sampled_from([1.5, 4.0])), draw(st.sampled_from([8, 10, 12]))).nodes
-    psi = np.array(draw(st.lists(LEVELS, min_size=x.size, max_size=x.size)))
+    psi = np.array(draw(st.lists(levels, min_size=x.size, max_size=x.size)))
     return x, psi
 
 
@@ -217,3 +229,24 @@ class TestPeakCensusAgainstLoop:
             rep = solve_cache(g, a, "II")
             nodes, psi = rep.grid.nodes, rep.psi_final
             assert peak_census(nodes, psi) == reference_peak_census(nodes, psi)
+
+
+class TestWindowMaxAgainstSlidingWindowView:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(LEVELS_NAN, min_size=1, max_size=40), st.integers(1, 6))
+    @example([1.0] * 12, 5)                                    # plateau, n = 2w + 2
+    @example([0.5, math.nan, 2.0], 5)                          # n < 2w + 1, NaN inside
+    def test_bit_identical(self, values, w):
+        ys = np.array(values)
+        got, ref = oracle._window_max(ys, w), sliding_window_max(ys, w)
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(census_inputs(levels=LEVELS_NAN))
+    @example((np.linspace(0.0, 2.0, 12), np.ones(12)))
+    @example((np.linspace(-1.0, 1.0, 7), np.r_[0.0, 1.0, 1.0, math.nan, 1.0, 1.0, 0.0]))
+    def test_census_unchanged(self, inputs):
+        x, psi = inputs
+        got = peak_census(x, psi)
+        with mock.patch.object(oracle, "_window_max", sliding_window_max):
+            assert got == peak_census(x, psi)

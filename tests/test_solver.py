@@ -225,7 +225,8 @@ class TestSolve:
 
         rep = solve_cache(1.0, 2.0, "II")
         doc = json.loads(dumps_json(rep.to_json_dict()))
-        assert doc["schema"] == "gdwell-solve-report-v2"
+        assert doc["schema"] == "gdwell-solve-report-v3"
+        assert "f_final" not in doc
         assert doc["config"]["g"] == 1.0
         assert len(doc["energies"]) == rep.iterations + 1
 

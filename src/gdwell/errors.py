@@ -42,8 +42,8 @@ class DiscretizationError(GdwellError):
 
 class NonFiniteOutputError(GdwellError, ValueError):
     """A float bound for a JSON report is inf or nan: a computation produced
-    a number that JSON cannot hold.  Also a ValueError, the type the report
-    writer raised for it before."""
+    a number that JSON cannot hold.  Also a ValueError, as any bad input to
+    the writer is."""
 
 
 class BracketError(GdwellError):

@@ -6,8 +6,10 @@ x_j = j Delta, |j| <= K.  Its kinetic matrix is t_|i-j| / (2 Delta^2), with
 t_0 = pi^2/3 and t_k = 2 (-1)^k / k^2.  V is even, and so is the ground
 state, so only the even sector is diagonalised: on the nodes j = 0..K its
 matrix is (t_|i-j| + t_{i+j}) / (2 Delta^2) + diag V(x_j), with row and
-column 0 divided by sqrt(2) to keep it symmetric, and ``np.linalg.eigh``
-gives the lowest eigenpair.
+column 0 divided by sqrt(2) to keep it symmetric.  Every energy is the
+lowest eigenvalue from ``np.linalg.eigvalsh``, which forms no eigenvectors;
+the ground vector is formed once, from the converged matrix, by inverse
+iteration with a shift just below that energy.
 
 The half-domain is where the WKB action past the outer turning point of
 V = g E_0 reaches 36, so that psi has fallen by about e^-36 there; it is
@@ -25,6 +27,7 @@ here touches the trial function or the iteration, which share only
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,8 @@ REL_TOL = 1e-10        # energies of two node counts agree to this, relative
 L_EXTENSION = 1.25
 MAX_EXTENSION_SHIFT = 1e-3
 OVERSAMPLE = 8         # interpolated psi points per node spacing
+SHIFT_ULPS = 64.0      # inverse-iteration shift below E, in eps ||h||
+INVERSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ class OracleConfig:
     n: int = 4000
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 500:
             raise ValueError(f"n must be >= 500, got {self.n}")
         if not self.L > 1.0:
@@ -99,12 +106,10 @@ def _domain_advice(cfg: OracleConfig, wkb: float, k: int) -> str:
             f"{wkb / k:.3g}")
 
 
-def _even_ground(p: PotentialParams, delta: float, k: int) -> tuple[float, np.ndarray]:
-    """Lowest even eigenpair on the nodes j Delta, |j| <= k.
-
-    Returns E and c_0..c_k, the amplitudes of the unit-norm eigenvector of
-    all 2k + 1 nodes on the nodes j >= 0, signed so that they sum to > 0.
-    """
+def _even_matrix(p: PotentialParams, delta: float, k: int) -> np.ndarray:
+    """The even-sector matrix on the nodes j Delta, 0 <= j <= k, in the basis
+    e_0 and (e_j + e_-j)/sqrt(2).  Its leading block on j <= k' is the
+    matrix of k' < k, bit for bit."""
     j = np.arange(k + 1)
     m = np.arange(1, 2 * k + 1)
     t = np.empty(2 * k + 1)
@@ -114,11 +119,34 @@ def _even_ground(p: PotentialParams, delta: float, k: int) -> tuple[float, np.nd
     h[0, :] /= math.sqrt(2.0)
     h[:, 0] /= math.sqrt(2.0)
     h[j, j] += eval_potential(p, delta * j)
-    lam, vec = np.linalg.eigh(h)
-    # basis e_0 and (e_j + e_-j)/sqrt(2): node amplitude c_j = v_j / sqrt(2)
-    c = vec[:, 0] / math.sqrt(2.0)
-    c[0] = vec[0, 0]
-    return float(lam[0]), (c if c.sum() > 0.0 else -c)
+    return h
+
+
+def _lowest(h: np.ndarray) -> float:
+    """The lowest eigenvalue of h, with no eigenvectors formed."""
+    return float(np.linalg.eigvalsh(h)[0])
+
+
+def _ground_amplitudes(h: np.ndarray, energy: float) -> np.ndarray:
+    """c_0..c_k, the amplitudes on the nodes j >= 0 of the unit-norm ground
+    eigenvector of all 2k + 1 nodes, signed so that they sum to > 0, where
+    energy is the lowest eigenvalue of the even-sector matrix h.
+
+    Inverse iteration from the vector of ones: INVERSE_STEPS solves of
+    (h - sigma I) y = y, with sigma below energy by SHIFT_ULPS eps ||h||,
+    more than the eigensolver's error, so that h - sigma I stays positive
+    definite.  Each solve shrinks the excited components by the ratio of
+    that margin to the even gap, under 1e-11 at the table points."""
+    margin = SHIFT_ULPS * np.finfo(float).eps * float(np.abs(h).sum(axis=1).max())
+    a = h - (energy - margin) * np.eye(len(h))
+    y = np.ones(len(h))
+    for _ in range(INVERSE_STEPS):
+        y = np.linalg.solve(a, y)
+        y /= np.linalg.norm(y)
+    # basis e_0 and (e_j + e_-j)/sqrt(2): node amplitude c_j = y_j / sqrt(2)
+    c = y / math.sqrt(2.0)
+    c[0] = y[0]
+    return c if c.sum() > 0.0 else -c
 
 
 def _sinc_interpolate(c: np.ndarray, u) -> np.ndarray:
@@ -147,8 +175,10 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
     """Ground-state energy and wavefunction, with an error bar from node
     growth and domain extension.
 
-    psi is returned on a symmetric grid at OVERSAMPLE x the node density,
-    normalized to psi(0) = 1.  Raises DiscretizationError when the domain
+    Each node count costs one eigenvalue-only solve; the ground vector is
+    formed once, at the converged node count.  psi is returned on a
+    symmetric grid at OVERSAMPLE x the node density, normalized to
+    psi(0) = 1.  Raises DiscretizationError when the domain
     extension moves the energy by more than 1e-3 (cfg.L too short), when a
     growth step fails to halve the previous energy gap (cfg.L too short for
     the extension check to see), or when 2K + 1 reaches cfg.n before the
@@ -160,10 +190,12 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
     wkb = _wkb_half_domain(p)
     half = min(cfg.L, wkb)
     k = K_START
-    energy, c = _even_ground(p, half / k, k)
     # the truncation shows at any spacing, and a too-short domain would stall
-    # the growth below until the cap, so it is measured once, up front
-    shift = abs(_even_ground(p, half / k, math.ceil(L_EXTENSION * k))[0] - energy)
+    # the growth below until the cap, so it is measured once, up front; the
+    # K = 30 matrix is the leading block of the extended one
+    extended = _even_matrix(p, half / k, math.ceil(L_EXTENSION * k))
+    energy = _lowest(extended[:k + 1, :k + 1])
+    shift = abs(_lowest(extended) - energy)
     if shift > MAX_EXTENSION_SHIFT:
         raise DiscretizationError(
             f"extending the half-domain {half:.3g} by {L_EXTENSION}x moves E by "
@@ -180,7 +212,8 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
         e_prev, gap_prev = energy, gap
         k = min(math.ceil(K_GROWTH * k), k_max)
         delta = half / k
-        energy, c = _even_ground(p, delta, k)
+        h = _even_matrix(p, delta, k)
+        energy = _lowest(h)
         gap = abs(energy - e_prev)
         if gap <= REL_TOL * max(1.0, abs(energy)):
             break
@@ -194,6 +227,7 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
                 f"energy gaps stalled at {gap_prev:.2e}, {gap:.2e} ({2 * k + 1} nodes) "
                 f"on the half-domain {half:.3g}; {_domain_advice(cfg, wkb, k)}"
             )
+    c = _ground_amplitudes(h, energy)
     half_psi = _sinc_interpolate(c, np.arange(OVERSAMPLE * k + 1) / OVERSAMPLE) / c[0]
     half_x = half / k / OVERSAMPLE * np.arange(half_psi.size)
     return OracleResult(

@@ -12,7 +12,49 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gdwell import DiscretizationError, Grid, OracleConfig, PotentialParams, oracle_ground_state
 from gdwell import oracle
-from gdwell.oracle import PeakReport, _even_ground, peak_census
+from gdwell.closed_forms import eval_potential
+from gdwell.oracle import PeakReport, _even_matrix, _ground_amplitudes, _lowest, peak_census
+
+
+def reference_even_ground(p, delta, k):
+    """The lowest even eigenpair on the nodes j Delta, |j| <= k, from the
+    dense np.linalg.eigh of the even-sector matrix, as the oracle formed it
+    before its energies came from eigvalsh and its vector from inverse
+    iteration: the reference that those must match.
+
+    Returns E and c_0..c_k, the amplitudes of the unit-norm eigenvector of
+    all 2k + 1 nodes on the nodes j >= 0, signed so that they sum to > 0.
+    """
+    j = np.arange(k + 1)
+    m = np.arange(1, 2 * k + 1)
+    t = np.empty(2 * k + 1)
+    t[0] = math.pi**2 / 3.0
+    t[1:] = 2.0 * np.where(m % 2 == 0, 1.0, -1.0) / (m * m)
+    h = (t[np.abs(j[:, None] - j)] + t[j[:, None] + j]) / (2.0 * delta * delta)
+    h[0, :] /= math.sqrt(2.0)
+    h[:, 0] /= math.sqrt(2.0)
+    h[j, j] += eval_potential(p, delta * j)
+    lam, vec = np.linalg.eigh(h)
+    # basis e_0 and (e_j + e_-j)/sqrt(2): node amplitude c_j = v_j / sqrt(2)
+    c = vec[:, 0] / math.sqrt(2.0)
+    c[0] = vec[0, 0]
+    return float(lam[0]), (c if c.sum() > 0.0 else -c)
+
+
+def paper_tables_points():
+    """The 18 distinct (g, a) that the paper_tables benchmark hands the
+    oracle: the published tables' points and its (g, a) lattice, where
+    a > 1.05 a_g(g)."""
+    points = [(1.0, 2.0), (1.0, 1.8), (1.0, 3.0), (0.88, 2.0), (2.0, 2.0), (3.0, 2.0)]
+    for g in np.linspace(0.88, 3.0, 4):
+        a_g = (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
+        points += [(float(g), float(a)) for a in np.linspace(max(1.8, 1.05 * a_g), 3.0, 3)]
+    return points
+
+
+# the strong-coupling benchmark's (g, a) census, with its oracle settings
+STRONG_POINTS = [(g, a) for g in (3.0, 5.0, 8.0, 12.0, 20.0) for a in (1.0, 3.0, 6.0, 12.0)]
+STRONG_CONFIG = OracleConfig(L=3.0, n=6000)
 
 
 class TestEigensolver:
@@ -43,12 +85,22 @@ class TestEigensolver:
                            2.0 * (-1.0) ** d / np.where(d == 0, 1, d) ** 2) / (2.0 * delta**2)
         H = kinetic + np.diag(0.5 * (x * x - 1.0) ** 2 * (x * x + 2.0))
         evals, evecs = np.linalg.eigh(H)
-        lam, c = _even_ground(p, delta, k)
+        h = _even_matrix(p, delta, k)
+        lam = _lowest(h)
+        c = _ground_amplitudes(h, lam)
         assert lam == pytest.approx(float(evals[0]), abs=1e-10)
         # the unit-norm even eigenvector with the deterministic sign: positive sum
         ref_vec = evecs[:, 0] * np.sign(evecs[:, 0].sum())
         full = np.concatenate((c[:0:-1], c))
         assert float(np.max(np.abs(full - ref_vec))) <= 1e-8
+
+    @pytest.mark.parametrize("g, a", [(1.0, 2.0), (3.0, 2.0), (20.0, 100.0)])
+    def test_seed_matrix_is_block_of_extension(self, g, a):
+        # the K = 30 energy is read off the leading block of the extension
+        p = PotentialParams(g, a)
+        delta = oracle._wkb_half_domain(p) / 30
+        block = _even_matrix(p, delta, 38)[:31, :31]
+        assert block.tobytes() == _even_matrix(p, delta, 30).tobytes()
 
     def test_exact_energy_default_config(self):
         res = oracle_ground_state(PotentialParams(1.0, 2.0))
@@ -59,6 +111,10 @@ class TestEigensolver:
             OracleConfig(n=100)
         with pytest.raises(ValueError):
             OracleConfig(L=0.5)
+        # numpy's node arrays need an integer count; a bool is no count
+        for n in (501.0, 4000.0, True):
+            with pytest.raises(ValueError, match="integer"):
+                OracleConfig(n=n)
 
     def test_discretization_guard(self):
         # a domain that cuts the wells at x ~ 1 trips the domain-extension check
@@ -86,13 +142,65 @@ class TestEigensolver:
 
         def counting(p, delta, k):
             sizes.append(k)
-            return _even_ground(p, delta, k)
+            return _even_matrix(p, delta, k)
 
-        monkeypatch.setattr(oracle, "_even_ground", counting)
+        monkeypatch.setattr(oracle, "_even_matrix", counting)
         with pytest.raises(DiscretizationError, match="half-domain"):
             oracle_ground_state(PotentialParams(3.0, 2.0), OracleConfig(L=2.0, n=6000))
-        # the K = 30 solve and its extension, then at most 3 growth steps
+        # the extension matrix, whose leading block is the K = 30 one, then
+        # at most 3 growth steps
         assert len(sizes) <= 2 + 3
+
+    @pytest.mark.parametrize("points, cfg", [
+        (paper_tables_points(), None),
+        (STRONG_POINTS, STRONG_CONFIG),
+    ], ids=["paper_tables", "strong_coupling"])
+    def test_matches_eigh_reference(self, monkeypatch, points, cfg):
+        # the eigvalsh energy and the inverse-iteration amplitudes at the
+        # converged node count against the dense eigh pair there
+        formed = []
+
+        def spy(h, energy):
+            formed.append(_ground_amplitudes(h, energy))
+            return formed[-1]
+
+        monkeypatch.setattr(oracle, "_ground_amplitudes", spy)
+        for g, a in points:
+            p = PotentialParams(g, a)
+            res = oracle_ground_state(p, cfg)
+            mid = res.x.size // 2
+            k = mid // oracle.OVERSAMPLE
+            energy, c = reference_even_ground(p, res.x[mid + oracle.OVERSAMPLE], k)
+            assert abs(res.energy - energy) <= 1e-12 * max(1.0, abs(energy)), (g, a)
+            assert float(np.max(np.abs(formed[-1] - c))) <= 1e-12, (g, a)
+
+    @pytest.mark.parametrize("g, a, cfg, sizes", [
+        (1.0, 2.0, None, [31, 39, 46]),
+        (20.0, 12.0, STRONG_CONFIG, [31, 39, 46, 69]),
+    ])
+    def test_one_ground_vector_and_no_eigh(self, monkeypatch, g, a, cfg, sizes):
+        # K = 30, its 1.25x extension 38, then growth to 45 (and 68): one
+        # eigvalsh per node count, and the vector once, at the last
+        calls = {"eigh": 0, "eigvalsh": [], "vector": []}
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def counting_eigh(h, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(h, *args, **kwargs)
+
+        def counting_eigvalsh(h, *args, **kwargs):
+            calls["eigvalsh"].append(len(h))
+            return eigvalsh(h, *args, **kwargs)
+
+        def counting_vector(h, energy):
+            calls["vector"].append(len(h))
+            return _ground_amplitudes(h, energy)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(oracle, "_ground_amplitudes", counting_vector)
+        oracle_ground_state(PotentialParams(g, a), cfg)
+        assert calls == {"eigh": 0, "eigvalsh": sizes, "vector": sizes[-1:]}
 
     def test_cross_check_against_iteration(self, oracle_cache, solve_cache):
         # every distinct (g, a) of the built-in tables: the two independent

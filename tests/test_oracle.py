@@ -13,14 +13,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gdwell import DiscretizationError, Grid, OracleConfig, PotentialParams, oracle_ground_state
 from gdwell import oracle
 from gdwell.closed_forms import eval_potential
-from gdwell.oracle import PeakReport, _even_matrix, _ground_amplitudes, _lowest, peak_census
+from gdwell.oracle import PeakReport, _even_matrix, _ground_amplitudes, peak_census
 
 
 def reference_even_ground(p, delta, k):
     """The lowest even eigenpair on the nodes j Delta, |j| <= k, from the
-    dense np.linalg.eigh of the even-sector matrix, as the oracle formed it
-    before its energies came from eigvalsh and its vector from inverse
-    iteration: the reference that those must match.
+    dense np.linalg.eigh of the even-sector matrix: the reference that the
+    oracle's eigvalsh energy and inverse-iteration vector must match.
 
     Returns E and c_0..c_k, the amplitudes of the unit-norm eigenvector of
     all 2k + 1 nodes on the nodes j >= 0, signed so that they sum to > 0.
@@ -86,7 +85,7 @@ class TestEigensolver:
         H = kinetic + np.diag(0.5 * (x * x - 1.0) ** 2 * (x * x + 2.0))
         evals, evecs = np.linalg.eigh(H)
         h = _even_matrix(p, delta, k)
-        lam = _lowest(h)
+        lam = float(np.linalg.eigvalsh(h)[0])
         c = _ground_amplitudes(h, lam)
         assert lam == pytest.approx(float(evals[0]), abs=1e-10)
         # the unit-norm even eigenvector with the deterministic sign: positive sum

@@ -89,12 +89,8 @@ class PotentialParams:
         object.__setattr__(self, "Gamma", (self.g * self.a - e0) / (self.g * self.a + e0))
         object.__setattr__(self, "a_g", a_g)
 
-    @property
-    def mixing_positive(self) -> bool:
-        return self.Gamma > 0.0
-
     def require_mixing_positive(self) -> None:
-        if not self.mixing_positive:
+        if not self.Gamma > 0.0:
             raise ConvergenceDomainError(
                 f"mixing coefficient Gamma = {self.Gamma:.6g} <= 0: requires "
                 f"g*a > sqrt(1+a), i.e. g > {self.E0 / self.a:.6g} at a = {self.a} "

@@ -14,7 +14,8 @@ class GridError(GdwellError):
     """Computational grid unfit for the run: malformed (x_max not above 1,
     too few points, ...), too short for the trial function's tail, or too
     coarse for it (a step of 2 log phi between adjacent nodes above the
-    solver's STEP_CAP of 2.7 in size, where the iteration breaks down)."""
+    solver's STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634 in size, where the rule's
+    inner integral of a positive integrand can turn negative)."""
 
 
 class GridMismatchError(GdwellError):

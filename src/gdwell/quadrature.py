@@ -28,9 +28,9 @@ trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
 phi^2(x_k), the exponential of one step of 2 log phi.  Precondition: every
 step is far below B = _SCAN_BAND = 200 in size, which gdwell.solver.solve
 guarantees by rejecting, before it iterates, every grid with a step above
-its STEP_CAP of 2.7.  The step ratios, the largest step and the node weights
-of the phi^2 integral depend only on the trial function: they are built
-once per TrialFunction, on first use, and kept on it.
+its STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634.  The step ratios, the largest step
+and the node weights of the phi^2 integral depend only on the trial function:
+they are built once per TrialFunction, on first use, and kept on it.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a

@@ -195,7 +195,6 @@ class Section3Report:
     min_combination: float
     argmin_x: float
     inequality_holds: bool
-    min_inequality_margin: float
     failures: list[float] = field(default_factory=list)
 
 
@@ -214,7 +213,6 @@ def verify_section3_positivity() -> Section3Report:
         min_combination=float(combo[imin]),
         argmin_x=float(x_grid[imin]),
         inequality_holds=bool(np.all(margin > 0.0)),
-        min_inequality_margin=float(margin.min()),
         failures=[float(x) for x in x_grid[combo <= 0.0]][:20],
     )
 
@@ -280,9 +278,6 @@ class ACResult:
     a_c: float
     width: float
     bracket: tuple[float, float]
-
-    def __float__(self):
-        return self.a_c
 
 
 def find_a_c() -> ACResult:

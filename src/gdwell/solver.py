@@ -50,12 +50,10 @@ __all__ = [
 
 HIERARCHY_TOL = 1e-9
 TAIL_RATIO_BOUND = 1e-10
-# cap on every step of 2 log phi between adjacent nodes: on a 770-run lattice
-# of (g, a, n) every run up to 2.68 holds the hierarchy and none from 2.75 on
-STEP_CAP = 2.7
-# on a tail falling by s per node the rule's inner integral of a positive
-# integrand turns negative at e^s = (2 + sqrt 3)^2: rejected grids aim below it
-_SIGN_STEP = 2.0 * math.log(2.0 + math.sqrt(3.0))
+# cap on every step of 2 log phi between adjacent nodes: on a tail falling by
+# s per node the rule's inner integral of a positive integrand turns negative
+# once e^s > (2 + sqrt 3)^2
+STEP_CAP = 2.0 * math.log(2.0 + math.sqrt(3.0))
 
 
 class BoundaryCondition(enum.Enum):
@@ -90,10 +88,6 @@ class SolveReport:
     violations: list[HierarchyViolation] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     psi0: np.ndarray | None = None
-
-    @property
-    def f_final(self) -> np.ndarray:
-        return self.f_history[-1]
 
     def f_n(self, n: int) -> np.ndarray:
         """f_n samples, 0 <= n <= iterations; n=0 is the constant seed."""
@@ -217,9 +211,9 @@ def _check_grid(
     np.abs(abs_w, out=abs_w)
     step = _factors(t, rule).max_step
     if step > STEP_CAP:
-        needed = 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / _SIGN_STEP / 2.0)
+        needed = 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / STEP_CAP / 2.0)
         raise GridError(
-            f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:g} in size; grid "
+            f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid "
             f"spacing too coarse for this trial function (use n_per_panel >= {needed})"
         )
     sup_w = max(float(abs_w.max()), abs(float(w[1, 0])))

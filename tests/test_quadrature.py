@@ -248,7 +248,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("g, a", [
         (g, a) for g in (0.6, 1.0, 3.0, 8.0, 20.0) for a in (0.7, 2.0, 12.0, 100.0)
-        if PotentialParams(g, a).mixing_positive])
+        if PotentialParams(g, a).Gamma > 0.0])
     def test_weighted_sum_matches_folded_interval_integrals(self, g, a):
         # the node-weight sum against the folded stencil kernel un-scaled by
         # phi^2(x_k), on census trial functions

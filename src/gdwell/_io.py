@@ -7,13 +7,14 @@ wavefunction, is written by one %-format over the whole list, not element by
 element.  So is a list of equal-length lists or tuples of Python floats,
 such as the region report's (a, x) curve pairs, one row to a line; any
 other list of lists (ragged rows, or a row that holds an int) takes the
-per-element path, which writes the same bytes.  A non-finite float raises
-NonFiniteOutputError, because JSON has no literal for it.  That error is a
-GdwellError, a numeric failure upstream (the CLI exits 3), and a ValueError;
-write_json formats the whole document before it opens the file, so it
-leaves no file behind.  CSV files start with a
-schema/config comment line followed by a header row; table cells carry 4
-decimals, and a cell that holds a comma or a quote is quoted.
+per-element path, which writes the same bytes.  A numpy scalar, alone or in
+a list, is written as the Python value its .item() gives.  A non-finite
+float raises NonFiniteOutputError, because JSON has no literal for it.  That
+error is a GdwellError, a numeric failure upstream (the CLI exits 3), and a
+ValueError; write_json formats the whole document before it opens the file,
+so it leaves no file behind.  CSV files start with a schema/config comment
+line followed by a header row; table cells carry 4 decimals, and a cell
+that holds a comma or a quote is quoted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import csv
 import json
 import math
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .errors import NonFiniteOutputError
 
@@ -70,6 +73,9 @@ def _serialize(obj: Any, indent: int) -> str:
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
+        if any(issubclass(k, np.generic) for k in kinds):
+            return _serialize([v.item() if isinstance(v, np.generic) else v for v in obj],
+                              indent)
         if kinds == {float}:
             return "[" + _format_floats(", ".join(["%.17g"] * len(obj)), obj) + "]"
         if all(issubclass(k, _SCALARS) for k in kinds):
@@ -80,6 +86,8 @@ def _serialize(obj: Any, indent: int) -> str:
             return "[\n" + _format_floats(",\n".join([row] * len(obj)), flat) + f"\n{pad}]"
         items = [f"{pad}  {_serialize(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, np.generic):
+        return _serialize(obj.item(), indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):

@@ -6,11 +6,11 @@ large-g expansion together with their slopes, and the effective perturbations
 u, ghat and w = u + ghat that drive the iteration, with the polynomials
 alpha, beta and gamma that build u (``gdwell.region`` reads them here).
 
-gamma here, like the curve polynomials of ``gdwell.region``, is a table of
-integer coefficients in (x^2, a), and one function, _coeffs, reads every
-such table: numpy's polyval forms the coefficients of a table's polynomial
-in one variable at fixed values of the other, and one in-place Horner,
-_horner, evaluates them.
+alpha, beta and gamma here, like the curve polynomials of ``gdwell.region``,
+are tables of integer coefficients in (x^2, a), and one function, _coeffs,
+reads every such table: numpy's polyval forms the coefficients of a table's
+polynomial in one variable at fixed values of the other, and polyval again,
+with tensor=False, evaluates that polynomial.
 
 All formulas are evaluated in cancellation-safe arrangements:
 
@@ -224,10 +224,17 @@ def eval_S1_prime_quotient(p: PotentialParams, x):
     )
 
 
-# gamma = (15 s^2 + 18 s - 1)(15 s^2 + 36 a s) + 4 a^2 (141 s^2 + 90 s + 1)
-# + 32 a^3 (9 s + 1) + 64 a^4 as an (s, a) table, s = x^2: entry [i, j] is
-# the coefficient of s^i a^j.  gdwell.region traces its zero curve from this
-# table.
+# alpha, beta / (x sqrt(1+a)) and gamma as integer tables in (s, a), s = x^2:
+# entry [i, j] is the coefficient of s^i a^j.  gdwell.region traces gamma's
+# zero curve from its table.
+_ALPHA = np.array([[0, 2, 8],
+                   [7, 12, 8],
+                   [-6, 18, 0],
+                   [15, 0, 0]], dtype=float)
+_BETA = np.array([[-1, 2],
+                  [3, 0]], dtype=float)
+# (15 s^2 + 18 s - 1)(15 s^2 + 36 a s) + 4 a^2 (141 s^2 + 90 s + 1)
+# + 32 a^3 (9 s + 1) + 64 a^4
 _GAMMA = np.array([[0, 0, 4, 32, 64],
                    [0, -36, 360, 288, 0],
                    [-15, 648, 564, 0, 0],
@@ -252,41 +259,18 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
     return c
 
 
-def _horner(coeffs, s) -> np.ndarray:
-    """sum_i coeffs[i] s^i by Horner, in one array of the broadcast shape;
-    coeffs is a list, or an array whose first axis runs over i."""
-    out = np.empty(np.broadcast_shapes(np.shape(s), *map(np.shape, coeffs)))
-    np.multiply(coeffs[-1], s, out=out)
-    for c in coeffs[-2:0:-1]:
-        out += c
-        out *= s
-    out += coeffs[0]
-    return out
-
-
-# alpha, beta and gamma at s = x^2, by Horner in s from coefficients formed
-# once per a: floats for a float a, arrays of a's shape otherwise
-def _alpha(a, s) -> np.ndarray:
-    return _horner([8.0 * a * a + 2.0 * a, 8.0 * a * a + 12.0 * a + 7.0,
-                    6.0 * (3.0 * a - 1.0), 15.0], s)
-
-
 def _beta(a, x, s) -> np.ndarray:
-    out = _horner([2.0 * a - 1.0, 3.0], s)
+    out = polyval(s, _coeffs(_BETA, a), tensor=False)
     out *= x
     out *= np.sqrt(1.0 + np.asarray(a, dtype=float))
     return out
-
-
-def _gamma(a, s) -> np.ndarray:
-    return _horner(_coeffs(_GAMMA, a), s)
 
 
 def alpha(a, x):
     """Even part of the u numerator, with s = x^2:
     15 s^3 + 6 (3a-1) s^2 + (8a^2 + 12a + 7) s + 8a^2 + 2a."""
     x = np.asarray(x, dtype=float)
-    return _alpha(a, x * x)
+    return polyval(x * x, _coeffs(_ALPHA, a), tensor=False)
 
 
 def beta(a, x):
@@ -301,7 +285,7 @@ def gamma_poly(a, x):
     positive for a > 0, the no-pole numerator of u:
     alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
     x = np.asarray(x, dtype=float)
-    return _gamma(a, x * x)
+    return polyval(x * x, _coeffs(_GAMMA, a), tensor=False)
 
 
 def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
@@ -342,7 +326,7 @@ def eval_u(p: PotentialParams, x):
     x = np.atleast_1d(x)
     a, s = p.a, x * x
     b = _beta(a, x, s)
-    out = pole_free_quotient(a, s, _alpha(a, s), b, _gamma(a, s), 2, b >= 0.0)
+    out = pole_free_quotient(a, s, alpha(a, x), b, gamma_poly(a, x), 2, b >= 0.0)
     return out[0] if scalar else out
 
 

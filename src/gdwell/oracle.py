@@ -71,7 +71,6 @@ class OracleResult:
     error_estimate: float
     x: np.ndarray
     psi: np.ndarray
-    config: OracleConfig
 
     def psi_at(self, x) -> np.ndarray:
         """psi at the points x by the sinc interpolant of its node values,
@@ -232,7 +231,6 @@ def oracle_ground_state(p: PotentialParams, cfg: OracleConfig | None = None) -> 
         error_estimate=gap + shift,
         x=np.concatenate((-half_x[:0:-1], half_x)),
         psi=np.concatenate((half_psi[:0:-1], half_psi)),
-        config=cfg,
     )
 
 

@@ -6,23 +6,24 @@ The slope of u factors through pairs of polynomials in (x^2, a): the pair
 and each pair satisfies a difference-of-squares identity that cancels the
 (x^2-1) pole/zero so signs can be read off polynomial loci.  The u
 polynomials come from ``gdwell.closed_forms``; the curve polynomials are
-integer tables in (x^2, a), read, like gamma's, by closed_forms._coeffs and
-evaluated by closed_forms._horner.  This module traces their zero curves as
-companion-matrix eigenvalues, verifies the a=2 positivity chain, and
-computes the critical shape value a_c below which u' turns positive
-somewhere, as a root of a discriminant factor.
+integer tables in (x^2, a), read, like those of alpha, beta and gamma, by
+closed_forms._coeffs, and every polynomial value is numpy's polyval.  This
+module traces their zero curves as companion-matrix eigenvalues, verifies
+the a=2 positivity chain, and computes the critical shape value a_c below
+which u' turns positive somewhere, as a root of a discriminant factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .closed_forms import (
-    _GAMMA, _coeffs, _horner, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
+    _GAMMA, _coeffs, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
 from .errors import BracketError
 
 __all__ = [
@@ -77,13 +78,14 @@ _GAMMA_TILDE = np.array([[0, 0, 0, 64, -192, 0, 256],
 def _alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
-    return x * _horner(_coeffs(_ALPHA_TILDE, a), x * x)
+    return x * polyval(x * x, _coeffs(_ALPHA_TILDE, a), tensor=False)
 
 
 def _beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(_coeffs(_BETA_TILDE, a), x2)
+    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * polyval(
+        x2, _coeffs(_BETA_TILDE, a), tensor=False)
 
 
 def gamma_tilde_coeffs(a) -> np.ndarray:
@@ -94,7 +96,7 @@ def gamma_tilde_coeffs(a) -> np.ndarray:
 
 
 def gamma_tilde(a, x):
-    return _horner(gamma_tilde_coeffs(a), np.asarray(x, dtype=float) ** 2)
+    return polyval(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a), tensor=False)
 
 
 def identity_residuals(a, x) -> tuple[float, float, float]:
@@ -131,7 +133,7 @@ _C2_COEFFS = [1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0]
 def poly_A(x):
     """a=2 denominator polynomial 5x^6 + 10x^4 + 21x^2 + 12."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return _horner([12.0, 21.0, 10.0, 5.0], x2)
+    return polyval(x2, [12.0, 21.0, 10.0, 5.0])
 
 
 def poly_B(x):
@@ -143,13 +145,13 @@ def poly_B(x):
 def _poly_C1(x):
     """Odd numerator polynomial of -u' at a=2 (only its x term is negative)."""
     x = np.asarray(x, dtype=float)
-    return x * _horner(_C1_COEFFS, x * x)
+    return x * polyval(x * x, _C1_COEFFS)
 
 
 def _poly_C2(x):
     """Even numerator polynomial of -u' at a=2, times 8 sqrt(3); positive."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return 8.0 * math.sqrt(3.0) * _horner(_C2_COEFFS, x2)
+    return 8.0 * math.sqrt(3.0) * polyval(x2, _C2_COEFFS)
 
 
 def u_prime_a2(x):
@@ -190,12 +192,10 @@ def eval_u_prime(a, x):
 
 @dataclass
 class Section3Report:
-    n_nodes: int
     all_positive: bool
     min_combination: float
     argmin_x: float
     inequality_holds: bool
-    failures: list[float] = field(default_factory=list)
 
 
 def verify_section3_positivity() -> Section3Report:
@@ -208,12 +208,10 @@ def verify_section3_positivity() -> Section3Report:
     margin = 8.0 * math.sqrt(3.0) * (4800.0 * x_grid**2 + 1152.0) - 1152.0 * x_grid * r
     imin = int(np.argmin(combo))
     return Section3Report(
-        n_nodes=x_grid.size,
         all_positive=bool(np.all(combo > 0.0)),
         min_combination=float(combo[imin]),
         argmin_x=float(x_grid[imin]),
         inequality_holds=bool(np.all(margin > 0.0)),
-        failures=[float(x) for x in x_grid[combo <= 0.0]][:20],
     )
 
 
@@ -395,7 +393,7 @@ def trace_curves(resolution: int = 200) -> RegionReport:
         misses[name] = int(np.count_nonzero(~found))
         # just above the outermost root the region sign must hold
         a_up = 1.05 * a[found]
-        probe = _horner(_coeffs(table, a_up), a_up * _largest(roots[found]))
+        probe = polyval(a_up * _largest(roots[found]), _coeffs(table, a_up), tensor=False)
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
     # geometry of the (x, a) curves: beta curve above gamma curve, with

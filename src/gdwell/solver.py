@@ -171,12 +171,13 @@ def f_step(
     w: np.ndarray,
     curly_e: float,
     f_prev: np.ndarray,
-    bc: BoundaryCondition,
+    bc: BoundaryCondition | str,
 ) -> np.ndarray:
     """One update of the iterate: f_n = 1 - 2 F with F the nested double
     integral of (w - curly_e) f_prev, tail-normalized for I and
     origin-normalized for II.  The endpoint value is exactly 1 in both cases
     by construction of the cumulatives."""
+    bc = BoundaryCondition(bc)
     h = w - curly_e
     h *= rule.grid.panels(f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
@@ -228,7 +229,7 @@ def _check_grid(
 def solve(
     p: PotentialParams,
     grid: Grid | None = None,
-    bc: BoundaryCondition = BoundaryCondition.II,
+    bc: BoundaryCondition | str = BoundaryCondition.II,
     max_iter: int = 20,
     tol: float = 1e-6,
 ) -> SolveReport:
@@ -240,15 +241,15 @@ def solve(
     run proceeds, but an OutsideRegionWarning is issued and recorded
     (monotone convergence is then not guaranteed).  max_iter must be at
     least 1 and tol finite and at least 0, where tol = 0 runs exactly
-    max_iter iterations (ValueError otherwise, also for a NaN tol).
+    max_iter iterations (ValueError otherwise, also for a NaN tol).  bc is a
+    BoundaryCondition or its value, "I" or "II" (ValueError otherwise).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
     p.require_mixing_positive()
-    if isinstance(bc, str):
-        bc = BoundaryCondition(bc)
+    bc = BoundaryCondition(bc)
     if grid is None:
         grid = Grid()
     report = SolveReport(params=p, bc=bc, grid=grid, tol=tol)

@@ -15,6 +15,7 @@ per node and all ratios are formed from log differences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +31,10 @@ __all__ = ["Grid", "TrialFunction", "build_trial"]
 class Grid:
     """Two uniform panels [0, 1] and [1, x_max] with shared node x = 1.
 
-    n_per_panel is the number of intervals in each panel: at least 8, so the
-    four-node cubic interval stencils fit, and even (the cubic rule does not
-    need evenness; the check keeps the set of accepted grids unchanged).
+    n_per_panel is the number of intervals in each panel, an integer, kept
+    as a Python int: at least 8, so the four-node cubic interval stencils
+    fit, and even (the cubic rule does not need evenness; the check keeps
+    the set of accepted grids unchanged).
     Grids compare and hash by (x_max, n_per_panel), as nodes follows from them.
     """
 
@@ -44,6 +46,10 @@ class Grid:
         if not 1.0 < self.x_max < math.inf:
             raise GridError(f"x_max must be finite and exceed 1, got {self.x_max}")
         n = self.n_per_panel
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridError(f"n_per_panel must be an integer, got {n!r}")
+        n = int(n)
+        object.__setattr__(self, "n_per_panel", n)
         if n < 8 or n % 2 != 0:
             raise GridError(f"n_per_panel must be even and >= 8, got {n}")
         inner = np.linspace(0.0, 1.0, n + 1)

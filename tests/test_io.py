@@ -156,6 +156,21 @@ def test_mixed_scalar_lists_serialise_as_before():
     )
 
 
+def test_numpy_scalars_written_as_their_python_values(solve_cache):
+    doc = {"n": np.int64(400), "flag": np.bool_(True), "f32": np.float32(0.1),
+           "ints": [np.int64(1), np.int32(-2), 3], "floats": [np.float64(0.5), 1.5],
+           "rows": [[np.float64(0.5), 2.0], [1.0, np.float32(0.25)]]}
+    plain = {"n": 400, "flag": True, "f32": float(np.float32(0.1)), "ints": [1, -2, 3],
+             "floats": [0.5, 1.5], "rows": [[0.5, 2.0], [1.0, 0.25]]}
+    assert dumps_json(doc) == dumps_json(plain)
+    assert json.loads(dumps_json(doc)) == plain
+    assert '"resolution": 50' in dumps_json(region.trace_curves(np.int64(50)).to_json_dict())
+    # the report's config rebuilds its grid
+    rep = solve_cache(1.0, 2.0, "II", n=np.int64(400))
+    config = json.loads(dumps_json(rep.to_json_dict()))["config"]
+    assert Grid(config["x_max"], config["n_per_panel"]) == rep.grid
+
+
 @pytest.mark.parametrize("doc", [
     [float("inf")],
     [1.0, float("nan")],

@@ -38,7 +38,7 @@ P12 = PotentialParams(1.0, 2.0)
 # grids break the hierarchy (or, at g = 10 under II, lose positivity)
 A5, A3, A10 = 1.001 * cf.find_a_g(5.0), 1.001 * cf.find_a_g(3.0), 1.05 * cf.find_a_g(10.0)
 # SHA-256 of the violation lists in TestHierarchy.test_violation_lists_are_pinned
-PINNED_VIOLATIONS_SHA256 = "8ae592fa3a5a9277a9a511e6793ee7aa58c212420a1265652880864c5a73d75d"
+PINNED_VIOLATIONS_SHA256 = "0d4c885f5e5a4f22d7599fb80954449352a39040013a3a7b1427b93c64fced79"
 
 
 def flat_trial(grid: Grid) -> TrialFunction:
@@ -92,6 +92,18 @@ class TestFStep:
         f1_i = f_step(t, rule, w, curly, f0, BoundaryCondition.I)
         assert f1_ii[0] == 1.0
         assert f1_i[-1] == 1.0
+        # a bc given by its value runs that boundary condition
+        assert f_step(t, rule, w, curly, f0, "I").tobytes() == f1_i.tobytes()
+
+    @pytest.mark.parametrize("bc", [1, "III", None])
+    def test_unknown_bc_rejected(self, bc):
+        grid = Grid(4.0, 64)
+        ones = np.ones(grid.n_points)
+        with pytest.raises(ValueError):
+            f_step(flat_trial(grid), QuadratureRule(grid), const_samples(grid, 0.0), 0.0,
+                   ones, bc)
+        with pytest.raises(ValueError):
+            solve(P12, grid, bc)
 
     def test_second_iteration_bc_i_energy(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "I")

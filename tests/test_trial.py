@@ -61,6 +61,15 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(4.0, 4)   # too few for the cubic stencils
 
+    @pytest.mark.parametrize("n", [2000.0, True, "2000", np.float64(64.0)])
+    def test_rejects_a_non_integer_size(self, n):
+        with pytest.raises(GridError, match="n_per_panel must be an integer"):
+            Grid(4.0, n)
+
+    def test_integer_size_kept_as_python_int(self):
+        g = Grid(4.0, np.int64(64))
+        assert type(g.n_per_panel) is int and g == Grid(4.0, 64)
+
     def test_equality_and_hash_by_parameters(self):
         assert Grid(4.0, 64) == Grid(4.0, 64)
         assert hash(Grid(4.0, 64)) == hash(Grid(4.0, 64))

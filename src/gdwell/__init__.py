@@ -42,7 +42,6 @@ from .solver import (
     BoundaryCondition,
     HierarchyViolation,
     SolveReport,
-    check_hierarchy,
     solve,
 )
 from .trial import Grid, TrialFunction, build_trial
@@ -67,7 +66,6 @@ __all__ = [
     "SolveReport",
     "HierarchyViolation",
     "solve",
-    "check_hierarchy",
     "OracleConfig",
     "OracleResult",
     "oracle_ground_state",

@@ -119,8 +119,7 @@ def _dump_wavefunctions(path: str, cfg: RunConfig, report: SolveReport) -> None:
     res = oracle_ground_state(
         PotentialParams(cfg.g, cfg.a), OracleConfig(L=max(6.0, cfg.x_max + 2.0))
     )
-    n2 = min(2, report.iterations)
-    columns = (x, report.psi0, report.psi_n(n2), report.psi_final, res.psi_at(x))
+    columns = (x, report.psi0, report.psi0 * report.f2, report.psi_final, res.psi_at(x))
     rows = zip(*(map(_io.format_float, c.tolist()) for c in columns))
     _io.write_csv(
         path, cfg.as_dict(), ["x", "psi0", "psi2", "psi_final", "psi_oracle"], rows

@@ -10,8 +10,8 @@ origin (boundary condition II, alternating upper/lower bounds).  Energies are
 reported as E_n = g E0 - curly_E_n.
 
 Every monotonicity consequence of the hierarchy of iterates is checked as
-data after the run; violations beyond rounding tolerance are recorded, never
-silently dropped.
+data, each iterate as the loop makes it; violations beyond rounding tolerance
+are recorded, never silently dropped.
 """
 
 from __future__ import annotations
@@ -82,28 +82,17 @@ class SolveReport:
     tol: float
     energies: list[float] = field(default_factory=list)   # E_0 = g*E0 first
     curly_energies: list[float] = field(default_factory=list)
-    f_history: list[np.ndarray] = field(default_factory=list)  # f_1, f_2, ...
     converged: bool = False
     iterations: int = 0
     violations: list[HierarchyViolation] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     psi0: np.ndarray | None = None
-
-    def f_n(self, n: int) -> np.ndarray:
-        """f_n samples, 0 <= n <= iterations; n=0 is the constant seed."""
-        if not 0 <= n <= self.iterations:
-            raise IndexError(f"iterate index {n} outside 0..{self.iterations}")
-        if n == 0:
-            return np.ones(self.grid.n_points)
-        return self.f_history[n - 1]
-
-    def psi_n(self, n: int) -> np.ndarray:
-        """psi_n = psi0 * f_n on the grid nodes."""
-        return self.psi0 * self.f_n(n)
+    f2: np.ndarray | None = None       # f_2, or f_1 after one iteration
+    f_final: np.ndarray | None = None
 
     @property
     def psi_final(self) -> np.ndarray:
-        return self.psi_n(self.iterations)
+        return self.psi0 * self.f_final
 
     def energy_row(self) -> list[str]:
         """The energies as table cells, to 4 decimals."""
@@ -269,14 +258,17 @@ def solve(
 
     g_e0 = p.g * p.E0
     report.energies.append(g_e0)
-    f_prev = report.f_n(0)
+    rows = []
+    f = np.ones(grid.n_points)
     for n in range(1, max_iter + 1):
-        curly = energy_step(t, rule, w, f_prev)
-        f_prev = f_step(t, rule, w, curly, f_prev, bc)
+        curly = energy_step(t, rule, w, f)
+        f_prev, f = f, f_step(t, rule, w, curly, f, bc)
+        rows += _iterate_rows(bc, n, f_prev, f)
         report.curly_energies.append(curly)
         report.energies.append(g_e0 - curly)
-        report.f_history.append(f_prev)
         report.iterations = n
+        if n <= 2:
+            report.f2 = f
         if tol > 0.0 and abs(report.energies[-1] - report.energies[-2]) < tol:
             report.converged = True
             break
@@ -284,7 +276,8 @@ def solve(
         msg = f"hit max_iter={max_iter} before |dE| < {tol:g}"
         warnings.warn(msg, NonConvergenceWarning)
         report.warnings.append(msg)
-    report.violations = check_hierarchy(report)
+    report.f_final = f
+    report.violations = check_hierarchy(bc, report.curly_energies, rows)
     return report
 
 
@@ -293,13 +286,37 @@ def _margin(values: np.ndarray, sign: float = 1.0) -> float:
     return float(values.min()) if sign > 0 else -float(values.max())
 
 
-def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
+def _iterate_rows(
+    bc: BoundaryCondition, n: int, f_prev: np.ndarray, f: np.ndarray
+) -> list[tuple[str, str, float]]:
+    """The (check, detail, signed margin) rows of f = f_n, n >= 1, with
+    f_prev = f_{n-1}, for check_hierarchy."""
+    bc_i = bc is BoundaryCondition.I
+    rows = [("iterate-lower-bound", f"f_{n} dips below 1", _margin(f - 1.0)) if bc_i
+            else ("iterate-upper-bound", f"f_{n} exceeds 1", _margin(f - 1.0, -1.0))]
+    if bc_i and n >= 2:
+        rows.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
+                     _margin(f - f_prev)))
+    rows.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
+                 _margin(np.diff(f), -1.0)))
+    # f_1/f_0 is f_1 itself, whose slope is checked above
+    if n >= 2:
+        slope = -1.0 if bc_i or n % 2 == 1 else 1.0
+        rows.append(("ratio-monotonicity",
+                     f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
+                     _margin(np.diff(f / f_prev), slope)))
+    return rows
+
+
+def check_hierarchy(
+    bc: BoundaryCondition, curly_energies: list[float], rows: list[tuple[str, str, float]]
+) -> list[HierarchyViolation]:
     """Check every stated consequence of the hierarchy of iterates and return
     the violations beyond HIERARCHY_TOL (an empty list means all hold).
 
-    One pass over the iterates builds a table of rows (check, detail, signed
-    margin) for either boundary condition.  A margin below -HIERARCHY_TOL, or
-    at it for a curly_E relation, is a violation of magnitude -margin.
+    rows are every iterate's _iterate_rows in order; ratio rows are listed
+    last.  A margin below -HIERARCHY_TOL, or at it for a curly_E relation,
+    is a violation of magnitude -margin.
     I: curly_E strictly ascending; iterates >= 1 and nodewise ascending;
     ratios f_{n+1}/f_n nodewise decreasing from f_2/f_1 on.
     II: odd curly_E ascending, even descending, every even above every odd;
@@ -307,9 +324,8 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
     even/odd increasing).  Under both, every iterate is non-increasing in x.
     A run with one iterate is checked too; the curly_E relations need two.
     """
-    ce = report.curly_energies
-    fs = report.f_history  # fs[n - 1] is f_n
-    bc_i = report.bc is BoundaryCondition.I
+    ce = curly_energies
+    bc_i = bc is BoundaryCondition.I
     # (check, first index, stride, sign): sign (curly_E_n - curly_E_{n-stride}) > 0
     sequences = [("energy-ascending", 0, 1, 1.0)] if bc_i else [
         ("odd-energy-ascending", 0, 2, 1.0), ("even-energy-descending", 1, 2, -1.0)]
@@ -322,23 +338,7 @@ def check_hierarchy(report: SolveReport) -> list[HierarchyViolation]:
     if not bc_i and len(ce) >= 2:
         energies.append(("even-above-odd", "some even curly_E not above every odd one",
                          min(ce[1::2]) - max(ce[0::2])))
-    bound, bound_detail, bound_sign = (
-        ("iterate-lower-bound", "dips below 1", 1.0) if bc_i
-        else ("iterate-upper-bound", "exceeds 1", -1.0))
-    iterates, ratios = [], []
-    for n, f in enumerate(fs, start=1):
-        iterates.append((bound, f"f_{n} {bound_detail}", _margin(f - 1.0, bound_sign)))
-        if bc_i and n >= 2:
-            iterates.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
-                             _margin(f - fs[n - 2])))
-        iterates.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
-                         _margin(np.diff(f), -1.0)))
-        # f_1/f_0 is f_1 itself, whose slope is checked above
-        if n >= 2:
-            slope = -1.0 if bc_i or n % 2 == 1 else 1.0
-            ratios.append(("ratio-monotonicity",
-                           f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
-                           _margin(np.diff(f / fs[n - 2]), slope)))
     out = [HierarchyViolation(c, d, -m) for c, d, m in energies if m <= -HIERARCHY_TOL]
     return out + [HierarchyViolation(c, d, -m)
-                  for c, d, m in iterates + ratios if m < -HIERARCHY_TOL]
+                  for c, d, m in sorted(rows, key=lambda r: r[0] == "ratio-monotonicity")
+                  if m < -HIERARCHY_TOL]

@@ -18,6 +18,9 @@ from gdwell import (
     solve,
 )
 from gdwell import closed_forms as cf
+from gdwell.quadrature import QuadratureRule
+from gdwell.solver import energy_step, f_step, w_samples
+from gdwell.trial import build_trial
 
 # every (g, a, bc) that appears in the built-in tables
 TABLE_CASES = [
@@ -61,6 +64,18 @@ def oracle_cache():
         return cache[key]
 
     return get
+
+
+def iterates(rep) -> list[np.ndarray]:
+    """f_0 = 1, f_1, ..., f_n of a report, rebuilt with the solver's own steps
+    (a solve keeps only f_2 and the last iterate)."""
+    t, rule = build_trial(rep.params, rep.grid), QuadratureRule(rep.grid)
+    w = w_samples(rep.params, rep.grid)
+    fs = [np.ones(rep.grid.n_points)]
+    for _ in range(rep.iterations):
+        fs.append(f_step(t, rule, w, energy_step(t, rule, w, fs[-1]), fs[-1], rep.bc))
+    assert fs[-1].tobytes() == rep.f_final.tobytes()
+    return fs
 
 
 def central_diff(f, x, h):

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import first_step_energy
+from conftest import first_step_energy, iterates
 from gdwell import (
     BoundaryCondition,
     Grid,
@@ -127,7 +127,7 @@ def test_criterion_4_exact_solution(oracle_cache, solve_cache):
     assert rep.iterations >= 4
     x = rep.grid.nodes
     exact = np.exp(-x**4 / 4.0)
-    hier_err = float(np.max(np.abs(rep.psi_n(4) - exact)))
+    hier_err = float(np.max(np.abs(rep.psi0 * iterates(rep)[4] - exact)))
     ok = e_err <= 1e-4 and psi_err <= 1e-4 and hier_err <= 2e-3
     record("4 (exact case)", ok,
            f"|E-1| = {e_err:.1e} (tol 1e-4), reference-psi dev {psi_err:.1e} "
@@ -140,7 +140,7 @@ def test_criterion_5_hierarchy_properties(solve_cache, oracle_cache):
     for g, a, bc in ALL_CASES:
         rep = solve_cache(g, a, bc)
         ce = rep.curly_energies
-        fs = [np.ones(rep.grid.n_points)] + list(rep.f_history)
+        fs = iterates(rep)
         if bc == "I":
             worst = min(worst, min(ce[i + 1] - ce[i] for i in range(len(ce) - 1)))
             for n in range(1, len(fs)):

@@ -93,8 +93,7 @@ def test_f_final_recovers_from_report(solve_cache, g, a, bc):
     psi0 = build_trial(PotentialParams(cfg["g"], cfg["a"]),
                        Grid(cfg["x_max"], cfg["n_per_panel"])).psi0
     f = np.array(doc["psi_final"]) / psi0
-    f_final = rep.f_n(rep.iterations)
-    assert np.all(np.abs(f - f_final) <= np.finfo(float).eps * np.abs(f_final))
+    assert np.all(np.abs(f - rep.f_final) <= np.finfo(float).eps * np.abs(rep.f_final))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

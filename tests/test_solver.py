@@ -1,7 +1,7 @@
 """Iteration driver: energy/f steps against published values and mocks,
 boundary-value exactness, hierarchy checking, and failure modes."""
 
-import copy
+import dataclasses
 import hashlib
 import re
 import warnings
@@ -19,7 +19,7 @@ from gdwell import (
     PositivityLossError,
     PotentialParams,
 )
-from conftest import TABLE_CASES
+from conftest import TABLE_CASES, iterates
 from gdwell import closed_forms as cf
 from gdwell import quadrature
 from gdwell import solver as solver_module
@@ -198,23 +198,30 @@ class TestSolve:
         assert len(rep.energies) == rep.iterations + 1
         assert rep.energies[0] == P12.g * P12.E0
         assert len(rep.curly_energies) == rep.iterations
-        assert rep.f_n(rep.iterations).shape == rep.grid.nodes.shape
+        assert rep.f2.shape == rep.f_final.shape == rep.grid.nodes.shape
 
     def test_psi_normalization_bc_ii(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
-        for n in range(rep.iterations + 1):
-            assert rep.psi_n(n)[0] == 1.0
+        for f in iterates(rep):
+            assert (rep.psi0 * f)[0] == 1.0
+        assert rep.psi_final[0] == 1.0
 
-    def test_iterate_index_out_of_range_rejected(self):
-        rep = solve(P12, Grid(4.0, 200), max_iter=4, tol=0.0)
-        assert rep.iterations == 4
-        assert np.array_equal(rep.f_n(0), np.ones(rep.grid.n_points))
-        assert rep.f_n(4) is rep.f_history[-1]
-        for n in (-1, 5):
-            with pytest.raises(IndexError, match="0..4"):
-                rep.f_n(n)
-        with pytest.raises(IndexError, match="0..4"):
-            rep.psi_n(-2)
+    @pytest.mark.parametrize("max_iter, n2", [(1, 1), (2, 2), (3, 2)])
+    def test_report_keeps_f2_and_the_last_iterate(self, max_iter, n2):
+        rep = solve(P12, Grid(4.0, 200), max_iter=max_iter, tol=0.0)
+        fs = iterates(rep)
+        assert len(fs) == max_iter + 1
+        assert rep.f2.tobytes() == fs[n2].tobytes()
+        assert (rep.f2 is rep.f_final) == (max_iter <= 2)
+
+    def test_report_holds_three_arrays(self):
+        # a 20-iteration solve keeps psi0, f_2 and f_20, not the history
+        rep = solve(P12, Grid(4.0, 2000), max_iter=20, tol=0.0)
+        assert rep.iterations == 20
+        held = [a for fld in dataclasses.fields(rep)
+                for a in _arrays(getattr(rep, fld.name))]
+        assert len(held) == 3
+        assert all(any(a is b for a in held) for b in (rep.psi0, rep.f2, rep.f_final))
 
     def test_extreme_coupling_dynamic_range(self, solve_cache, oracle_cache):
         # at g=5 the squared trial function spans ~e^-623 across the grid;
@@ -228,7 +235,7 @@ class TestSolve:
         a = solve(P12, Grid(4.0, 400), max_iter=4, tol=0.0)
         b = solve(P12, Grid(4.0, 400), max_iter=4, tol=0.0)
         assert a.energies == b.energies
-        assert np.array_equal(a.f_n(a.iterations), b.f_n(b.iterations))
+        assert np.array_equal(a.f_final, b.f_final)
 
     def test_json_roundtrip(self, solve_cache):
         import json
@@ -419,9 +426,10 @@ def test_solve_path_writes_only_into_arrays_it_owns(bc):
         call()
         assert _bits(kept) == before, f"{name} wrote into an array it does not own"
     report = solve(p, grid, bc)
-    assert report.iterations >= 2
-    for i, a in enumerate(report.f_history):
-        for b in report.f_history[i + 1 :]:
+    assert report.iterations > 2
+    kept = [report.psi0, report.f2, report.f_final]
+    for i, a in enumerate(kept):
+        for b in kept[i + 1 :]:
             assert not np.shares_memory(a, b)
 
 
@@ -483,11 +491,25 @@ def test_solve_reaches_each_closed_form_through_the_module(monkeypatch):
     assert all(counts.values()), counts
 
 
+def hierarchy_rows(bc, fs):
+    """The iterate rows of f_1, ..., f_n in fs = [f_0, f_1, ..., f_n]."""
+    return [row for n in range(1, len(fs))
+            for row in solver_module._iterate_rows(BoundaryCondition(bc), n, fs[n - 1], fs[n])]
+
+
+def recheck(rep, curly=None, fs=None):
+    """check_hierarchy on a report's curly_E and iterates, or on injected ones."""
+    fs = iterates(rep) if fs is None else fs
+    curly = rep.curly_energies if curly is None else curly
+    return check_hierarchy(rep.bc, curly, hierarchy_rows(rep.bc, fs))
+
+
 class TestHierarchy:
     def test_clean_reference_runs(self, solve_cache):
         for g, a, bc in [(1.0, 2.0, "I"), (1.0, 2.0, "II"), (3.0, 2.0, "II")]:
             rep = solve_cache(g, a, bc)
-            assert check_hierarchy(rep) == []
+            assert rep.violations == []
+            assert recheck(rep) == []
 
     def test_bc_i_energies_strictly_decreasing(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "I")
@@ -504,25 +526,21 @@ class TestHierarchy:
 
     def test_tie_within_tolerance_is_not_a_violation(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
-        fake = copy.copy(rep)
-        n = rep.grid.n_points
-        fake.curly_energies = [0.5, 0.7, 0.5 + 5e-10, 0.7 - 5e-10]
-        fake.f_history = [np.ones(n) for _ in range(4)]
-        assert all(v.check != "odd-energy-ascending" for v in check_hierarchy(fake))
-        assert all(v.check != "even-energy-descending" for v in check_hierarchy(fake))
+        ones = [np.ones(rep.grid.n_points)] * 5
+        found = recheck(rep, [0.5, 0.7, 0.5 + 5e-10, 0.7 - 5e-10], ones)
+        assert all(v.check != "odd-energy-ascending" for v in found)
+        assert all(v.check != "even-energy-descending" for v in found)
 
     def test_detects_injected_order_violation(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
-        fake = copy.copy(rep)
-        n = rep.grid.n_points
-        fake.curly_energies = [0.7, 0.8, 0.6, 0.75]  # odd sequence descends
-        fake.f_history = [np.ones(n) for _ in range(4)]
-        checks = {v.check for v in check_hierarchy(fake)}
+        ones = [np.ones(rep.grid.n_points)] * 5
+        # odd sequence descends
+        checks = {v.check for v in recheck(rep, [0.7, 0.8, 0.6, 0.75], ones)}
         assert "odd-energy-ascending" in checks
 
     def test_ratio_monotonicity_signs_bc_ii(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
-        fs = [np.ones(rep.grid.n_points)] + list(rep.f_history)
+        fs = iterates(rep)
         for n in range(len(fs) - 1):
             d = np.diff(fs[n + 1] / fs[n])
             if n % 2 == 0:
@@ -532,27 +550,22 @@ class TestHierarchy:
 
     def test_detects_injected_bc_i_violation(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "I")
-        fake = copy.copy(rep)
-        n = rep.grid.n_points
-        fake.curly_energies = [0.7, 0.6, 0.8]  # not ascending
-        fake.f_history = [np.ones(n) for _ in range(3)]
-        checks = {v.check for v in check_hierarchy(fake)}
+        ones = [np.ones(rep.grid.n_points)] * 4
+        checks = {v.check for v in recheck(rep, [0.7, 0.6, 0.8], ones)}  # not ascending
         assert "energy-ascending" in checks
 
     def test_ratio_monotonicity_signs_bc_i(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "I")
-        fs = [np.ones(rep.grid.n_points)] + list(rep.f_history)
+        fs = iterates(rep)
         for n in range(1, len(fs) - 1):
             d = np.diff(fs[n + 1] / fs[n])
             assert float(d.max()) <= 1e-9
 
     def test_energy_drop_of_exactly_the_tolerance_is_a_violation(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "I")
-        fake = copy.copy(rep)
-        fake.curly_energies = [1e-9, 0.0]  # curly_E_2 - curly_E_1 is -1e-9 exactly
-        fake.f_history = rep.f_history[:2]
-        assert [(v.check, v.magnitude) for v in check_hierarchy(fake)] == [
-            ("energy-ascending", 1e-9)]
+        # curly_E_2 - curly_E_1 is -1e-9 exactly
+        found = recheck(rep, [1e-9, 0.0], iterates(rep)[:3])
+        assert [(v.check, v.magnitude) for v in found] == [("energy-ascending", 1e-9)]
 
     @pytest.mark.parametrize("bc, checks", [
         ("I", ["iterate-nonincreasing-in-x"]),
@@ -579,16 +592,17 @@ class TestHierarchy:
                     (10.0, A10, "I"),
                 ]
             ]
+        lists = []
+        for rep in reports:
+            assert recheck(rep) == rep.violations
+            lists.append(rep.violations)
         for bc, curly in [("I", [0.7, 0.6, 0.8]), ("II", [0.7, 0.65, 0.6, 0.9])]:
             rep = solve_cache(1.0, 2.0, bc)
-            fake = copy.copy(rep)
-            fs = rep.f_history
-            fake.curly_energies = curly
-            fake.f_history = [fs[1], fs[0]] + fs[2:len(curly)]
-            reports.append(fake)
+            fs = iterates(rep)
+            lists.append(recheck(rep, curly, [fs[0], fs[2], fs[1]] + fs[3:len(curly) + 1]))
         h = hashlib.sha256()
-        for rep in reports:
-            for v in check_hierarchy(rep):
+        for found in lists:
+            for v in found:
                 h.update(f"{v.check}|{v.detail}|{v.magnitude.hex()}\n".encode())
             h.update(b"--\n")
         assert h.hexdigest() == PINNED_VIOLATIONS_SHA256

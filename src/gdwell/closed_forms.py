@@ -319,7 +319,9 @@ def eval_u(p: PotentialParams, x):
     taken in the pole-free plus form gamma / (8 (x^2+a)^2 (alpha + 8 r beta))
     whenever beta >= 0 (always true for a >= 1/2; for a < 1/2 only small x
     have beta < 0, where the minus form is subtraction-free and far from
-    the x=1 pole).  Positive for all x >= 0, a > 0, and -> 0 as x -> infinity.
+    the x=1 pole).  Positive for all x >= 0, a > 0, and -> 0 as x -> infinity;
+    in floats it reads 0 from x ~ 4e30, where the denominator overflows, and
+    nan from x ~ 1.7e38, where gamma overflows too.  No grid reaches such x.
     """
     x = _check_nonnegative(x)
     scalar = x.ndim == 0

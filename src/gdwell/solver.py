@@ -201,10 +201,14 @@ def _check_grid(
     np.abs(abs_w, out=abs_w)
     step = _factors(t, rule).max_step
     if step > STEP_CAP:
-        needed = 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / STEP_CAP / 2.0)
+        # the estimate scales the largest step as 1/n, which a coarse start
+        # can undershoot: the named n is confirmed by its own steps
+        fine = Grid(xm, 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / STEP_CAP / 2.0))
+        while _factors(build_trial(p, fine), QuadratureRule(fine)).max_step > STEP_CAP:
+            fine = Grid(xm, fine.n_per_panel + 2)
         raise GridError(
             f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid "
-            f"spacing too coarse for this trial function (use n_per_panel >= {needed})"
+            f"spacing too coarse for this trial function (use n_per_panel >= {fine.n_per_panel})"
         )
     sup_w = max(float(abs_w.max()), abs(float(w[1, 0])))
     tail = math.exp(2.0 * float(t.log_phi[-1])) * sup_w / lam

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import gdwell
-from gdwell import OracleConfig, PotentialParams, oracle_ground_state
+from gdwell import Grid, OracleConfig, PotentialParams, oracle_ground_state, solve
+from gdwell._io import format_float
 from gdwell.closed_forms import find_a_g
 from gdwell.cli import main
 
@@ -165,6 +166,27 @@ class TestSolveCommand:
         inside = x <= half
         assert inside.sum() > 700
         assert float(np.max(np.abs(psi_oracle - np.exp(-x**4 / 4.0))[inside])) <= 1e-10
+
+    def test_psi_dump_iterate_columns(self, capsys, tmp_path):
+        # psi2 and psi_final to the CSV's 17 digits: psi2 is psi_2 of the
+        # run, and psi_1 when the run made one iterate
+        def columns(*extra):
+            out = tmp_path / "psi.csv"
+            code, _, _ = run(capsys, "solve", "--g", "1", "--a", "2", "--bc", "II",
+                             "--n-points", "400", "--dump-psi", str(out), *extra)
+            assert code == 0
+            return list(zip(*(line.split(",") for line in out.read_text().splitlines()[2:])))
+
+        def cells(psi):
+            return tuple(map(format_float, psi.tolist()))
+
+        p, grid = PotentialParams(1.0, 2.0), Grid(4.0, 400)
+        _, _, psi2, psi_final, _ = columns()
+        assert psi2 == cells(solve(p, grid, max_iter=2, tol=0.0).psi_final)
+        assert psi_final == cells(solve(p, grid).psi_final)
+        assert psi2 != psi_final
+        _, _, psi2, psi_final, _ = columns("--max-iter", "1", "--tol", "0")
+        assert psi2 == psi_final == cells(solve(p, grid, max_iter=1, tol=0.0).psi_final)
 
     @pytest.mark.parametrize("x_max", ["inf", "nan"])
     def test_non_finite_x_max_exit_2(self, capsys, tmp_path, x_max):

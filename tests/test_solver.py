@@ -356,6 +356,28 @@ def test_coarse_grid_is_rejected_before_iterating(g, a, n, monkeypatch):
         calls.clear()
 
 
+# short grids from a very coarse start, where the 1/n estimate of the step
+# named an n that the step check rejected again (88 at (12, 100), 36 at
+# (5, 100), 32 at (8, 30)); at (2, 100) the named n fails the tail check
+SHORT_CASES = [(12.0, 100.0, 8, 92), (5.0, 100.0, 8, 38), (8.0, 30.0, 8, 34),
+               (2.0, 100.0, 8, 16)]
+
+
+@pytest.mark.parametrize("g,a,n,named", SHORT_CASES)
+def test_named_n_passes_the_step_check(g, a, n, named):
+    p, fine = PotentialParams(g, a), Grid(1.5, named)
+    with pytest.raises(GridError, match=rf"use n_per_panel >= {named}\)"):
+        solve(p, Grid(1.5, n))
+    assert quadrature._factors(build_trial(p, fine), QuadratureRule(fine)).max_step \
+        <= solver_module.STEP_CAP
+    try:
+        rep = solve(p, fine)
+    except GridError as exc:
+        assert "truncation tail" in str(exc)
+    else:
+        assert rep.converged and not rep.violations
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 @pytest.mark.parametrize("g,a,n,step", [(12.0, 6.0, 2000, 2.532), (20.0, 3.0, 2980, 2.633)])
 def test_steps_just_under_the_cap_run_clean(g, a, n, step, bc):

@@ -2,24 +2,25 @@
 
 JSON is emitted by a small recursive serializer so every float is printed
 with 17 significant digits (lossless round-trip) and identical configs
-produce byte-identical files.  A list of Python floats, such as a
-wavefunction, is written by one %-format over the whole list, not element by
-element.  So is a list of equal-length lists or tuples of Python floats,
-such as the region report's (a, x) curve pairs, one row to a line; any
-other list of lists (ragged rows, or a row that holds an int) takes the
-per-element path, which writes the same bytes.  A numpy scalar, alone or in
-a list, is written as the Python value its .item() gives.  A non-finite
-float raises NonFiniteOutputError, because JSON has no literal for it.  That
-error is a GdwellError, a numeric failure upstream (the CLI exits 3), and a
-ValueError; write_json formats the whole document before it opens the file,
-so it leaves no file behind.  CSV files start with a schema/config comment
-line followed by a header row; table cells carry 4 decimals, and a cell
-that holds a comma or a quote is quoted.
+produce byte-identical files.  A float64 numpy array, such as a wavefunction
+or a region curve's (a, x) rows, is written by one %-format, _format_array:
+a 1-D array on one line, a 2-D one a row to a line.  Any other array raises
+TypeError.  A list of Python scalars is written element by element, in the
+same text, and a numpy scalar, alone or in a list, as the Python value its
+.item() gives.  A non-finite float raises NonFiniteOutputError, since a
+report has no text for it.  That error is a GdwellError, a numeric failure
+upstream (the CLI exits 3), and a ValueError.  CSV files start with a
+schema/config comment line followed by a header row; their rows are a float
+array, written by _format_array with commas, or str cells (table cells carry
+4 decimals), and a cell that holds a comma or a quote is quoted.  Both
+writers format the whole file before they open it, so a refusal leaves no
+file behind.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from typing import Any, Iterable, Sequence
@@ -37,26 +38,21 @@ def format_float(v: float) -> str:
 
 
 def _non_finite(v: Any) -> NonFiniteOutputError:
-    return NonFiniteOutputError(f"JSON has no literal for the non-finite float {v!r}")
+    return NonFiniteOutputError(f"a report has no text for the non-finite float {v!r}")
 
 
-def _format_floats(fmt: str, values: Sequence[float]) -> str:
-    """fmt % values, where fmt holds one "%.17g" per value; "%.17g" formats
-    as format_float does, and only inf and nan hold an "n"."""
-    text = fmt % tuple(values)
-    if "n" in text:
-        raise _non_finite(next(v for v in values if not math.isfinite(v)))
-    return text
-
-
-def _float_rows(obj: Sequence) -> list[float] | None:
-    """The values of a list of equal-length, non-empty lists of Python
-    floats, row by row; None for any other list."""
-    width = len(obj[0]) if type(obj[0]) in (list, tuple) else 0
-    if not width or any(type(r) not in (list, tuple) or len(r) != width for r in obj):
-        return None
-    flat = [v for r in obj for v in r]
-    return flat if set(map(type, flat)) == {float} else None
+def _format_array(values: np.ndarray, row: str, sep: str = ", ", row_sep: str = "") -> str:
+    """A 1-D (one row) or 2-D float64 array as text, by one %-format: each row
+    is row with its values, "%.17g" each (format_float's text), joined by sep
+    in place of "{}", and the rows are joined by row_sep."""
+    if values.dtype != np.float64 or values.ndim not in (1, 2):
+        raise TypeError(f"a report writes 1-D or 2-D float64 arrays, not a "
+                        f"{values.ndim}-D {values.dtype} one")
+    rows = np.atleast_2d(values)
+    if not np.isfinite(rows).all():
+        raise _non_finite(rows[~np.isfinite(rows)][0].item())
+    fmt = row.replace("{}", sep.join(["%.17g"] * rows.shape[1]))
+    return row_sep.join([fmt] * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def _serialize(obj: Any, indent: int) -> str:
@@ -76,16 +72,16 @@ def _serialize(obj: Any, indent: int) -> str:
         if any(issubclass(k, np.generic) for k in kinds):
             return _serialize([v.item() if isinstance(v, np.generic) else v for v in obj],
                               indent)
-        if kinds == {float}:
-            return "[" + _format_floats(", ".join(["%.17g"] * len(obj)), obj) + "]"
         if all(issubclass(k, _SCALARS) for k in kinds):
             return "[" + ", ".join(_serialize(v, indent) for v in obj) + "]"
-        flat = _float_rows(obj)
-        if flat is not None:
-            row = f"{pad}  [" + ", ".join(["%.17g"] * len(obj[0])) + "]"
-            return "[\n" + _format_floats(",\n".join([row] * len(obj)), flat) + f"\n{pad}]"
         items = [f"{pad}  {_serialize(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2:
+            return _format_array(obj, "[{}]")
+        if not len(obj):
+            return "[]"
+        return "[\n" + _format_array(obj, f"{pad}  [{{}}]", row_sep=",\n") + f"\n{pad}]"
     if isinstance(obj, np.generic):
         return _serialize(obj.item(), indent)
     if isinstance(obj, bool):
@@ -117,9 +113,15 @@ def csv_preamble(config: dict) -> str:
 
 
 def write_csv(path: str, config: dict, header: list[str],
-              rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_preamble(config) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+              rows: np.ndarray | Iterable[Sequence[str]]) -> None:
+    """rows are a 2-D float64 array, a row to a line, or rows of str cells."""
+    buf = io.StringIO()
+    buf.write(csv_preamble(config) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    if isinstance(rows, np.ndarray):
+        buf.write(_format_array(rows, "{}\n", ","))
+    else:
         writer.writerows(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())

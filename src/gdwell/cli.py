@@ -120,10 +120,8 @@ def _dump_wavefunctions(path: str, cfg: RunConfig, report: SolveReport) -> None:
         PotentialParams(cfg.g, cfg.a), OracleConfig(L=max(6.0, cfg.x_max + 2.0))
     )
     columns = (x, report.psi0, report.psi0 * report.f2, report.psi_final, res.psi_at(x))
-    rows = zip(*(map(_io.format_float, c.tolist()) for c in columns))
-    _io.write_csv(
-        path, cfg.as_dict(), ["x", "psi0", "psi2", "psi_final", "psi_oracle"], rows
-    )
+    _io.write_csv(path, cfg.as_dict(), ["x", "psi0", "psi2", "psi_final", "psi_oracle"],
+                  np.column_stack(columns))
 
 
 def _solve_row(row: reference.TableRow) -> tuple[SolveReport, float]:
@@ -148,7 +146,7 @@ def cmd_table(args) -> int:
         computed = rep.energies[:6]
         worst = max(worst, diff)
         note = ""
-        if (row.origin, row.label) in reference.KNOWN_DISCREPANT_ROWS:
+        if (row.origin, row.label) in reference.ERRATA:
             published = max(abs(c - r) for c, r in zip(computed, row.energies))
             note = f"known-discrepant-reference; published row off by {published:.1e}"
         out_rows.append(
@@ -171,12 +169,8 @@ def cmd_region(args) -> int:
              "alpha_tilde_zero": "z", "beta_tilde_zero": "z", "gamma_tilde_zero": "z"}
     for name, pts in rep.curves.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        _io.write_csv(
-            path,
-            {"resolution": args.resolution, "curve": name},
-            ["a", plane[name]],
-            [[_io.format_float(a), _io.format_float(v)] for a, v in pts],
-        )
+        _io.write_csv(path, {"resolution": args.resolution, "curve": name},
+                      ["a", plane[name]], pts)
         print(f"wrote {path} ({len(pts)} points)")
     doc = rep.to_json_dict()
     doc["a_g_sweep"] = [
@@ -196,9 +190,8 @@ def cmd_oracle(args) -> int:
     census = peak_census(res.x, res.psi)
     print(f"E = {res.energy:.6f} +/- {res.error_estimate:.1e}   shape: {census.kind}")
     if args.out:
-        rows = zip(*(map(_io.format_float, c.tolist()) for c in (res.x, res.psi)))
         _io.write_csv(args.out, {"g": args.g, "a": args.a, "L": args.L, "n": args.n},
-                      ["x", "psi"], rows)
+                      ["x", "psi"], np.column_stack((res.x, res.psi)))
         print(f"wrote {args.out}")
     return EXIT_OK
 

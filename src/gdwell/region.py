@@ -32,8 +32,6 @@ __all__ = [
     "gamma_tilde_coeffs",
     "gamma_tilde",
     "identity_residuals",
-    "poly_A",
-    "poly_B",
     "eval_u_prime",
     "u_prime_a2",
     "Section3Report",
@@ -130,13 +128,13 @@ _C1_COEFFS = [-1152.0, 2880.0, 34008.0, 77952.0, 83706.0, 49880.0, 16740.0, 3000
 _C2_COEFFS = [1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0]
 
 
-def poly_A(x):
+def _poly_A(x):
     """a=2 denominator polynomial 5x^6 + 10x^4 + 21x^2 + 12."""
     x2 = np.asarray(x, dtype=float) ** 2
     return polyval(x2, [12.0, 21.0, 10.0, 5.0])
 
 
-def poly_B(x):
+def _poly_B(x):
     """a=2 denominator companion 8 sqrt(3) x (x^2+1) sqrt(x^2+2)."""
     x = np.asarray(x, dtype=float)
     return 8.0 * math.sqrt(3.0) * x * (x * x + 1.0) * np.sqrt(x * x + 2.0)
@@ -161,7 +159,7 @@ def u_prime_a2(x):
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x * x + 2.0)
-    denom_core = (x * x + 2.0) ** 2 * (poly_A(x) + poly_B(x))
+    denom_core = (x * x + 2.0) ** 2 * (_poly_A(x) + _poly_B(x))
     return -0.375 * (_poly_C1(x) * r + _poly_C2(x)) / (r * denom_core**2)
 
 
@@ -318,7 +316,7 @@ _ALPHA_TILDE_END = _fold(_ALPHA_TILDE_FOLD, _ALPHA_TILDE, "z", *_Z_WINDOW)
 @dataclass
 class RegionReport:
     resolution: int
-    curves: dict[str, list[tuple[float, float]]]
+    curves: dict[str, np.ndarray]   # a (k, 2) float array of (a, root) rows each
     misses: dict[str, int]
     a_c: float
     a_c_width: float
@@ -327,6 +325,8 @@ class RegionReport:
     sign_region_violations: dict[str, int]
 
     def to_json_dict(self) -> dict:
+        """The report as schema gdwell-region-report-v1, for _io.write_json;
+        each curve stays its (k, 2) array, written a row to a line."""
         return {
             "schema": "gdwell-region-report-v1",
             "config": {"resolution": self.resolution},
@@ -340,11 +340,11 @@ class RegionReport:
         }
 
 
-def _points(a: np.ndarray, roots: np.ndarray) -> list[tuple[float, float]]:
-    """The (a, root) pairs of a sweep, row by row: each a paired with each
-    finite entry of its row of roots."""
+def _points(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The (a, root) rows of a sweep: each a paired with each finite entry of
+    its row of roots."""
     finite = np.isfinite(roots)
-    return list(zip(np.repeat(a, finite.sum(axis=1)).tolist(), roots[finite].tolist()))
+    return np.column_stack([np.repeat(a, finite.sum(axis=1)), roots[finite]])
 
 
 def trace_curves(resolution: int = 200) -> RegionReport:
@@ -363,12 +363,12 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     """
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
-    curves: dict[str, list[tuple[float, float]]] = {}
+    curves: dict[str, np.ndarray] = {}
     misses: dict[str, int] = {"beta_zero": 0}
 
     # beta = 0: x = sqrt((1 - 2a)/3), present exactly when a < 1/2
     a = np.geomspace(1e-4, 0.4999, resolution)
-    curves["beta_zero"] = list(zip(a.tolist(), np.sqrt((1.0 - 2.0 * a) / 3.0).tolist()))
+    curves["beta_zero"] = np.column_stack([a, np.sqrt((1.0 - 2.0 * a) / 3.0)])
 
     # gamma = 0: roots in s = x^2 on (0, X_G1_ROOT^2)
     a = np.geomspace(1e-5, _GAMMA_END, resolution)

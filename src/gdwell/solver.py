@@ -99,12 +99,12 @@ class SolveReport:
         return [f"{e:.4f}" for e in self.energies]
 
     def to_json_dict(self) -> dict:
-        """The report as schema gdwell-solve-report-v3.
+        """The report as schema gdwell-solve-report-v3, for _io.write_json.
 
-        Each array is written once: psi_final, the paper's object, and not
-        f_final, which it fixes.  f = psi_final / psi0, with psi0 from
-        build_trial on the config's grid, Grid(x_max, n_per_panel); where
-        psi0 underflows to 0, f cannot be recovered.
+        Each array is written once, as its float64 array: psi_final, the
+        paper's object, and not f_final, which it fixes.  f = psi_final /
+        psi0, with psi0 from build_trial on the config's grid, Grid(x_max,
+        n_per_panel); where psi0 underflows to 0, f cannot be recovered.
         """
         return {
             "schema": "gdwell-solve-report-v3",
@@ -127,7 +127,7 @@ class SolveReport:
             "iterations": self.iterations,
             "violations": [str(v) for v in self.violations],
             "warnings": list(self.warnings),
-            "psi_final": self.psi_final.tolist(),
+            "psi_final": self.psi_final,
         }
 
 
@@ -192,7 +192,9 @@ def _check_grid(
     """Raise GridError if the grid is too coarse for t (a step of 2 log phi
     above STEP_CAP) or too short (a tail beyond x_max, below phi^2(x_max)
     sup|w| / lambda, above TAIL_RATIO_BOUND of the integral of |w| phi^2).
-    lambda = 2 (g S0' + S1') at x_max bounds every outer step by lambda h."""
+    lambda = 2 (g S0' + S1') at x_max bounds every outer step by lambda h.
+    A step error names an n_per_panel whose steps pass and ends with that
+    grid's own tail error, if it has one."""
     xm, n = rule.grid.x_max, rule.grid.n_per_panel
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
     # |w| at the nodes and before the factors, so that the iteration reuses its
@@ -204,12 +206,18 @@ def _check_grid(
         # the estimate scales the largest step as 1/n, which a coarse start
         # can undershoot: the named n is confirmed by its own steps
         fine = Grid(xm, 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / STEP_CAP / 2.0))
-        while _factors(build_trial(p, fine), QuadratureRule(fine)).max_step > STEP_CAP:
+        t_fine = build_trial(p, fine)
+        while _factors(t_fine, QuadratureRule(fine)).max_step > STEP_CAP:
             fine = Grid(xm, fine.n_per_panel + 2)
-        raise GridError(
-            f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid "
-            f"spacing too coarse for this trial function (use n_per_panel >= {fine.n_per_panel})"
-        )
+            t_fine = build_trial(p, fine)
+        msg = (f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid spacing "
+               f"too coarse for this trial function (use n_per_panel >= {fine.n_per_panel})")
+        # the named grid passes the step check, so only its tail can fail
+        try:
+            _check_grid(p, t_fine, QuadratureRule(fine), w_samples(p, fine))
+        except GridError as exc:
+            msg += f"; on that grid the {exc}"
+        raise GridError(msg)
     sup_w = max(float(abs_w.max()), abs(float(w[1, 0])))
     tail = math.exp(2.0 * float(t.log_phi[-1])) * sup_w / lam
     peak = integrate_against_phi2(t, rule, abs_w)

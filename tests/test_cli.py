@@ -383,6 +383,28 @@ class TestViolationExitCode:
         assert "numeric error" in captured.err and "inf" in captured.err
         assert not out.exists()
 
+    def test_non_finite_psi_dump_exits_3_and_writes_nothing(self, capsys, monkeypatch,
+                                                            tmp_path):
+        """The CSV writer refuses an inf cell as the JSON writer does."""
+        import gdwell.cli as cli
+
+        real_solve = cli.solve
+
+        def doctored(*args, **kwargs):
+            rep = real_solve(*args, **kwargs)
+            rep.psi0 = rep.psi0.copy()
+            rep.psi0[-3] = np.inf
+            return rep
+
+        monkeypatch.setattr(cli, "solve", doctored)
+        out = tmp_path / "psi.csv"
+        code = cli.main(["solve", "--g", "1", "--a", "2", "--bc", "II",
+                         "--n-points", "200", "--dump-psi", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "numeric error" in captured.err and "inf" in captured.err
+        assert not out.exists()
+
     def test_one_iterate_run_exits_1(self, capsys):
         # just above a_g(5), below the critical shape value, f_1 rises in x
         a = repr(1.001 * find_a_g(5.0))

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdwell import Grid, PotentialParams, build_trial, region
-from gdwell._io import _float_rows, csv_preamble, dumps_json, format_float, write_csv, write_json
+from gdwell._io import csv_preamble, dumps_json, format_float, write_csv, write_json
+from gdwell.errors import NonFiniteOutputError
 
 
 def test_float_formatting_round_trips():
@@ -111,7 +112,6 @@ def _per_element(rows) -> str:
 @given(st.integers(1, 3).flatmap(
     lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1)))
 def test_float_rows_match_per_element_format(rows):
-    assert _float_rows(rows) is not None
     assert dumps_json(rows) == _per_element(rows)
     assert dumps_json([tuple(r) for r in rows]) == _per_element(rows)
 
@@ -125,8 +125,54 @@ def test_float_rows_match_per_element_format(rows):
              min_size=1).filter(lambda rows: any(type(v) is int for r in rows for v in r)),
 ))
 def test_ragged_or_int_rows_fall_back(rows):
-    assert _float_rows(rows) is None
     assert dumps_json(rows) == _per_element(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1)))
+def test_float_arrays_match_per_element_format(rows):
+    """One %-format over an array writes what the per-element path writes
+    for the same values as Python floats: a 2-D array a row to a line, a
+    1-D one on one line, also nested in a document."""
+    arr = np.array(rows, dtype=float)
+    assert dumps_json(arr) == _per_element(rows)
+    assert dumps_json(arr[0]) == dumps_json(rows[0]) \
+        == "[" + ", ".join(map(format_float, rows[0])) + "]\n"
+    doc = {"k": {"rows": arr, "flat": arr.ravel()}}
+    plain = {"k": {"rows": rows, "flat": [v for r in rows for v in r]}}
+    assert dumps_json(doc) == dumps_json(plain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1)))
+def test_csv_array_rows_are_format_float_cells(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(str(path), {"g": 1.0}, ["c"] * len(rows[0]), np.array(rows, dtype=float))
+    assert path.read_text().splitlines()[2:] == [",".join(map(format_float, r)) for r in rows]
+
+
+def test_empty_curve_writes_an_empty_list_and_a_bare_csv(tmp_path):
+    empty = np.column_stack([np.zeros(0), np.zeros(0)])
+    assert empty.shape == (0, 2)
+    assert dumps_json({"curve": empty}) == '{\n  "curve": []\n}\n'
+    assert dumps_json(np.zeros(0)) == "[]\n"
+    path = tmp_path / "c.csv"
+    write_csv(str(path), {"curve": "x"}, ["a", "x"], empty)
+    assert path.read_text().splitlines() == [csv_preamble({"curve": "x"}), "a,x"]
+
+
+@pytest.mark.parametrize("arr", [np.arange(3), np.ones(3, dtype=np.float32),
+                                 np.ones((2, 2, 2)), np.array(1.0), np.array(["s"])],
+                         ids=["int", "float32", "3-D", "0-D", "str"])
+def test_array_the_formatter_cannot_write_raises(arr, tmp_path):
+    """No array is written as its str()."""
+    with pytest.raises(TypeError, match="float64"):
+        dumps_json({"a": arr})
+    with pytest.raises(TypeError, match="float64"):
+        write_csv(str(tmp_path / "t.csv"), {}, ["a"], arr)
+    assert not (tmp_path / "t.csv").exists()
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,6 +227,23 @@ def test_numpy_scalars_written_as_their_python_values(solve_cache):
 def test_non_finite_float_raises(doc):
     with pytest.raises(ValueError, match="non-finite"):
         dumps_json(doc)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shape", [(7,), (3, 2)])
+def test_non_finite_array_raises_in_both_writers(tmp_path, bad, shape):
+    arr = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
+    arr.flat[-2] = bad
+    with pytest.raises(NonFiniteOutputError, match=repr(float(bad))):
+        dumps_json({"psi": arr})
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteOutputError):
+        write_json(str(path), {"psi": arr})
+    assert not path.exists()
+    path = tmp_path / "r.csv"
+    with pytest.raises(NonFiniteOutputError, match=repr(float(bad))):
+        write_csv(str(path), {"g": 1.0}, ["x", "y"], arr.reshape(len(arr), -1))
+    assert not path.exists()
 
 
 def test_csv_preamble_and_rows(tmp_path):

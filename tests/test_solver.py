@@ -378,6 +378,23 @@ def test_named_n_passes_the_step_check(g, a, n, named):
         assert rep.converged and not rep.violations
 
 
+@pytest.mark.parametrize("g,a,n,named", SHORT_CASES)
+def test_step_rejection_gives_the_named_grids_tail_verdict(g, a, n, named):
+    """The message ends with the named grid's own tail error, if it has one:
+    (2, 100) names n = 16, whose tail at x_max = 1.5 is 2.57e-05."""
+    p = PotentialParams(g, a)
+    with pytest.raises(GridError) as rejected:
+        solve(p, Grid(1.5, n))
+    try:
+        solve(p, Grid(1.5, named))
+    except GridError as exc:
+        tail = f"; on that grid the {exc}"
+    else:
+        tail = ""
+    assert bool(tail) == ((g, a) == (2.0, 100.0))
+    assert str(rejected.value).endswith(f"(use n_per_panel >= {named}){tail}")
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 @pytest.mark.parametrize("g,a,n,step", [(12.0, 6.0, 2000, 2.532), (20.0, 3.0, 2980, 2.633)])
 def test_steps_just_under_the_cap_run_clean(g, a, n, step, bc):

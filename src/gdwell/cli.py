@@ -21,7 +21,7 @@ from .closed_forms import PotentialParams, eval_u
 from .errors import ConvergenceDomainError, GdwellError, GridError, NonFiniteOutputError
 from .oracle import OracleConfig, oracle_ground_state, peak_census
 from .solver import BoundaryCondition, SolveReport, solve
-from .trial import Grid
+from .trial import MAX_N_PER_PANEL, Grid
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bc", choices=["I", "II"])
     s.add_argument("--x-max", dest="x_max", type=float)
     s.add_argument("--n-points", dest="n_points", type=int,
-                   help="intervals per panel (even, >= 8); the grid has 2n+1 nodes")
+                   help=f"intervals per panel (even, 8 to {MAX_N_PER_PANEL}); "
+                        "the grid has 2n+1 nodes")
     s.add_argument("--tol", type=float)
     s.add_argument("--max-iter", dest="max_iter", type=int)
     s.add_argument("--out")

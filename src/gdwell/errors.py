@@ -12,14 +12,15 @@ class ConvergenceDomainError(GdwellError):
 
 class GridError(GdwellError):
     """Computational grid unfit for the run: malformed (x_max not above 1,
-    too few points, ...), too short for the trial function's tail, or too
-    coarse for it (a step of 2 log phi between adjacent nodes above the
-    solver's STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634 in size, where the rule's
-    inner integral of a positive integrand can turn negative)."""
+    too few or too many points, ...), too short for the trial function's
+    tail, or too coarse for it (a step of 2 log phi between adjacent nodes
+    above the solver's STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634 in size, where
+    the rule's inner integral of a positive integrand can turn negative)."""
 
 
 class GridMismatchError(GdwellError):
-    """Sampled values do not match the quadrature rule's grid."""
+    """Sampled values do not have the shape of the grid's node values or
+    panel arrays (Grid.panels)."""
 
 
 class DegenerateDenominatorError(GdwellError):

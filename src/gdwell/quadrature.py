@@ -2,11 +2,11 @@
 nested double-integral operators used by the iteration, stabilized in log
 space.
 
-Every sampled function is one (2, n_per_panel+1) panel array, row p on
-panel p, with x = 1 in both rows (see gdwell.trial).  The functions here take
-either such an array, which keeps the two one-sided values of a function
-that jumps at x = 1, or the node values of a continuous function, which they
-view as one through Grid.panels.
+Every operator takes its samples and then the trial function t, whose grid
+it reads.  Samples are one (2, n_per_panel+1) panel array, row p on panel
+p, with x = 1 in both rows (see gdwell.trial), which keeps the two one-sided
+values of a function that jumps at x = 1, or the node values of a
+continuous function, which Grid.panels views as one and checks for shape.
 
 The rule integrates each interval [x_k, x_{k+1}] of a panel with the cubic
 through the four nearest nodes, h (-u_{k-1} + 13 u_k + 13 u_{k+1} - u_{k+2})
@@ -28,9 +28,9 @@ trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
 phi^2(x_k), the exponential of one step of 2 log phi.  Precondition: every
 step is far below B = _SCAN_BAND = 200 in size, which gdwell.solver.solve
 guarantees by rejecting, before it iterates, every grid with a step above
-its STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634.  The step ratios, the largest step
-and the node weights of the phi^2 integral depend only on the trial function:
-they are built once per TrialFunction, on first use, and kept on it.
+its STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634, read from log phi.  The step
+ratios and the node weights of the phi^2 integral depend only on the trial
+function: they are built once per TrialFunction, on first use, and kept on it.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -79,16 +79,13 @@ write into the grid raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .trial import Grid, TrialFunction
 
 __all__ = [
-    "QuadratureRule",
     "integrate_against_phi2",
     "nested_tail",
     "nested_origin",
@@ -96,19 +93,6 @@ __all__ = [
 
 # width of the scan bands in 2 log phi; see the module docstring
 _SCAN_BAND = 200.0
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite rule on the two-panel grid.
-
-    Every interval [x_k, x_{k+1}] is integrated with the cubic through the
-    four nearest nodes (exact on cubics, the open-ended counterpart of
-    composite Simpson), so cumulative values exist at every node at the same
-    order of accuracy.
-    """
-
-    grid: Grid
 
 
 def _samples(grid: Grid, values) -> np.ndarray:
@@ -175,53 +159,44 @@ def _run_scan(x: np.ndarray, scan: _Scan) -> None:
 
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
-    of the phi^2 integral, the step ratios up, row p for panel p, the largest
-    step of 2 log phi in size, the phi^2 peak node and the layouts of the
-    prefix scan (left of the peak) and of the suffix scan (from the peak on,
-    in reverse node order)."""
+    of the phi^2 integral, the step ratios up, row p for panel p, the phi^2
+    peak node and the layouts of the prefix scan (left of the peak) and of
+    the suffix scan (from the peak on, in reverse node order)."""
 
     weights: np.ndarray
     up: np.ndarray  # phi^2(k+1)/phi^2(k), (2, n_per_panel)
-    max_step: float  # max |2 log phi(k+1) - 2 log phi(k)|
     peak: int
     prefix: _Scan
     suffix: _Scan
 
 
-def _factors(t: TrialFunction, rule: QuadratureRule) -> _Factors:
+def _factors(t: TrialFunction) -> _Factors:
     """The trial-only factors of t, built on first use and kept on t."""
-    if rule.grid != t.grid:
-        raise GridMismatchError(
-            f"rule grid ({rule.grid.x_max}, {rule.grid.n_per_panel}) differs from "
-            f"the trial function's ({t.grid.x_max}, {t.grid.n_per_panel})"
-        )
     if t.quadrature_factors is None:
         l2 = np.multiply(2.0, t.log_phi)
         l2p = t.grid.panels(l2)
-        # the steps of 2 log phi: doubling is exact, so these are the doubled
-        # steps of log phi bit for bit; then their exponentials in place
+        # the steps of 2 log phi, then their exponentials in place
         up = np.subtract(l2p[:, 1:], l2p[:, :-1])
-        max_step = max(float(up.max()), -float(up.min()))  # without |up|
         np.exp(up, out=up)
         peak = int(np.argmax(l2))
         m = max(peak - 1, 0)
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(l2p, t.grid), up, max_step, peak,
+            _weights(l2p, t.grid), up, peak,
             _scan_layout(l2[1 : m + 1]), _scan_layout(l2[peak:-1][::-1])
         ))
     return t.quadrature_factors
 
 
-def integrate_against_phi2(t: TrialFunction, rule: QuadratureRule, values) -> float:
+def integrate_against_phi2(values, t: TrialFunction) -> float:
     """Integral of values * phi^2 over [0, x_max]: the samples of both
     panels dotted with the node weights.  The order of the sum follows the
     memory layout of values, so node values of a continuous function go in
     as they are, through the Grid.panels view, not as a (2, n_per_panel+1)
     copy, which would round differently."""
-    w = _factors(t, rule).weights
+    w = _factors(t).weights
     # einsum sums in numpy, not in BLAS, whose ddot splits long rows across
     # threads and so would make the rounding depend on the core count
-    return float(np.einsum("ij,ij->", w, _samples(rule.grid, values)))
+    return float(np.einsum("ij,ij->", w, _samples(t.grid, values)))
 
 
 def _ghost_end(h: float, a, b, c, d) -> float:
@@ -313,7 +288,7 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     return out
 
 
-def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
+def nested_tail(h_samples, t: TrialFunction) -> np.ndarray:
     """F(x) = integral_x^xmax dy/phi^2(y) integral_y^xmax h(z) phi^2(z) dz
     at every node (the tail-normalized double integral).  F(x_max) = 0
     exactly, which pins the boundary value of the iterates.
@@ -324,13 +299,13 @@ def nested_tail(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray
     minus the prefix sum, so the O(eps) residual of the total is never
     divided by phi^2.
     """
-    f = _factors(t, rule)
-    inner = _inner_scaled(f, rule.grid, h_samples)
+    f = _factors(t)
+    inner = _inner_scaled(f, t.grid, h_samples)
     np.negative(inner[: f.peak], out=inner[: f.peak])
-    return _node_cumulative(rule.grid, inner, suffix=True)
+    return _node_cumulative(t.grid, inner, suffix=True)
 
 
-def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarray:
+def nested_origin(h_samples, t: TrialFunction) -> np.ndarray:
     """F(x) = integral_0^x dy/phi^2(y) integral_0^y h(z) phi^2(z) dz at every
     node (the origin-normalized double integral).  F(0) = 0 exactly.
 
@@ -339,7 +314,7 @@ def nested_origin(t: TrialFunction, rule: QuadratureRule, h_samples) -> np.ndarr
     like e^{+2g|S0|}, the inner integral is then minus the suffix sum: the
     bounded solution branch.
     """
-    f = _factors(t, rule)
-    inner = _inner_scaled(f, rule.grid, h_samples)
+    f = _factors(t)
+    inner = _inner_scaled(f, t.grid, h_samples)
     np.negative(inner[f.peak :], out=inner[f.peak :])
-    return _node_cumulative(rule.grid, inner, suffix=False)
+    return _node_cumulative(t.grid, inner, suffix=False)

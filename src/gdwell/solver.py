@@ -32,10 +32,9 @@ from .errors import (
     OutsideRegionWarning,
     PositivityLossError,
 )
-from .quadrature import QuadratureRule, _factors, integrate_against_phi2
-from .quadrature import nested_origin, nested_tail
+from .quadrature import integrate_against_phi2, nested_origin, nested_tail
 from .region import A_C
-from .trial import Grid, TrialFunction, build_trial
+from .trial import MAX_N_PER_PANEL, Grid, TrialFunction, build_trial
 
 __all__ = [
     "BoundaryCondition",
@@ -141,22 +140,19 @@ def w_samples(p: PotentialParams, grid: Grid) -> np.ndarray:
     return w
 
 
-def energy_step(
-    t: TrialFunction, rule: QuadratureRule, w: np.ndarray, f_prev: np.ndarray
-) -> float:
+def energy_step(t: TrialFunction, w: np.ndarray, f_prev: np.ndarray) -> float:
     """curly_E = integral(w phi^2 f_prev) / integral(phi^2 f_prev)."""
-    den = integrate_against_phi2(t, rule, f_prev)
+    den = integrate_against_phi2(f_prev, t)
     if not den > 0.0:
         raise DegenerateDenominatorError(
             f"normalization integral is {den:.3e}; iteration state is corrupted"
         )
-    num = integrate_against_phi2(t, rule, w * rule.grid.panels(f_prev))
+    num = integrate_against_phi2(w * t.grid.panels(f_prev), t)
     return num / den
 
 
 def f_step(
     t: TrialFunction,
-    rule: QuadratureRule,
     w: np.ndarray,
     curly_e: float,
     f_prev: np.ndarray,
@@ -168,59 +164,72 @@ def f_step(
     by construction of the cumulatives."""
     bc = BoundaryCondition(bc)
     h = w - curly_e
-    h *= rule.grid.panels(f_prev)
+    h *= t.grid.panels(f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of
     # both nested operators
     nested = nested_tail if bc is BoundaryCondition.I else nested_origin
     # 1 - 2 F in the array nested returned, rounded as that expression is
-    f = nested(t, rule, h)
+    f = nested(h, t)
     f *= -2.0
     f += 1.0
     fmin = float(f.min())
     if fmin <= 0.0:
         raise PositivityLossError(
             f"iterate dropped to {fmin:.3e} at x = "
-            f"{rule.grid.nodes[int(np.argmin(f))]:.4f}; the iteration left its "
+            f"{t.grid.nodes[int(np.argmin(f))]:.4f}; the iteration left its "
             "validity domain (w too large for this boundary condition)"
         )
     return f
 
 
-def _check_grid(
-    p: PotentialParams, t: TrialFunction, rule: QuadratureRule, w: np.ndarray
-) -> None:
+def _largest_step(t: TrialFunction) -> float:
+    """max |2 log phi(k+1) - 2 log phi(k)|: doubling is exact, so bit for bit."""
+    return 2.0 * float(np.abs(np.diff(t.log_phi)).max())
+
+
+def _check_grid(p: PotentialParams, t: TrialFunction, w: np.ndarray) -> None:
     """Raise GridError if the grid is too coarse for t (a step of 2 log phi
     above STEP_CAP) or too short (a tail beyond x_max, below phi^2(x_max)
     sup|w| / lambda, above TAIL_RATIO_BOUND of the integral of |w| phi^2).
     lambda = 2 (g S0' + S1') at x_max bounds every outer step by lambda h.
-    A step error names an n_per_panel whose steps pass and ends with that
-    grid's own tail error, if it has one."""
-    xm, n = rule.grid.x_max, rule.grid.n_per_panel
+    The step is read from log phi, so a grid rejected for it builds no
+    quadrature factors.  A step error names an n_per_panel whose steps pass
+    and ends with that grid's own tail error, if it has one, or says that
+    none up to MAX_N_PER_PANEL passes, without building a grid past it."""
+    xm, n = t.grid.x_max, t.grid.n_per_panel
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
     # |w| at the nodes and before the factors, so that the iteration reuses its
     # block: a (2, n+1) copy costs 60-120 more page faults a solve at n = 16000
     abs_w = np.concatenate([w[0], w[1, 1:]])
     np.abs(abs_w, out=abs_w)
-    step = _factors(t, rule).max_step
+    step = _largest_step(t)
     if step > STEP_CAP:
+        msg = (f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid spacing "
+               "too coarse for this trial function")
+        too_fine = (f"{msg}, and no n_per_panel up to MAX_N_PER_PANEL = {MAX_N_PER_PANEL} "
+                    f"passes at x_max={xm}; decrease x_max")
         # the estimate scales the largest step as 1/n, which a coarse start
         # can undershoot: the named n is confirmed by its own steps
-        fine = Grid(xm, 2 * math.ceil(max(n * step, lam * (xm - 1.0)) / STEP_CAP / 2.0))
+        est = max(n * step, lam * (xm - 1.0)) / STEP_CAP
+        if not est <= MAX_N_PER_PANEL:
+            raise GridError(too_fine)
+        fine = Grid(xm, 2 * math.ceil(est / 2.0))
         t_fine = build_trial(p, fine)
-        while _factors(t_fine, QuadratureRule(fine)).max_step > STEP_CAP:
+        while _largest_step(t_fine) > STEP_CAP:
+            if fine.n_per_panel + 2 > MAX_N_PER_PANEL:
+                raise GridError(too_fine)
             fine = Grid(xm, fine.n_per_panel + 2)
             t_fine = build_trial(p, fine)
-        msg = (f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid spacing "
-               f"too coarse for this trial function (use n_per_panel >= {fine.n_per_panel})")
+        msg += f" (use n_per_panel >= {fine.n_per_panel})"
         # the named grid passes the step check, so only its tail can fail
         try:
-            _check_grid(p, t_fine, QuadratureRule(fine), w_samples(p, fine))
+            _check_grid(p, t_fine, w_samples(p, fine))
         except GridError as exc:
             msg += f"; on that grid the {exc}"
         raise GridError(msg)
     sup_w = max(float(abs_w.max()), abs(float(w[1, 0])))
     tail = math.exp(2.0 * float(t.log_phi[-1])) * sup_w / lam
-    peak = integrate_against_phi2(t, rule, abs_w)
+    peak = integrate_against_phi2(abs_w, t)
     ratio = tail / peak if peak > 0 else 0.0
     if ratio > TAIL_RATIO_BOUND:
         raise GridError(f"estimated truncation tail beyond x_max={xm} is {ratio:.2e} of the "
@@ -263,18 +272,17 @@ def solve(
         report.warnings.append(msg)
 
     t = build_trial(p, grid)
-    rule = QuadratureRule(grid)
     w = w_samples(p, grid)
     report.psi0 = t.psi0
-    _check_grid(p, t, rule, w)
+    _check_grid(p, t, w)
 
     g_e0 = p.g * p.E0
     report.energies.append(g_e0)
     rows = []
     f = np.ones(grid.n_points)
     for n in range(1, max_iter + 1):
-        curly = energy_step(t, rule, w, f)
-        f_prev, f = f, f_step(t, rule, w, curly, f, bc)
+        curly = energy_step(t, w, f)
+        f_prev, f = f, f_step(t, w, curly, f, bc)
         rows += _iterate_rows(bc, n, f_prev, f)
         report.curly_energies.append(curly)
         report.energies.append(g_e0 - curly)

@@ -26,6 +26,9 @@ from .errors import GridError, GridMismatchError
 
 __all__ = ["Grid", "TrialFunction", "build_trial"]
 
+# largest n_per_panel a Grid takes: 2**21 + 1 nodes, 16.8 MB per float array
+MAX_N_PER_PANEL = 2**20
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -33,8 +36,8 @@ class Grid:
 
     n_per_panel is the number of intervals in each panel, an integer, kept
     as a Python int: at least 8, so the four-node cubic interval stencils
-    fit, and even (the cubic rule does not need evenness; the check keeps
-    the set of accepted grids unchanged).
+    fit, even (the cubic rule does not need evenness; the check keeps the
+    set of accepted grids unchanged), and at most MAX_N_PER_PANEL.
     Grids compare and hash by (x_max, n_per_panel), as nodes follows from them.
     """
 
@@ -52,6 +55,9 @@ class Grid:
         object.__setattr__(self, "n_per_panel", n)
         if n < 8 or n % 2 != 0:
             raise GridError(f"n_per_panel must be even and >= 8, got {n}")
+        if n > MAX_N_PER_PANEL:
+            raise GridError(f"n_per_panel must be at most MAX_N_PER_PANEL = "
+                            f"{MAX_N_PER_PANEL}, got {n}")
         inner = np.linspace(0.0, 1.0, n + 1)
         outer = np.linspace(1.0, self.x_max, n + 1)
         nodes = np.concatenate([inner, outer[1:]])
@@ -92,10 +98,11 @@ class TrialFunction:
     maximize floating-point headroom downstream; every phi^2 ratio is formed
     as a single exponential of a log_phi difference.  psi0 is phi at the
     nodes, normalized so psi0(0) = 1 (it underflows to 0 harmlessly in the
-    far tail).  quadrature_factors holds what gdwell.quadrature derives from
-    log_phi alone (the node weights of the phi^2 integral, the phi^2 step
-    ratios of both panels, the phi^2 peak and the scan layouts); it builds
-    them on first use.  build_trial forms log_phi in the array eval_S0
+    far tail).  Every gdwell.quadrature operator takes its samples and then
+    t, whose grid it reads.  quadrature_factors holds what gdwell.quadrature
+    derives from log_phi alone (the node weights of the phi^2 integral, the
+    phi^2 step ratios of both panels, the phi^2 peak and the scan layouts);
+    it builds them on first use, so a grid rejected for its step builds none.  build_trial forms log_phi in the array eval_S0
     returns and psi0 in the one eval_S1 returns, and nothing downstream
     writes into either (see the ownership rule in gdwell.quadrature).  Trial
     functions compare and hash by identity.

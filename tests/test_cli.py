@@ -203,6 +203,13 @@ class TestSolveCommand:
         assert "configuration error" in err and "grid spacing too coarse" in err
         assert "use n_per_panel >= " in err
 
+    @pytest.mark.parametrize("argv", [["--n-points", "100000000000000000000"],
+                                      ["--x-max", "50"]])
+    def test_grid_beyond_the_size_bound_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert "configuration error" in err and f"MAX_N_PER_PANEL = {2**20}" in err
+
     def test_a_whose_fourth_power_overflows_exit_2(self, capsys):
         code, _, err = run(capsys, "solve", "--g", "2", "--a", "1e300", "--n-points", "400")
         assert code == 2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gdwell import GridError, GridMismatchError, PotentialParams
 from gdwell.quadrature import (
-    QuadratureRule,
     integrate_against_phi2,
     nested_origin,
     nested_tail,
@@ -26,7 +25,7 @@ from gdwell.quadrature import (
     _run_scan,
     _samples,
 )
-from gdwell.solver import STEP_CAP, _check_grid, energy_step, w_samples
+from gdwell.solver import STEP_CAP, _check_grid, _largest_step, energy_step, w_samples
 from gdwell.trial import Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
@@ -133,7 +132,7 @@ def reference_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray
 
 def reference_nested(t: TrialFunction, h_samples, tail: bool) -> np.ndarray:
     """nested_tail (tail=True) or nested_origin by interval integrals."""
-    f = _factors(t, QuadratureRule(t.grid))
+    f = _factors(t)
     inner = reference_inner(f, t.grid, h_samples)
     side = slice(None, f.peak) if tail else slice(f.peak, None)
     inner[side] *= -1.0
@@ -150,7 +149,7 @@ def flat_trial(grid: Grid) -> TrialFunction:
 
 def plain_integral(grid: Grid, values) -> float:
     """Plain integral over [0, x_max]: the phi^2 integral with phi = 1."""
-    return integrate_against_phi2(flat_trial(grid), QuadratureRule(grid), values)
+    return integrate_against_phi2(values, flat_trial(grid))
 
 
 def plain_intervals(grid: Grid, values) -> np.ndarray:
@@ -162,9 +161,8 @@ def plain_intervals(grid: Grid, values) -> np.ndarray:
 def zero_total(t: TrialFunction, h: np.ndarray) -> np.ndarray:
     """h - <h>_phi^2: the integrand with its phi^2-weighted mean removed, as
     the nested operators require."""
-    rule = QuadratureRule(t.grid)
-    mean = integrate_against_phi2(t, rule, h) / integrate_against_phi2(
-        t, rule, np.ones(t.grid.n_points))
+    mean = integrate_against_phi2(h, t) / integrate_against_phi2(
+        np.ones(t.grid.n_points), t)
     return h - mean
 
 
@@ -195,16 +193,13 @@ class TestIntegrate:
 
     def test_mismatched_samples_rejected(self):
         g = Grid(4.0, 64)
-        rule = QuadratureRule(g)
         t = flat_trial(g)
         with pytest.raises(GridMismatchError):
-            integrate_against_phi2(t, rule, np.ones(g.n_points + 1))
+            integrate_against_phi2(np.ones(g.n_points + 1), t)
         with pytest.raises(GridMismatchError):
-            integrate_against_phi2(t, rule, np.ones((2, 3)))
+            integrate_against_phi2(np.ones((2, 3)), t)
         with pytest.raises(GridMismatchError):
-            integrate_against_phi2(t, rule, np.ones((2, g.n_points)))
-        with pytest.raises(GridMismatchError):
-            integrate_against_phi2(t, QuadratureRule(Grid(5.0, 64)), np.ones(g.n_points))
+            integrate_against_phi2(np.ones((2, g.n_points)), t)
 
     def test_interval_rule_total_matches_simpson_order(self):
         # the cubic interval rule integrates smooth functions at O(h^4), with
@@ -223,13 +218,13 @@ class TestIntegrate:
         t = mock_trial(g, -g.nodes / 2.0)
         c = np.polynomial.Polynomial([1.0, 0.5, -1.0, 2.0])
         C = c.integ()
-        f = _factors(t, QuadratureRule(g))
+        f = _factors(t)
         iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, f.up)
         x = g.panels(g.nodes)
         anchors = np.exp(2.0 * g.panels(t.log_phi)[:, :-1])  # phi^2(x_k), k < n
         np.testing.assert_allclose(iv * anchors, C(x[:, 1:]) - C(x[:, :-1]),
                                    rtol=1e-12, atol=0.0)
-        got = integrate_against_phi2(t, QuadratureRule(g), c(g.nodes) * np.exp(g.nodes))
+        got = integrate_against_phi2(c(g.nodes) * np.exp(g.nodes), t)
         assert got == pytest.approx(C(4.0) - C(0.0), rel=1e-13)
 
 
@@ -239,10 +234,10 @@ class TestIntegrate:
         ends = np.array([8.0, 31.0, 20.0, 25.0])
         c = np.concatenate([ends, np.full(g.n_per_panel - 7, 24.0), ends[::-1]]) / 24.0
         h = np.array([[g.panel_h(0)], [g.panel_h(1)]])
-        w = _factors(t, QuadratureRule(g)).weights
+        w = _factors(t).weights
         np.testing.assert_allclose(w, h * c * np.exp(-g.panels(g.nodes)), rtol=1e-15, atol=0.0)
         # on phi = 1 the weights are h_p c_k, which sum to each panel's length
-        w = _factors(flat_trial(g), QuadratureRule(g)).weights
+        w = _factors(flat_trial(g)).weights
         np.testing.assert_array_equal(w, h * c)
         np.testing.assert_allclose(w.sum(axis=1), [1.0, 3.0], rtol=0.0, atol=1e-14)
 
@@ -255,29 +250,26 @@ class TestIntegrate:
         p = PotentialParams(g, a)
         grid = Grid(4.0, 2000)
         t = build_trial(p, grid)
-        rule = QuadratureRule(grid)
-        up = _factors(t, rule).up
+        up = _factors(t).up
         anchors = np.exp(2.0 * grid.panels(t.log_phi)[:, :-1])
         for y in (np.ones((2, grid.n_per_panel + 1)), w_samples(p, grid)):
             ref = float(np.sum(_interval_integrals(y, grid, up) * anchors))
-            assert integrate_against_phi2(t, rule, y) == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert integrate_against_phi2(y, t) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestNestedOperators:
     def test_zero_integrand(self):
         g = Grid(4.0, 64)
-        rule = QuadratureRule(g)
         t = flat_trial(g)
         zeros = np.zeros(g.n_points)
-        assert np.all(nested_tail(t, rule, zeros) == 0.0)
-        assert np.all(nested_origin(t, rule, zeros) == 0.0)
+        assert np.all(nested_tail(zeros, t) == 0.0)
+        assert np.all(nested_origin(zeros, t) == 0.0)
 
     def test_constant_integrand_flat_trial_tail(self):
         g = Grid(4.0, 200)
-        rule = QuadratureRule(g)
         t = flat_trial(g)
         c = 0.7
-        F = nested_tail(t, rule, np.full(g.n_points, c))
+        F = nested_tail(np.full(g.n_points, c), t)
         expect = c * (g.x_max - g.nodes) ** 2 / 2.0
         np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
         assert F[-1] == 0.0
@@ -286,32 +278,29 @@ class TestNestedOperators:
         # h = x - L/2 integrates to zero over [0, L]; the cubic rule is exact
         # on both double integrals
         g = Grid(4.0, 200)
-        rule = QuadratureRule(g)
         t = flat_trial(g)
         x, L = g.nodes, g.x_max
-        F = nested_tail(t, rule, x - L / 2.0)
+        F = nested_tail(x - L / 2.0, t)
         expect = L**3 / 12.0 - L * x**2 / 4.0 + x**3 / 6.0
         np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
         assert F[-1] == 0.0
-        F = nested_origin(t, rule, x - L / 2.0)
+        F = nested_origin(x - L / 2.0, t)
         expect = x**3 / 6.0 - L * x**2 / 4.0
         np.testing.assert_allclose(F, expect, rtol=1e-12, atol=1e-12)
         assert F[0] == 0.0
 
     def test_origin_always_zero_at_zero(self):
         g = Grid(4.0, 64)
-        rule = QuadratureRule(g)
         t = build_trial(P12, g)
-        F = nested_origin(t, rule, zero_total(t, w_samples(P12, g)))
+        F = nested_origin(zero_total(t, w_samples(P12, g)), t)
         assert F[0] == 0.0
 
     def test_naive_double_loop_cross_check(self):
         # same interval rule, plain (unfolded) arithmetic, O(n^2) assembly
         g = Grid(4.0, 100)  # ~200 intervals
-        rule = QuadratureRule(g)
         t = build_trial(P12, g)
         h_samp = zero_total(t, w_samples(P12, g))
-        F = nested_tail(t, rule, h_samp)
+        F = nested_tail(h_samp, t)
 
         phi2 = np.exp(2.0 * g.panels(t.log_phi))
         iv_parts = _interval_integrals(h_samp * phi2, g)
@@ -348,10 +337,9 @@ class TestNestedOperators:
         # the rule takes the steep trial function; the solve's check rejects it
         g = Grid(4.0, 16)
         t = mock_trial(g, -20.0 * np.arange(g.n_points, dtype=float))
-        rule = QuadratureRule(g)
-        assert np.all(np.isfinite(nested_tail(t, rule, np.ones(g.n_points))))
+        assert np.all(np.isfinite(nested_tail(np.ones(g.n_points), t)))
         with pytest.raises(GridError, match="step of 2 log phi"):
-            _check_grid(P12, t, rule, w_samples(P12, g))
+            _check_grid(P12, t, w_samples(P12, g))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_guard_caps_every_single_step(self, sign):
@@ -359,7 +347,6 @@ class TestNestedOperators:
         # leaves phi^2(x_max) below e^-59: a step just over the cap trips the
         # check and one just under it passes both of its tests
         g = Grid(4.0, 16)
-        rule = QuadratureRule(g)
         w = w_samples(P12, g)
         for step, admitted in [(STEP_CAP - 0.01, True), (STEP_CAP + 0.01, False)]:
             steps = np.full(g.n_points - 1, -2.0)
@@ -367,11 +354,11 @@ class TestNestedOperators:
             l2 = np.concatenate([[0.0], np.cumsum(steps)])
             t = mock_trial(g, (l2 - l2.max()) / 2.0)
             if admitted:
-                _check_grid(P12, t, rule, w)
-                assert _factors(t, rule).max_step == pytest.approx(step, abs=1e-12)
+                _check_grid(P12, t, w)
+                assert _largest_step(t) == pytest.approx(step, abs=1e-12)
             else:
                 with pytest.raises(GridError, match="step of 2 log phi"):
-                    _check_grid(P12, t, rule, w)
+                    _check_grid(P12, t, w)
 
     @pytest.mark.parametrize("op,peak", [(nested_origin, "first"), (nested_tail, "last")])
     def test_far_side_of_peak_stays_finite(self, op, peak):
@@ -382,20 +369,18 @@ class TestNestedOperators:
         k = np.arange(g.n_points, dtype=float)
         dist = k if peak == "first" else k[::-1]
         t = mock_trial(g, -4.75 * dist)
-        rule = QuadratureRule(g)
         h = zero_total(t, g.nodes)
-        assert np.all(np.isfinite(op(t, rule, h)))
+        assert np.all(np.isfinite(op(h, t)))
 
     def test_deterministic(self):
         g = Grid(4.0, 128)
-        rule = QuadratureRule(g)
         t = build_trial(P12, g)
         w = w_samples(P12, g)
-        a = nested_tail(t, rule, w)
-        b = nested_tail(t, rule, w)
+        a = nested_tail(w, t)
+        b = nested_tail(w, t)
         assert np.array_equal(a, b)
-        assert integrate_against_phi2(t, rule, np.ones(g.n_points)) == integrate_against_phi2(
-            t, rule, np.ones(g.n_points)
+        assert integrate_against_phi2(np.ones(g.n_points), t) == integrate_against_phi2(
+            np.ones(g.n_points), t
         )
 
 
@@ -404,10 +389,9 @@ def test_grid_convergence_of_nested_outputs():
     vals = {}
     for n in (2000, 4000):
         g = Grid(4.0, n)
-        rule = QuadratureRule(g)
         t = build_trial(P12, g)
         h_samp = zero_total(t, w_samples(P12, g))
-        vals[n] = nested_tail(t, rule, h_samp)[0]
+        vals[n] = nested_tail(h_samp, t)[0]
     assert abs(vals[2000] - vals[4000]) <= 1e-7 * max(1.0, abs(vals[4000]))
 
 
@@ -468,7 +452,7 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
     # the scans never read psi0; phi/phi(0), as mock_trial forms it,
     # overflows once the peak exceeds phi(0) by e^{+709}
     t = TrialFunction(P12, g, log_phi, np.exp(log_phi))
-    f = _factors(t, QuadratureRule(g))
+    f = _factors(t)
     if slope_left > 0.0 and slope_right > 0.0:
         assert f.peak == i_peak
     iv = rng.uniform(0.1, 1.0, n_iv)
@@ -488,7 +472,7 @@ def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
     # and the blocks are as few as the bands the scan crosses allow
     grid = Grid(4.0, n)
     t = build_trial(PotentialParams(g, a), grid)
-    f = _factors(t, QuadratureRule(grid))
+    f = _factors(t)
     l2 = 2.0 * t.log_phi
     m = max(f.peak - 1, 0)
     for scan, l2c in [(f.prefix, l2[1 : m + 1]), (f.suffix, l2[f.peak : -1])]:
@@ -547,9 +531,8 @@ def assert_matches_reference(t: TrialFunction, h_samples, rtol: float, atol_of_m
     """nested_tail, nested_origin and _inner_scaled against the interval
     reference, within rtol at every node plus atol_of_max of the largest
     reference value; the nested operators' pinned ends stay exactly 0."""
-    rule = QuadratureRule(t.grid)
-    f = _factors(t, rule)
-    tail, origin = nested_tail(t, rule, h_samples), nested_origin(t, rule, h_samples)
+    f = _factors(t)
+    tail, origin = nested_tail(h_samples, t), nested_origin(h_samples, t)
     assert tail[-1] == 0.0 and origin[0] == 0.0
     for got, ref in [(tail, reference_nested(t, h_samples, True)),
                      (origin, reference_nested(t, h_samples, False)),
@@ -567,10 +550,10 @@ def test_running_sums_match_the_interval_reference(g, a, n):
     # of the largest value is allowed
     p = PotentialParams(g, a)
     grid = Grid(4.0, n)
-    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    t, w = build_trial(p, grid), w_samples(p, grid)
     x = grid.nodes
     for f in (np.ones(grid.n_points), 1.0 + 0.5 * np.cos(3.0 * x), 1.0 / (1.0 + x * x)):
-        h = (w - energy_step(t, rule, w, f)) * grid.panels(f)
+        h = (w - energy_step(t, w, f)) * grid.panels(f)
         assert_matches_reference(t, h, rtol=1e-12, atol_of_max=1e-16)
 
 
@@ -587,7 +570,7 @@ def test_running_sums_match_the_interval_reference_for_every_peak(n):
         log_phi = np.concatenate([[0.0], np.cumsum(steps)]) / 2.0
         log_phi -= log_phi.max()
         t = TrialFunction(P12, grid, log_phi, np.exp(log_phi))
-        assert _factors(t, QuadratureRule(grid)).peak == peak
+        assert _factors(t).peak == peak
         assert_matches_reference(t, zero_total(t, rng.uniform(-1.0, 1.0, grid.n_points)),
                                  rtol=0.0, atol_of_max=1e-13)
     tt = rng.uniform(-1.0, 1.0, grid.n_points)

@@ -23,7 +23,7 @@ from conftest import TABLE_CASES, iterates
 from gdwell import closed_forms as cf
 from gdwell import quadrature
 from gdwell import solver as solver_module
-from gdwell.quadrature import QuadratureRule, integrate_against_phi2
+from gdwell.quadrature import integrate_against_phi2
 from gdwell.solver import (
     check_hierarchy,
     energy_step,
@@ -31,7 +31,7 @@ from gdwell.solver import (
     solve,
     w_samples,
 )
-from gdwell.trial import Grid, TrialFunction, build_trial
+from gdwell.trial import MAX_N_PER_PANEL, Grid, TrialFunction, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 # shapes just above a_g, below the critical shape value, where runs on fine
@@ -53,55 +53,50 @@ class TestEnergyStep:
     def test_first_energy_matches_published_value(self):
         grid = Grid()
         t = build_trial(P12, grid)
-        rule = QuadratureRule(grid)
-        curly = energy_step(t, rule, w_samples(P12, grid), np.ones(grid.n_points))
+        curly = energy_step(t, w_samples(P12, grid), np.ones(grid.n_points))
         assert P12.g * P12.E0 - curly == pytest.approx(1.0163, abs=5e-4)
 
     def test_first_energy_other_shape(self):
         p = PotentialParams(1.0, 3.0)
         grid = Grid()
         t = build_trial(p, grid)
-        curly = energy_step(t, QuadratureRule(grid), w_samples(p, grid), np.ones(grid.n_points))
+        curly = energy_step(t, w_samples(p, grid), np.ones(grid.n_points))
         assert p.g * p.E0 - curly == pytest.approx(1.2974, abs=5e-4)
 
     def test_constant_w_mock(self):
         grid = Grid(4.0, 64)
         t = flat_trial(grid)
         c = 0.8125
-        curly = energy_step(t, QuadratureRule(grid), const_samples(grid, c),
-                            np.ones(grid.n_points))
+        curly = energy_step(t, const_samples(grid, c), np.ones(grid.n_points))
         assert curly == pytest.approx(c, rel=1e-14)
 
     def test_degenerate_denominator(self):
         grid = Grid(4.0, 64)
         t = flat_trial(grid)
         with pytest.raises(DegenerateDenominatorError):
-            energy_step(t, QuadratureRule(grid), const_samples(grid, 1.0),
-                        -np.ones(grid.n_points))
+            energy_step(t, const_samples(grid, 1.0), -np.ones(grid.n_points))
 
 
 class TestFStep:
     def test_bc_endpoints_pinned_to_one(self):
         grid = Grid()
         t = build_trial(P12, grid)
-        rule = QuadratureRule(grid)
         w = w_samples(P12, grid)
         f0 = np.ones(grid.n_points)
-        curly = energy_step(t, rule, w, f0)
-        f1_ii = f_step(t, rule, w, curly, f0, BoundaryCondition.II)
-        f1_i = f_step(t, rule, w, curly, f0, BoundaryCondition.I)
+        curly = energy_step(t, w, f0)
+        f1_ii = f_step(t, w, curly, f0, BoundaryCondition.II)
+        f1_i = f_step(t, w, curly, f0, BoundaryCondition.I)
         assert f1_ii[0] == 1.0
         assert f1_i[-1] == 1.0
         # a bc given by its value runs that boundary condition
-        assert f_step(t, rule, w, curly, f0, "I").tobytes() == f1_i.tobytes()
+        assert f_step(t, w, curly, f0, "I").tobytes() == f1_i.tobytes()
 
     @pytest.mark.parametrize("bc", [1, "III", None])
     def test_unknown_bc_rejected(self, bc):
         grid = Grid(4.0, 64)
         ones = np.ones(grid.n_points)
         with pytest.raises(ValueError):
-            f_step(flat_trial(grid), QuadratureRule(grid), const_samples(grid, 0.0), 0.0,
-                   ones, bc)
+            f_step(flat_trial(grid), const_samples(grid, 0.0), 0.0, ones, bc)
         with pytest.raises(ValueError):
             solve(P12, grid, bc)
 
@@ -112,13 +107,12 @@ class TestFStep:
     def test_positivity_loss_raises(self):
         grid = Grid(4.0, 64)
         t = flat_trial(grid)
-        rule = QuadratureRule(grid)
         with pytest.raises(PositivityLossError):
-            f_step(t, rule, const_samples(grid, 0.0), 100.0,
-                   np.ones(grid.n_points), BoundaryCondition.II)
+            f_step(t, const_samples(grid, 0.0), 100.0, np.ones(grid.n_points),
+                   BoundaryCondition.II)
         with pytest.raises(PositivityLossError):
-            f_step(t, rule, const_samples(grid, 0.0), -100.0,
-                   np.ones(grid.n_points), BoundaryCondition.I)
+            f_step(t, const_samples(grid, 0.0), -100.0, np.ones(grid.n_points),
+                   BoundaryCondition.I)
 
 
 class TestSolve:
@@ -277,23 +271,23 @@ def test_f_step_integrands_have_zero_phi2_total(g, a, bc, monkeypatch):
     # pins that curly_E establishes it for every h that f_step passes them
     p = PotentialParams(g, a)
     grid = Grid(4.0, 8000)
-    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    t, w = build_trial(p, grid), w_samples(p, grid)
     op = "nested_tail" if bc == "I" else "nested_origin"
     real = getattr(solver_module, op)
     seen = []
 
-    def spy(t_, rule_, h):
+    def spy(h, t_):
         seen.append(h)
-        return real(t_, rule_, h)
+        return real(h, t_)
 
     monkeypatch.setattr(solver_module, op, spy)
     f = np.ones(grid.n_points)
     for _ in range(8):
-        f = f_step(t, rule, w, energy_step(t, rule, w, f), f, BoundaryCondition(bc))
+        f = f_step(t, w, energy_step(t, w, f), f, BoundaryCondition(bc))
     assert len(seen) == 8
     for h in seen:
-        total = integrate_against_phi2(t, rule, h)
-        scale = integrate_against_phi2(t, rule, np.abs(h))
+        total = integrate_against_phi2(h, t)
+        scale = integrate_against_phi2(np.abs(h), t)
         assert abs(total) <= 1e-12 * scale
 
 
@@ -301,7 +295,7 @@ def test_f_step_integrands_have_zero_phi2_total(g, a, bc, monkeypatch):
 def test_solve_calls_quadrature_by_position(bc, nested, monkeypatch):
     # a traced benchmark wraps these names on gdwell.solver and reads the
     # grid of each call as args[1].grid, so solve must pass them
-    # (trial, rule, samples) by position
+    # (samples, trial) by position
     calls = []
     for name in (nested, "integrate_against_phi2"):
         def spy(*args, _real=getattr(solver_module, name), _name=name, **kwargs):
@@ -313,10 +307,10 @@ def test_solve_calls_quadrature_by_position(bc, nested, monkeypatch):
     solve(P12, grid, BoundaryCondition(bc), max_iter=2, tol=0.0)
     assert {name for name, _, _ in calls} == {nested, "integrate_against_phi2"}
     for _, args, kwargs in calls:
-        assert kwargs == {} and len(args) == 3
-        t, rule, samples = args
-        assert isinstance(t, TrialFunction) and isinstance(rule, QuadratureRule)
-        assert rule.grid == grid and np.shape(samples) in {(401,), (2, 201)}
+        assert kwargs == {} and len(args) == 2
+        samples, t = args
+        assert isinstance(t, TrialFunction) and args[1].grid == grid
+        assert np.shape(samples) in {(401,), (2, 201)}
 
 
 def _count_energy_steps(monkeypatch) -> list:
@@ -356,6 +350,63 @@ def test_coarse_grid_is_rejected_before_iterating(g, a, n, monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize("g,a,n", COARSE_CASES)
+def test_step_rejection_builds_no_factors_for_the_rejected_grid(g, a, n, monkeypatch):
+    # the step is read from log phi: the rejected grid's trial function never
+    # reaches the quadrature factors (the named grid's tail check may)
+    grids = []
+    real = quadrature._factors
+
+    def spy(t):
+        grids.append(t.grid)
+        return real(t)
+
+    monkeypatch.setattr(quadrature, "_factors", spy)
+    with pytest.raises(GridError, match="use n_per_panel >= "):
+        solve(PotentialParams(g, a), Grid(4.0, n))
+    assert Grid(4.0, n) not in grids
+
+
+def _count_trial_builds(monkeypatch) -> list:
+    """The grid of every build_trial call of every solve from here on."""
+    grids = []
+    real = solver_module.build_trial
+
+    def counted(p, grid):
+        grids.append(grid)
+        return real(p, grid)
+
+    monkeypatch.setattr(solver_module, "build_trial", counted)
+    return grids
+
+
+def test_named_n_is_bounded(monkeypatch):
+    # at x_max = 50 the estimate alone passes MAX_N_PER_PANEL: the rejection
+    # names x_max and the bound at once, with no trial function but the one
+    # judged; at x_max = 20 the named n is as it was
+    grids = _count_trial_builds(monkeypatch)
+    with pytest.raises(GridError) as exc:
+        solve(P12, Grid(50.0, 2000))
+    msg = str(exc.value)
+    assert f"no n_per_panel up to MAX_N_PER_PANEL = {MAX_N_PER_PANEL} passes at x_max=50.0" \
+        in msg
+    assert msg.endswith("decrease x_max") and "use n_per_panel" not in msg
+    assert grids == [Grid(50.0, 2000)]
+    with pytest.raises(GridError, match=r"\(use n_per_panel >= 115418\)$"):
+        solve(P12, Grid(20.0, 2000))
+
+
+def test_confirmation_stops_at_the_bound(monkeypatch):
+    # at (12, 100) on Grid(1.5, 8) the estimate names 88 and the confirmation
+    # steps to 92; under a bound of 90 it builds 88 and 90 and then says that
+    # no n_per_panel up to the bound passes
+    grids = _count_trial_builds(monkeypatch)
+    monkeypatch.setattr(solver_module, "MAX_N_PER_PANEL", 90)
+    with pytest.raises(GridError, match="no n_per_panel up to MAX_N_PER_PANEL = 90 passes"):
+        solve(PotentialParams(12.0, 100.0), Grid(1.5, 8))
+    assert [g.n_per_panel for g in grids] == [8, 88, 90]
+
+
 # short grids from a very coarse start, where the 1/n estimate of the step
 # named an n that the step check rejected again (88 at (12, 100), 36 at
 # (5, 100), 32 at (8, 30)); at (2, 100) the named n fails the tail check
@@ -368,8 +419,7 @@ def test_named_n_passes_the_step_check(g, a, n, named):
     p, fine = PotentialParams(g, a), Grid(1.5, named)
     with pytest.raises(GridError, match=rf"use n_per_panel >= {named}\)"):
         solve(p, Grid(1.5, n))
-    assert quadrature._factors(build_trial(p, fine), QuadratureRule(fine)).max_step \
-        <= solver_module.STEP_CAP
+    assert solver_module._largest_step(build_trial(p, fine)) <= solver_module.STEP_CAP
     try:
         rep = solve(p, fine)
     except GridError as exc:
@@ -399,7 +449,7 @@ def test_step_rejection_gives_the_named_grids_tail_verdict(g, a, n, named):
 @pytest.mark.parametrize("g,a,n,step", [(12.0, 6.0, 2000, 2.532), (20.0, 3.0, 2980, 2.633)])
 def test_steps_just_under_the_cap_run_clean(g, a, n, step, bc):
     p, grid = PotentialParams(g, a), Grid(4.0, n)
-    s = quadrature._factors(build_trial(p, grid), QuadratureRule(grid)).max_step
+    s = solver_module._largest_step(build_trial(p, grid))
     assert s == pytest.approx(step, abs=1e-3) and s <= solver_module.STEP_CAP
     rep = solve(p, grid, bc)
     assert rep.converged
@@ -442,21 +492,21 @@ def test_solve_path_writes_only_into_arrays_it_owns(bc):
     # the kernels work in place, but only on arrays they allocated: never on
     # an argument, nor on what the TrialFunction keeps
     p, grid = PotentialParams(12.0, 6.0), Grid(4.0, 2000)
-    t, rule, w = build_trial(p, grid), QuadratureRule(grid), w_samples(p, grid)
+    t, w = build_trial(p, grid), w_samples(p, grid)
     ones = np.ones(grid.n_points)
-    f_prev = f_step(t, rule, w, energy_step(t, rule, w, ones), ones, bc)
-    curly = energy_step(t, rule, w, f_prev)
+    f_prev = f_step(t, w, energy_step(t, w, ones), ones, bc)
+    curly = energy_step(t, w, f_prev)
     h = (w - curly) * grid.panels(f_prev)
-    f = quadrature._factors(t, rule)
+    f = quadrature._factors(t)
     kept = [w, f_prev, h, t.log_phi, t.psi0, t.quadrature_factors]
     before = _bits(kept)
     calls = {
-        "energy_step": lambda: energy_step(t, rule, w, f_prev),
-        "f_step": lambda: f_step(t, rule, w, curly, f_prev, bc),
-        "nested_tail": lambda: quadrature.nested_tail(t, rule, h),
-        "nested_origin": lambda: quadrature.nested_origin(t, rule, h),
-        "integrate_against_phi2 (nodes)": lambda: integrate_against_phi2(t, rule, f_prev),
-        "integrate_against_phi2 (panels)": lambda: integrate_against_phi2(t, rule, w),
+        "energy_step": lambda: energy_step(t, w, f_prev),
+        "f_step": lambda: f_step(t, w, curly, f_prev, bc),
+        "nested_tail": lambda: quadrature.nested_tail(h, t),
+        "nested_origin": lambda: quadrature.nested_origin(h, t),
+        "integrate_against_phi2 (nodes)": lambda: integrate_against_phi2(f_prev, t),
+        "integrate_against_phi2 (panels)": lambda: integrate_against_phi2(w, t),
         "_inner_scaled": lambda: quadrature._inner_scaled(f, grid, h),
         "_node_cumulative (from x_max)": lambda: quadrature._node_cumulative(grid, f_prev, True),
         "_node_cumulative (from 0)": lambda: quadrature._node_cumulative(grid, f_prev, False),
@@ -486,7 +536,6 @@ def test_setup_writes_only_into_arrays_it_owns():
     # too, in arrays they allocated: never in the grid's nodes, an argument
     # or h, and no two of the arrays they return share memory
     p, grid = PotentialParams(12.0, 6.0), Grid(4.0, 2000)
-    rule = QuadratureRule(grid)
     x = np.array(grid.nodes)
     x_inner = x[: grid.n_per_panel + 1].copy()
     h = w_samples(p, grid) - 0.5
@@ -494,10 +543,10 @@ def test_setup_writes_only_into_arrays_it_owns():
     before = _bits(kept)
     t = build_trial(p, grid)
     w = w_samples(p, grid)
-    f = quadrature._factors(t, rule)
+    f = quadrature._factors(t)
     assert _bits(kept) == before, "the setup wrote into an array it does not own"
     calls = {
-        "_check_grid": lambda: solver_module._check_grid(p, t, rule, h),
+        "_check_grid": lambda: solver_module._check_grid(p, t, h),
         **{f"{name} (nodes)": lambda name=name: getattr(cf, name)(p, x)
            for name in ("eval_S0", "eval_S0_mirror", "eval_S1", "eval_u", "eval_ghat")},
         **{f"{name} (inner)": lambda name=name: getattr(cf, name)(p, x_inner)

@@ -8,9 +8,8 @@ import pytest
 from conftest import one_sided_deriv5
 from gdwell import ConvergenceDomainError, GridError, GridMismatchError, PotentialParams
 from gdwell.closed_forms import eval_S0, eval_S0_mirror, eval_S1
-from gdwell.quadrature import QuadratureRule
 from gdwell.solver import energy_step, w_samples
-from gdwell.trial import Grid, build_trial
+from gdwell.trial import MAX_N_PER_PANEL, Grid, build_trial
 
 P12 = PotentialParams(1.0, 2.0)
 
@@ -65,6 +64,13 @@ class TestGrid:
     def test_rejects_a_non_integer_size(self, n):
         with pytest.raises(GridError, match="n_per_panel must be an integer"):
             Grid(4.0, n)
+
+    def test_size_is_bounded(self):
+        with pytest.raises(GridError, match=f"at most MAX_N_PER_PANEL = {MAX_N_PER_PANEL}"):
+            Grid(4.0, MAX_N_PER_PANEL + 2)
+        with pytest.raises(GridError, match=f"at most MAX_N_PER_PANEL = {MAX_N_PER_PANEL}"):
+            Grid(4.0, 10**20)
+        assert Grid(4.0, MAX_N_PER_PANEL).n_points == 2 * MAX_N_PER_PANEL + 1
 
     def test_integer_size_kept_as_python_int(self):
         g = Grid(4.0, np.int64(64))
@@ -163,7 +169,6 @@ def test_truncation_insensitivity_of_first_energy():
     for xm in (4.0, 5.0):
         grid = Grid(xm, 2000)
         t = build_trial(P12, grid)
-        rule = QuadratureRule(grid)
         w = w_samples(P12, grid)
-        vals.append(energy_step(t, rule, w, np.ones(grid.n_points)))
+        vals.append(energy_step(t, w, np.ones(grid.n_points)))
     assert abs(vals[0] - vals[1]) < 1e-8

@@ -90,8 +90,6 @@ def cmd_solve(args) -> int:
     cfg = _load_run_config(args)
     report = _run_solve(cfg)
     print(" ".join(report.energy_row()))
-    for wmsg in report.warnings:
-        print(f"warning: {wmsg}", file=sys.stderr)
     if cfg.out:
         if cfg.format == "json":
             _io.write_json(cfg.out, report.to_json_dict())

@@ -13,9 +13,13 @@ class ConvergenceDomainError(GdwellError):
 class GridError(GdwellError):
     """Computational grid unfit for the run: malformed (x_max not above 1,
     too few or too many points, ...), too short for the trial function's
-    tail, or too coarse for it (a step of 2 log phi between adjacent nodes
-    above the solver's STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634 in size, where
-    the rule's inner integral of a positive integrand can turn negative)."""
+    tail (the tail beyond x_max above 1e-10 of the phi^2 integral of w), or
+    too coarse for it (a step of 2 log phi between adjacent nodes above the
+    solver's STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634 in size, where the rule's
+    inner integral of a positive integrand can turn negative).  A too-coarse
+    grid's message names an n_per_panel that passes or, when none up to
+    MAX_N_PER_PANEL does, the panel that needs more: [0, 1], whose steps no
+    x_max changes, or the outer one, which a smaller x_max shortens."""
 
 
 class GridMismatchError(GdwellError):

@@ -182,58 +182,64 @@ def f_step(
     return f
 
 
-def _largest_step(t: TrialFunction) -> float:
-    """max |2 log phi(k+1) - 2 log phi(k)|: doubling is exact, so bit for bit."""
-    return 2.0 * float(np.abs(np.diff(t.log_phi)).max())
+def _largest_step(t: TrialFunction, stop: int | None = None) -> float:
+    """max |2 log phi(k+1) - 2 log phi(k)| over the nodes before stop:
+    doubling is exact, so bit for bit."""
+    return 2.0 * float(np.abs(np.diff(t.log_phi[:stop])).max())
+
+
+def _tail_error(t: TrialFunction, w: np.ndarray, lam: float) -> str:
+    """The truncation-tail error of t's grid, or "" if the tail beyond x_max,
+    below phi^2(x_max) max w / lam, is at most TAIL_RATIO_BOUND of the
+    integral of w phi^2.  w is w_samples on that grid, positive where
+    Gamma > 0, and that integral is the first energy step's numerator."""
+    tail = math.exp(2.0 * float(t.log_phi[-1])) * float(w.max()) / lam
+    peak = integrate_against_phi2(w, t)
+    ratio = tail / peak if peak > 0 else 0.0
+    if not ratio > TAIL_RATIO_BOUND:
+        return ""
+    return (f"estimated truncation tail beyond x_max={t.grid.x_max} is {ratio:.2e} of the "
+            f"peak inner integral (> {TAIL_RATIO_BOUND:g}); increase x_max")
 
 
 def _check_grid(p: PotentialParams, t: TrialFunction, w: np.ndarray) -> None:
     """Raise GridError if the grid is too coarse for t (a step of 2 log phi
-    above STEP_CAP) or too short (a tail beyond x_max, below phi^2(x_max)
-    sup|w| / lambda, above TAIL_RATIO_BOUND of the integral of |w| phi^2).
-    lambda = 2 (g S0' + S1') at x_max bounds every outer step by lambda h.
-    The step is read from log phi, so a grid rejected for it builds no
-    quadrature factors.  A step error names an n_per_panel whose steps pass
-    and ends with that grid's own tail error, if it has one, or says that
-    none up to MAX_N_PER_PANEL passes, without building a grid past it."""
+    above STEP_CAP) or too short (_tail_error).  lambda = 2 (g S0' + S1') at
+    x_max bounds every outer step by lambda h.  The step is read from log
+    phi, so a grid rejected for it builds no quadrature factors.  A step
+    error names an n_per_panel whose steps pass and ends with that grid's
+    own tail error, if it has one, or says that none up to MAX_N_PER_PANEL
+    passes, without building a grid past it, and which panel needs more."""
     xm, n = t.grid.x_max, t.grid.n_per_panel
     lam = 2.0 * (p.g * float(cf.eval_S0_prime(p, xm)) + float(cf.eval_S1_prime(p, xm)))
-    # |w| at the nodes and before the factors, so that the iteration reuses its
-    # block: a (2, n+1) copy costs 60-120 more page faults a solve at n = 16000
-    abs_w = np.concatenate([w[0], w[1, 1:]])
-    np.abs(abs_w, out=abs_w)
     step = _largest_step(t)
-    if step > STEP_CAP:
-        msg = (f"step of 2 log phi {step:.3f} exceeds {STEP_CAP:.3f} in size; grid spacing "
-               "too coarse for this trial function")
-        too_fine = (f"{msg}, and no n_per_panel up to MAX_N_PER_PANEL = {MAX_N_PER_PANEL} "
-                    f"passes at x_max={xm}; decrease x_max")
-        # the estimate scales the largest step as 1/n, which a coarse start
-        # can undershoot: the named n is confirmed by its own steps
-        est = max(n * step, lam * (xm - 1.0)) / STEP_CAP
-        if not est <= MAX_N_PER_PANEL:
-            raise GridError(too_fine)
-        fine = Grid(xm, 2 * math.ceil(est / 2.0))
-        t_fine = build_trial(p, fine)
-        while _largest_step(t_fine) > STEP_CAP:
-            if fine.n_per_panel + 2 > MAX_N_PER_PANEL:
-                raise GridError(too_fine)
-            fine = Grid(xm, fine.n_per_panel + 2)
-            t_fine = build_trial(p, fine)
-        msg += f" (use n_per_panel >= {fine.n_per_panel})"
-        # the named grid passes the step check, so only its tail can fail
-        try:
-            _check_grid(p, t_fine, w_samples(p, fine))
-        except GridError as exc:
-            msg += f"; on that grid the {exc}"
-        raise GridError(msg)
-    sup_w = max(float(abs_w.max()), abs(float(w[1, 0])))
-    tail = math.exp(2.0 * float(t.log_phi[-1])) * sup_w / lam
-    peak = integrate_against_phi2(abs_w, t)
-    ratio = tail / peak if peak > 0 else 0.0
-    if ratio > TAIL_RATIO_BOUND:
-        raise GridError(f"estimated truncation tail beyond x_max={xm} is {ratio:.2e} of the "
-                        f"peak inner integral (> {TAIL_RATIO_BOUND:g}); increase x_max")
+    if not step > STEP_CAP:
+        error = _tail_error(t, w, lam)
+        if error:
+            raise GridError(error)
+        return
+    msg = (f"step of 2 log phi {step:.4g} exceeds {STEP_CAP:.3f} in size; grid spacing "
+           "too coarse for this trial function")
+    # the estimate scales the largest step as 1/n, which a coarse start can
+    # undershoot: the named n is confirmed by its own steps.  Capped past the
+    # bound, an infinite estimate names no grid
+    est = min(max(n * step, lam * (xm - 1.0)) / STEP_CAP, MAX_N_PER_PANEL + 1.0)
+    t_named = t
+    for named in range(2 * math.ceil(est / 2.0), MAX_N_PER_PANEL + 1, 2):
+        t_named = build_trial(p, Grid(xm, named))
+        if not _largest_step(t_named) > STEP_CAP:
+            break
+    else:
+        # the same 1/n estimate for [0, 1] alone, on the finest grid tried
+        m = t_named.grid.n_per_panel
+        inner = m * _largest_step(t_named, m + 1) / STEP_CAP
+        advice = ("the steps on [0, 1] need more intervals at this (g, a)"
+                  if inner > MAX_N_PER_PANEL else "decrease x_max")
+        raise GridError(f"{msg}, and no n_per_panel up to MAX_N_PER_PANEL = {MAX_N_PER_PANEL} "
+                        f"passes at x_max={xm}; {advice}")
+    error = _tail_error(t_named, w_samples(p, t_named.grid), lam)
+    raise GridError(f"{msg} (use n_per_panel >= {named})"
+                    + (f"; on that grid the {error}" if error else ""))
 
 
 def solve(

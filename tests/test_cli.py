@@ -250,6 +250,18 @@ def test_import_solve_and_region_never_load_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
+def test_solve_prints_each_warning_once(tmp_path):
+    # Python's warning display prints it; the report keeps it as data
+    out = tmp_path / "r.json"
+    argv = ["solve", "--g", "3", "--a", "0.6", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "gdwell", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    text = "a = 0.6 is at or below the critical shape value"
+    assert proc.stderr.count(text) == 1, proc.stderr
+    assert [w[: len(text)] for w in json.loads(out.read_text())["warnings"]] == [text]
+
+
 def test_python_m_gdwell_runs_the_cli(capsys):
     argv = ["solve", "--g", "1", "--a", "2", "--n-points", "400"]
     proc = subprocess.run([sys.executable, "-m", "gdwell", *argv], env=src_env(),

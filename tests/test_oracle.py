@@ -72,6 +72,26 @@ class TestEigensolver:
         res = oracle_cache(1.0, 2.0)
         assert float(np.max(np.abs(res.psi - res.psi[::-1]))) <= 1e-8
 
+    @pytest.mark.parametrize("g, a", [(1.0, 2.0), (3.0, 2.0), (0.88, 2.0)])
+    def test_psi_at_nodes_evenness_and_beyond_the_half_domain(self, oracle_cache, g, a):
+        res = oracle_cache(g, a)
+        mid = res.psi.size // 2
+        nodes = res.psi[mid::oracle.OVERSAMPLE]
+        delta = res.x[mid + oracle.OVERSAMPLE]
+        j = np.arange(nodes.size)
+        x = j * delta
+        # exact wherever x / Delta is the node's index; one ulp off it, the
+        # sinc sum gives the node value within rounding
+        on_node = x / delta == j
+        assert on_node.sum() >= nodes.size - 6
+        assert res.psi_at(x[on_node]).tobytes() == nodes[on_node].tobytes()
+        np.testing.assert_allclose(res.psi_at(x), nodes, rtol=1e-14, atol=0.0)
+        between = np.linspace(0.0, res.x[-1], 777)
+        assert res.psi_at(-between).tobytes() == res.psi_at(between).tobytes()
+        past = res.x[-1] * np.array([1.0 + 1e-9, 1.5, 10.0])
+        assert res.psi_at(past).tobytes() == np.full(3, nodes[-1]).tobytes()
+        assert res.psi_at(-past).tobytes() == np.full(3, nodes[-1]).tobytes()
+
     def test_even_sector_against_full_matrix(self):
         # the oracle's even-sector eigenpair against the dense eigensolve of
         # the full (2K+1)-node Colbert-Miller matrix, built here independently

@@ -407,6 +407,39 @@ def test_confirmation_stops_at_the_bound(monkeypatch):
     assert [g.n_per_panel for g in grids] == [8, 88, 90]
 
 
+@pytest.mark.parametrize("g,a,grid,bound,inner", [
+    # the confirmation fails at 88 and 90, whose inner steps alone need 90.2
+    (12.0, 100.0, Grid(1.5, 8), 90, True),
+    # the estimate alone passes the bound: [0, 1] needs 146 intervals
+    (20.0, 100.0, Grid(1.5, 8), 140, True),
+    # the outer panel needs 115418 intervals and [0, 1] needs 1
+    (1.0, 2.0, Grid(20.0, 2000), 100000, False),
+])
+def test_no_grid_advice_names_the_panel(g, a, grid, bound, inner, monkeypatch):
+    monkeypatch.setattr(solver_module, "MAX_N_PER_PANEL", bound)
+    with pytest.raises(GridError, match=f"no n_per_panel up to MAX_N_PER_PANEL = {bound} "
+                       f"passes at x_max={grid.x_max}; ") as exc:
+        solve(PotentialParams(g, a), grid)
+    msg = str(exc.value)
+    if inner:
+        assert msg.endswith("; the steps on [0, 1] need more intervals at this (g, a)")
+        assert "decrease x_max" not in msg
+    else:
+        assert msg.endswith("; decrease x_max") and "[0, 1]" not in msg
+
+
+def test_deep_well_rejection_is_readable_and_blames_the_inner_panel():
+    # at g = 1e150 the steps of 2 log phi reach 1.4e147 on [0, 1], which no
+    # x_max shortens; build_trial's psi0 overflow is left aside here
+    with np.errstate(over="ignore"), pytest.raises(GridError) as exc:
+        solve(PotentialParams(1e150, 2.0))
+    msg = str(exc.value)
+    assert msg.startswith("step of 2 log phi 1.908e+149 exceeds 2.634 in size")
+    assert not re.search(r"\d{11}", msg), msg
+    assert msg.endswith("; the steps on [0, 1] need more intervals at this (g, a)")
+    assert "decrease x_max" not in msg
+
+
 # short grids from a very coarse start, where the 1/n estimate of the step
 # named an n that the step check rejected again (88 at (12, 100), 36 at
 # (5, 100), 32 at (8, 30)); at (2, 100) the named n fails the tail check
@@ -476,6 +509,33 @@ def test_census_runs_are_clean_or_rejected_before_iterating(monkeypatch):
         assert not rep.violations, (g, a, bc, [str(v) for v in rep.violations])
         outcomes["clean"] += 1
     assert outcomes == {"clean": 62, "rejected": 22}
+
+
+def test_w_is_positive_on_every_checked_grid():
+    # u > 0 and ghat >= 0 where Gamma > 0, so the tail verdict reads w as |w|
+    checked = [(g, a, Grid(4.0, 2000)) for g, a in CENSUS]
+    checked += [(g, a, Grid(4.0, n)) for g, a, n in COARSE_CASES]
+    checked += [(g, a, Grid(1.5, m)) for g, a, n, named in SHORT_CASES for m in (n, named)]
+    for g, a, grid in checked:
+        assert w_samples(PotentialParams(g, a), grid).min() > 0.0, (g, a, grid)
+
+
+def test_tail_verdict_integrates_w_as_the_first_energy_step_does(monkeypatch):
+    # the tail check integrates w itself, both rows, and gets the first
+    # iteration's numerator, the integral of w phi^2 f_0, bit for bit
+    seen = []
+    real = solver_module.integrate_against_phi2
+
+    def spy(values, t):
+        seen.append((values.tobytes(), real(values, t)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver_module, "integrate_against_phi2", spy)
+    p, grid = PotentialParams(12.0, 6.0), Grid(4.0, 2000)
+    solve(p, grid, max_iter=1, tol=0.0)
+    (tail_w, tail_peak), _, (num_w, num) = seen
+    assert tail_w == num_w == w_samples(p, grid).tobytes()
+    assert tail_peak == num
 
 
 def _bits(obj):

@@ -147,7 +147,8 @@ def _ground_amplitudes(h: np.ndarray, energy: float) -> np.ndarray:
 
 def _sinc_interpolate(c: np.ndarray, u) -> np.ndarray:
     """The even sinc interpolant sum_j c_|j| sinc(u - j) at the points u >= 0
-    in node units, with node values copied exactly and c_k held past the
+    in node units, with node values copied exactly, also where u lies within
+    4 ulps of a node (as x / Delta at a node can), and c_k held past the
     last node k.
 
     With n the node nearest u, sinc(u - j) = (-1)^(n+j) sin(pi (u - n)) /
@@ -157,7 +158,7 @@ def _sinc_interpolate(c: np.ndarray, u) -> np.ndarray:
     u = np.minimum(np.asarray(u, dtype=float), c.size - 1)
     n = np.round(u)
     psi = c[n.astype(int)]
-    off = u != n
+    off = np.abs(u - n) > 4 * np.spacing(n)
     v, n = u[off], n[off]
     j = np.arange(1, c.size)
     paired = (2.0 * v)[:, None] / ((v[:, None] - j) * (v[:, None] + j)) @ np.where(

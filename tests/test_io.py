@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdwell import Grid, PotentialParams, build_trial, region
+from gdwell import _io
 from gdwell._io import csv_preamble, dumps_json, format_float, write_csv, write_json
 from gdwell.errors import NonFiniteOutputError
 
@@ -132,7 +135,7 @@ def test_ragged_or_int_rows_fall_back(rows):
 @given(st.integers(1, 3).flatmap(
     lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1)))
 def test_float_arrays_match_per_element_format(rows):
-    """One %-format over an array writes what the per-element path writes
+    """The array kernel writes what the per-element path writes
     for the same values as Python floats: a 2-D array a row to a line, a
     1-D one on one line, also nested in a document."""
     arr = np.array(rows, dtype=float)
@@ -151,6 +154,60 @@ def test_csv_array_rows_are_format_float_cells(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_csv(str(path), {"g": 1.0}, ["c"] * len(rows[0]), np.array(rows, dtype=float))
     assert path.read_text().splitlines()[2:] == [",".join(map(format_float, r)) for r in rows]
+
+
+def _assert_per_element_text(values, tmp_path):
+    """values as a 1-D JSON array, as the rows of a 2-D JSON array and as CSV
+    rows (values repeated to fill 3 columns) are the per-element "%.17g"
+    text."""
+    assert dumps_json(values) == "[" + ", ".join(map(format_float, values.tolist())) + "]\n"
+    rows = np.resize(values, (-(-values.size // 3), 3))
+    assert dumps_json(rows) == _per_element(rows.tolist())
+    path = tmp_path / "t.csv"
+    write_csv(str(path), {"g": 1.0}, ["a", "b", "c"], rows)
+    assert path.read_text().splitlines()[2:] == [",".join(map(format_float, r))
+                                                 for r in rows.tolist()]
+
+
+def test_random_bit_patterns_match_per_element_format(tmp_path):
+    """250 000 seeded random finite doubles of both signs, and 5000
+    subnormals, in all three layouts."""
+    rng = np.random.default_rng(30)
+    values = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    subnormal = (rng.integers(1, 2**52, 5000, dtype=np.uint64)
+                 | (rng.integers(0, 2, 5000, dtype=np.uint64) << np.uint64(63))).view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], subnormal])
+    assert (values < 0).mean() > 0.45 and (np.abs(values) < 2.3e-308).sum() > 5000
+    _assert_per_element_text(values, tmp_path)
+
+
+# every power of ten a double reaches and its neighbours, the decade carries,
+# exact ties at the 17th digit, signed zeros and the ends of the range
+EDGES = [w for p in range(-323, 309) for v in [float(f"1e{p}")]
+         for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))]
+EDGES += [9.9999999999999999e-5, 99999999999999999.0, 1 + 2**-17, 4 + 7 * 2**-17,
+          0.0, -0.0, 5e-324, sys.float_info.max]
+
+
+def test_edge_values_match_per_element_format(tmp_path):
+    edges = np.array(EDGES)
+    _assert_per_element_text(np.concatenate([edges, -edges]), tmp_path)
+    assert _io._format_array(edges[-8:-4], "[{}]") == (
+        "[0.0001, 1e+17, 1.0000076293945312, 4.0000534057617188]")
+    assert _io._format_array(np.zeros((0, 3)), "{}\n", ",") == ""
+    assert _io._format_array(np.zeros(0), "[{}]") == "[]"
+
+
+def test_power_of_ten_table_is_within_2_to_the_minus_104():
+    """hi + lo is 10^s within 2^-104 10^s, the bound _decimal's 1e-9 tie
+    margin rests on; hi is the double nearest 10^s, and its two halves add
+    up to it."""
+    hi, lo, hi_top, hi_low = _io._P10
+    assert np.array_equal(hi_top + hi_low, hi)
+    for i, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())):
+        exact = Fraction(10) ** (16 - _io._KMIN - i)
+        assert h == float(exact)
+        assert abs(Fraction(h) + Fraction(l) - exact) <= exact / 2**104
 
 
 def test_empty_curve_writes_an_empty_list_and_a_bare_csv(tmp_path):

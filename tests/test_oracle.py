@@ -78,14 +78,10 @@ class TestEigensolver:
         mid = res.psi.size // 2
         nodes = res.psi[mid::oracle.OVERSAMPLE]
         delta = res.x[mid + oracle.OVERSAMPLE]
-        j = np.arange(nodes.size)
-        x = j * delta
-        # exact wherever x / Delta is the node's index; one ulp off it, the
-        # sinc sum gives the node value within rounding
-        on_node = x / delta == j
-        assert on_node.sum() >= nodes.size - 6
-        assert res.psi_at(x[on_node]).tobytes() == nodes[on_node].tobytes()
-        np.testing.assert_allclose(res.psi_at(x), nodes, rtol=1e-14, atol=0.0)
+        x = np.arange(nodes.size) * delta
+        # bit for bit at every node, also where x / Delta lands an ulp off
+        # the node's index
+        assert res.psi_at(x).tobytes() == nodes.tobytes()
         between = np.linspace(0.0, res.x[-1], 777)
         assert res.psi_at(-between).tobytes() == res.psi_at(between).tobytes()
         past = res.x[-1] * np.array([1.0 + 1e-9, 1.5, 10.0])

@@ -198,6 +198,64 @@ def test_edge_values_match_per_element_format(tmp_path):
     assert _io._format_array(np.zeros(0), "[{}]") == "[]"
 
 
+def _plain(obj):
+    """obj with its numpy arrays and scalars as the Python lists and values
+    that the element-by-element path writes."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+def test_document_arrays_are_formatted_in_one_pass(monkeypatch):
+    """A document that mixes 1-D and 2-D arrays, empty ones, arrays nested in
+    lists and dicts, numpy scalars and strings holding every control
+    character (the slot mark among them) takes one kernel pass and reads as
+    the per-element "%.17g" text."""
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-30, 30, (7, 3))
+    control = "".join(map(chr, range(32)))
+    doc = {
+        "schema": control,
+        control: [control, np.float64(0.1), np.int64(-3), np.bool_(False)],
+        "psi": rng.random(11),
+        "empty": np.zeros(0),
+        "no rows": np.zeros((0, 3)),
+        "empty rows": np.zeros((2, 0)),
+        "rows": rows,
+        "nested": [{"a": rows[:2], "b": [rows[2], np.float64(2.5)]},
+                   [rows[3:5, :2], -rows[5]]],
+        "edges": np.array(EDGES),
+        "last": rng.random((2, 2)),
+    }
+    passes = []
+    kernel = _io._array_text
+    monkeypatch.setattr(_io, "_array_text", lambda jobs: passes.append(jobs) or kernel(jobs))
+    assert dumps_json(doc) == dumps_json(_plain(doc))
+    assert [len(jobs) for jobs in passes] == [8]
+
+
+def test_first_bad_array_in_document_order_raises(tmp_path):
+    """Every array is checked where the serializer meets it: a non-finite
+    value in the last array raises and leaves no file, and an int array
+    after a float one raises TypeError with the one-array message."""
+    doc = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.array([0.5, np.inf])}
+    with pytest.raises(NonFiniteOutputError, match="inf"):
+        dumps_json(doc)
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteOutputError):
+        write_json(str(path), doc)
+    assert not path.exists()
+    with pytest.raises(TypeError, match="^a report writes 1-D or 2-D float64 arrays, "
+                                        "not a 1-D int64 one$"):
+        dumps_json({"f": np.ones(4), "i": np.arange(3, dtype=np.int64), "c": doc["c"]})
+    with pytest.raises(NonFiniteOutputError):
+        dumps_json({"c": doc["c"], "i": np.arange(3, dtype=np.int64)})
+
+
 def test_power_of_ten_table_is_within_2_to_the_minus_104():
     """hi + lo is 10^s within 2^-104 10^s, the bound _decimal's 1e-9 tie
     margin rests on; hi is the double nearest 10^s, and its two halves add

@@ -296,9 +296,8 @@ def _serialize(obj: Any, indent: int, jobs: list) -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2:
             return _slot(obj, "[{}]", ", ", "", jobs)
-        if not len(obj):
-            return "[]"
-        return "[\n" + _slot(obj, f"{pad}  [{{}}]", ", ", ",\n", jobs) + f"\n{pad}]"
+        rows = _slot(obj, f"{pad}  [{{}}]", ", ", ",\n", jobs)
+        return "[\n" + rows + f"\n{pad}]" if len(obj) else "[]"
     if isinstance(obj, np.generic):
         return _serialize(obj.item(), indent, jobs)
     if isinstance(obj, bool):

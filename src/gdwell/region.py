@@ -10,14 +10,17 @@ integer tables in (x^2, a), read, like those of alpha, beta and gamma, by
 closed_forms._coeffs, and every polynomial value is numpy's polyval.  This
 module traces their zero curves as companion-matrix eigenvalues, verifies
 the a=2 positivity chain, and computes the critical shape value a_c below
-which u' turns positive somewhere, as a root of a discriminant factor.
+which u' turns positive somewhere, as a root of a discriminant factor.  That
+the beta curve lies above the gamma curve is decided by Descartes' rule of
+signs, from two values of gamma per x, not by root finding: gamma as a
+quartic in a has coefficient signs (-, *, +, +, +) below X_G1_ROOT, checked
+on every row, so it has exactly one positive root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -276,28 +279,35 @@ class ACResult:
     bracket: tuple[float, float]
 
 
+def _exact(coeffs, n: int, d: int) -> int:
+    """d^deg times the integer polynomial (coefficients low to high) at n/d:
+    one integer sum over the common denominator."""
+    deg = len(coeffs) - 1
+    return sum(c * n**k * d**(deg - k) for k, c in enumerate(coeffs))
+
+
+def _newton_step(coeffs, r: float) -> float:
+    """One Newton step on the integer polynomial from r, exact until one
+    rounding to a double: with r = n/d, P = d^deg p(r) and q = d^(deg-1) p'(r),
+    the step is (n q - P) / (q d), and int true division rounds correctly."""
+    n, d = r.as_integer_ratio()
+    q = _exact([k * c for k, c in enumerate(coeffs)][1:], n, d)
+    return (n * q - _exact(coeffs, n, d)) / (q * d)
+
+
 def find_a_c() -> ACResult:
     """Critical shape value: the infimum of a for which u'(x; a) < 0 at every
     x > 0.  There gamma_tilde gains a real double root, so a_c is the root of
     gamma_tilde's degree-6 discriminant factor that is a fold of the
-    gamma_tilde curve.  It is polished by Newton steps in exact rational
+    gamma_tilde curve.  It is polished by Newton steps in exact integer
     arithmetic, rounded to a double after each step; the bracket is its two
     neighbouring doubles, at which the factor's exact signs must differ."""
-
-    def exact(coeffs, t: Fraction) -> Fraction:
-        # sum_k c_k t^k for integer c_k, low to high: with t = n/d, one
-        # integer sum over the common denominator d^deg
-        n, d, deg = t.numerator, t.denominator, len(coeffs) - 1
-        return Fraction(sum(c * n**k * d**(deg - k) for k, c in enumerate(coeffs)), d**deg)
-
-    r = _fold(_GAMMA_TILDE_FOLD, _GAMMA_TILDE, "z", *_Z_WINDOW)
     p = _GAMMA_TILDE_FOLD
-    dp = [k * c for k, c in enumerate(p)][1:]
+    r = _fold(p, _GAMMA_TILDE, "z", *_Z_WINDOW)
     for _ in range(3):  # the eigenvalue is good to ~1e-15; Newton squares that
-        t = Fraction(r)
-        r = float(t - exact(p, t) / exact(dp, t))
+        r = _newton_step(p, r)
     lo, hi = math.nextafter(r, 0.0), math.nextafter(r, 1.0)
-    if (exact(p, Fraction(lo)) > 0) == (exact(p, Fraction(hi)) > 0):
+    if (_exact(p, *lo.as_integer_ratio()) > 0) == (_exact(p, *hi.as_integer_ratio()) > 0):
         raise BracketError(f"the a_c factor does not change sign on [{lo!r}, {hi!r}]")
     return ACResult(a_c=r, width=hi - lo, bracket=(lo, hi))
 
@@ -347,6 +357,18 @@ def _points(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(a, finite.sum(axis=1)), roots[finite]])
 
 
+def _ordering_bad(c: np.ndarray, a_beta: np.ndarray) -> np.ndarray:
+    """One flag per column of c, gamma's coefficients in a at one s = x^2:
+    True unless the gamma curve lies below the line a_beta there.  They are
+    c0 = 15 s^2 (15 s^2 + 18 s - 1), negative for 0 < s < X_G1_ROOT^2, and
+    c2, c3, c4 > 0: one sign change whatever c1's sign, so by Descartes' rule
+    of signs gamma has exactly one positive root r, and 1e-9 <= r < a_beta
+    exactly when gamma(1e-9) <= 0 < gamma(a_beta).  That sign pattern is
+    checked in every column; a column without it is bad."""
+    one_root = (c[0] < 0.0) & (c[2:] > 0.0).all(axis=0)
+    return ~(one_root & (polyval(1e-9, c) <= 0.0) & (polyval(a_beta, c, tensor=False) > 0.0))
+
+
 def trace_curves(resolution: int = 200) -> RegionReport:
     """Trace the zero loci that bound the monotone-convergence region.
 
@@ -359,7 +381,11 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     geometry: the beta curve lies above the gamma curve, and just above each
     tilde curve the signs are alpha_tilde < 0, beta_tilde < 0, gamma_tilde > 0.
     Each sweep's roots are one _real_roots array, sorted and inf-padded, and
-    every output is read from it with array operations.
+    every output is read from it with array operations.  The ordering needs
+    no roots: at each x, gamma's coefficients in a have the checked sign
+    pattern (-, *, +, +, +), so by Descartes' rule of signs its one positive
+    root lies below beta's a = (1 - 3 x^2)/2 exactly when gamma is <= 0 at
+    a = 1e-9 and > 0 at that a (_ordering_bad).
     """
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
@@ -396,13 +422,10 @@ def trace_curves(resolution: int = 200) -> RegionReport:
         probe = polyval(a_up * _largest(roots[found]), _coeffs(table, a_up), tensor=False)
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
-    # geometry of the (x, a) curves: beta curve above gamma curve, with
-    # gamma as a quartic in a at fixed x; a row with no root is a violation
+    # geometry of the (x, a) curves: beta curve above gamma curve
     x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, max(resolution, 200))
-    a_gamma = _real_roots(_coeffs(_GAMMA, x * x, "a"), 1e-9, 1.0)
-    a_beta = (1.0 - 3.0 * x * x) / 2.0
     ordering_bad = int(np.count_nonzero(
-        np.isinf(a_gamma[:, 0]) | ~(a_beta > _largest(a_gamma))))
+        _ordering_bad(_coeffs(_GAMMA, x * x, "a"), (1.0 - 3.0 * x * x) / 2.0)))
 
     return RegionReport(
         resolution=resolution,

@@ -272,6 +272,8 @@ def test_empty_curve_writes_an_empty_list_and_a_bare_csv(tmp_path):
     empty = np.column_stack([np.zeros(0), np.zeros(0)])
     assert empty.shape == (0, 2)
     assert dumps_json({"curve": empty}) == '{\n  "curve": []\n}\n'
+    assert dumps_json(np.zeros((0, 2))) == "[]\n"
+    assert dumps_json(np.zeros((2, 0))) == "[\n  [],\n  []\n]\n"
     assert dumps_json(np.zeros(0)) == "[]\n"
     path = tmp_path / "c.csv"
     write_csv(str(path), {"curve": "x"}, ["a", "x"], empty)
@@ -279,8 +281,11 @@ def test_empty_curve_writes_an_empty_list_and_a_bare_csv(tmp_path):
 
 
 @pytest.mark.parametrize("arr", [np.arange(3), np.ones(3, dtype=np.float32),
-                                 np.ones((2, 2, 2)), np.array(1.0), np.array(["s"])],
-                         ids=["int", "float32", "3-D", "0-D", "str"])
+                                 np.ones((2, 2, 2)), np.array(1.0), np.array(["s"]),
+                                 np.zeros((0, 3), np.int64), np.zeros((0, 2), np.float32),
+                                 np.zeros(0, np.int64)],
+                         ids=["int", "float32", "3-D", "0-D", "str", "empty-2-D-int",
+                              "empty-2-D-float32", "empty-1-D-int"])
 def test_array_the_formatter_cannot_write_raises(arr, tmp_path):
     """No array is written as its str()."""
     with pytest.raises(TypeError, match="float64"):

@@ -287,6 +287,28 @@ class TestCriticalValues:
         assert float(eval_u_prime(res.a_c - 1e-6, x).max()) > 0.0
         assert float(eval_u_prime(res.a_c + 1e-6, x).max()) < 0.0
 
+    def test_integer_newton_step_equals_the_fraction_step(self):
+        # the polish as it was, in Fraction arithmetic rounded once per step
+        p = region._GAMMA_TILDE_FOLD
+        dp = [k * c for k, c in enumerate(p)][1:]
+
+        def fraction_step(r):
+            t = Fraction(r)
+            return float(t - sum(c * t**k for k, c in enumerate(p))
+                         / sum(c * t**k for k, c in enumerate(dp)))
+
+        a_c = find_a_c().a_c
+        starts = a_c + np.random.default_rng(32).uniform(-1e-6, 1e-6, 1000)
+        for r in starts.tolist():
+            for _ in range(3):
+                step = region._newton_step(p, r)
+                assert step.hex() == fraction_step(r).hex()
+                r = step
+            assert r == a_c
+        assert find_a_c() == region.ACResult(
+            a_c=0.663770717811756, width=2.0**-52,
+            bracket=(0.6637707178117559, 0.6637707178117561))
+
     def test_a_g_values(self):
         assert find_a_g(1.0) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
         assert find_a_g(2.0) == pytest.approx((1.0 + math.sqrt(17.0)) / 8.0, rel=1e-14)
@@ -414,6 +436,71 @@ def _real_roots_per_row(coeffs, lo, hi):
     real = np.abs(lam.imag) <= region._ROOT_TOL * (1.0 + np.abs(lam.real))
     keep = real & (lam.real >= lo) & (lam.real <= hi)
     return [np.sort(row.real[k]) for row, k in zip(lam, keep)]
+
+
+def _ordering_bad_by_roots(c, a_beta):
+    """The ordering check as trace_curves made it before Descartes' rule: a
+    column is bad unless its quartic has a real root in [1e-9, 1] and the
+    largest one lies below a_beta."""
+    a_gamma = region._real_roots(c, 1e-9, 1.0)
+    return np.isinf(a_gamma[:, 0]) | ~(a_beta > region._largest(a_gamma))
+
+
+def test_gamma_coefficients_in_a_have_one_sign_change():
+    # from the integer table: c0 < 0 on (0, X_G1_ROOT^2), and c2, c3, c4
+    # have no negative coefficient in s and a positive constant term
+    a, s = sp.symbols("a s")
+    gamma = sum(int(c) * s**i * a**j for (i, j), c in np.ndenumerate(closed_forms._GAMMA))
+    c0, c1, c2, c3, c4 = sp.Poly(gamma, a).all_coeffs()[::-1]
+    assert sp.expand(c0 - 15 * s**2 * (15 * s**2 + 18 * s - 1)) == 0
+    assert sp.expand(c1 - 36 * s * (15 * s**2 + 18 * s - 1)) == 0
+    s_root = (-9 + 4 * sp.sqrt(6)) / 15
+    assert math.isclose(float(s_root), X_G1_ROOT**2, rel_tol=1e-14)
+    negative = sp.solve_univariate_inequality(c0 < 0, s, relational=False,
+                                              domain=sp.Interval.open(0, sp.oo))
+    assert negative == sp.Interval.open(0, s_root)
+    for c in (c2, c3, c4):
+        coeffs = sp.Poly(c, s).all_coeffs()
+        assert all(k >= 0 for k in coeffs) and coeffs[-1] > 0
+
+
+def test_ordering_rule_matches_the_eigensolve_rows():
+    x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, 20001)
+    c = _coeffs(closed_forms._GAMMA, x * x, "a")
+    a_beta = (1.0 - 3.0 * x * x) / 2.0
+    assert not region._ordering_bad(c, a_beta).any()
+    assert not _ordering_bad_by_roots(c, a_beta).any()
+    # the beta line moved just above and below each row's root: the rows
+    # alternate, and both rules see the same ones
+    (r,) = region._real_roots(c, 1e-9, 1.0).T[:1]
+    assert np.isfinite(r).all()
+    moved = r * np.where(np.arange(r.size) % 2, 1.0 - 1e-6, 1.0 + 1e-6)
+    bad = region._ordering_bad(c, moved)
+    assert np.array_equal(bad, np.arange(r.size) % 2 == 1)
+    assert np.array_equal(bad, _ordering_bad_by_roots(c, moved))
+
+
+def test_ordering_rule_reports_violations():
+    x = np.linspace(X_G1_ROOT * 1e-2, X_G1_ROOT * 0.98, 2001)
+    c = _coeffs(closed_forms._GAMMA, x * x, "a")
+    # a beta line below the gamma curve
+    r = region._real_roots(c, 1e-9, 1.0)[:, 0]
+    assert region._ordering_bad(c, r / 2.0).all()
+    # past X_G1_ROOT c0 > 0: gamma has no positive root, and no row passes
+    x = np.linspace(X_G1_ROOT * 1.02, 3.0, 2001)
+    c = _coeffs(closed_forms._GAMMA, x * x, "a")
+    assert (c[0] > 0.0).all()
+    assert region._ordering_bad(c, (1.0 - 3.0 * x * x) / 2.0).all()
+    assert region._ordering_bad(c, np.full(x.size, 0.45)).all()
+    assert _ordering_bad_by_roots(c, np.full(x.size, 0.45)).all()
+    # a quartic whose values at 1e-9 and 0.45 pass, but whose sign pattern
+    # (- + - - +) has three changes: roots 0.1, 0.6 and 0.7 lie past the line
+    quartic = np.polynomial.polynomial.polyfromroots([0.1, 0.6, 0.7, -1.0])
+    c = np.repeat(quartic[:, None], 3, axis=1)
+    assert np.polynomial.polynomial.polyval(1e-9, quartic) < 0.0
+    assert np.polynomial.polynomial.polyval(0.45, quartic) > 0.0
+    assert region._ordering_bad(c, np.full(3, 0.45)).all()
+    assert _ordering_bad_by_roots(c, np.full(3, 0.45)).all()
 
 
 @pytest.mark.parametrize("degree", [3, 4, 6])

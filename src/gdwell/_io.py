@@ -37,7 +37,8 @@ import numpy as np
 from .errors import NonFiniteOutputError
 
 SCHEMA_CSV = "gdwell-csv-v1"
-_SCALARS = (int, float, bool, str, type(None))
+# the types a list is written inline for; each numpy one's .item() is a Python one
+_SCALARS = (int, float, bool, str, type(None), np.bool_, np.integer, np.floating)
 
 
 def format_float(v: float) -> str:
@@ -285,11 +286,7 @@ def _serialize(obj: Any, indent: int, jobs: list) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        kinds = set(map(type, obj))
-        if any(issubclass(k, np.generic) for k in kinds):
-            return _serialize([v.item() if isinstance(v, np.generic) else v for v in obj],
-                              indent, jobs)
-        if all(issubclass(k, _SCALARS) for k in kinds):
+        if all(issubclass(k, _SCALARS) for k in set(map(type, obj))):
             return "[" + ", ".join(_serialize(v, indent, jobs) for v in obj) + "]"
         items = [f"{pad}  {_serialize(v, indent + 2, jobs)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"

@@ -20,6 +20,7 @@ on every row, so it has exactly one positive root.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "find_a_c",
     "find_a_g",
     "RegionReport",
+    "CURVE_PLANES",
     "trace_curves",
 ]
 
@@ -197,22 +199,28 @@ class Section3Report:
     min_combination: float
     argmin_x: float
     inequality_holds: bool
+    route_mismatch: float
+    max_u_prime: float
 
 
 def verify_section3_positivity() -> Section3Report:
     """Check the a=2 positivity chain on 10000 nodes over [1e-3, 10]:  at
     every node, C1 sqrt(x^2+2) + C2 > 0, and the supporting inequality
-    8 sqrt(3) (4800 x^2 + 1152) > 1152 x sqrt(x^2+2)."""
+    8 sqrt(3) (4800 x^2 + 1152) > 1152 x sqrt(x^2+2).  On the same nodes it
+    measures the relative gap of u_prime_a2 to eval_u_prime, and the largest u'."""
     x_grid = np.linspace(1e-3, 10.0, 10000)
     r = np.sqrt(x_grid**2 + 2.0)
     combo = _poly_C1(x_grid) * r + _poly_C2(x_grid)
     margin = 8.0 * math.sqrt(3.0) * (4800.0 * x_grid**2 + 1152.0) - 1152.0 * x_grid * r
     imin = int(np.argmin(combo))
+    u_prime = eval_u_prime(2.0, x_grid)
     return Section3Report(
         all_positive=bool(np.all(combo > 0.0)),
         min_combination=float(combo[imin]),
         argmin_x=float(x_grid[imin]),
         inequality_holds=bool(np.all(margin > 0.0)),
+        route_mismatch=float(np.max(np.abs(u_prime_a2(x_grid) - u_prime) / np.abs(u_prime))),
+        max_u_prime=float(u_prime.max()),
     )
 
 
@@ -369,6 +377,11 @@ def _ordering_bad(c: np.ndarray, a_beta: np.ndarray) -> np.ndarray:
     return ~(one_root & (polyval(1e-9, c) <= 0.0) & (polyval(a_beta, c, tensor=False) > 0.0))
 
 
+# the plane of each traced curve, (x, a) or (z, a), named by its root coordinate
+CURVE_PLANES = {"beta_zero": "x", "gamma_zero": "x", "alpha_tilde_zero": "z",
+                "beta_tilde_zero": "z", "gamma_tilde_zero": "z"}
+
+
 def trace_curves(resolution: int = 200) -> RegionReport:
     """Trace the zero loci that bound the monotone-convergence region.
 
@@ -376,10 +389,11 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     for small a, at x below X_G1_ROOT).  In the (z, a) plane
     with z = x^2/a: the zero loci of alpha_tilde, beta_tilde and gamma_tilde.
     Each locus is sampled on a log-spaced a sweep that ends where the curve
-    does, so it carries at least `resolution` points; sweep values with no
-    root are recorded as misses, not errors.  Also verifies the stated
-    geometry: the beta curve lies above the gamma curve, and just above each
-    tilde curve the signs are alpha_tilde < 0, beta_tilde < 0, gamma_tilde > 0.
+    does, so it carries at least `resolution` points (an integer); sweep
+    values with no root are recorded as misses, not errors.  Also verifies
+    the stated geometry: the beta curve lies above the gamma curve, and just
+    above each tilde curve the signs are alpha_tilde < 0, beta_tilde < 0,
+    gamma_tilde > 0.
     Each sweep's roots are one _real_roots array, sorted and inf-padded, and
     every output is read from it with array operations.  The ordering needs
     no roots: at each x, gamma's coefficients in a have the checked sign
@@ -387,6 +401,8 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     root lies below beta's a = (1 - 3 x^2)/2 exactly when gamma is <= 0 at
     a = 1e-9 and > 0 at that a (_ordering_bad).
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
     curves: dict[str, np.ndarray] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,9 +258,14 @@ def solve(
     run proceeds, but an OutsideRegionWarning is issued and recorded
     (monotone convergence is then not guaranteed).  max_iter must be at
     least 1 and tol finite and at least 0, where tol = 0 runs exactly
-    max_iter iterations (ValueError otherwise, also for a NaN tol).  bc is a
+    max_iter iterations (ValueError otherwise, also for a NaN tol, a
+    non-integer or bool max_iter and a non-real or bool tol).  bc is a
     BoundaryCondition or its value, "I" or "II" (ValueError otherwise).
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (tol >= 0.0 and math.isfinite(tol)):

@@ -354,6 +354,19 @@ class TestOracleCommand:
         assert "configuration error" in err and "L must" in err
 
 
+VERIFY_CHECKS = [
+    "u-factorization-identity", "uprime-factorization-identity", "gamma-tilde-table",
+    "a2-positivity-chain", "uprime-a2-route-match", "uprime-a2-negative", "u-positive-all-a",
+    "critical-shape-value", "table1-bcI", "table1-bcII", "oracle-cross-check", "exact-case",
+]
+
+
+def verdicts(out: str) -> list[tuple[str, str]]:
+    """The (PASS or FAIL, check name) of each verdict line of verify's output."""
+    return [(line.split()[0], line.split()[1].rstrip(":")) for line in out.splitlines()
+            if line.split()[:1] in (["PASS"], ["FAIL"])]
+
+
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -361,6 +374,27 @@ class TestVerifyCommand:
         assert "FAIL" not in [line.split()[0] for line in out.splitlines() if line]
         assert "EXPECTED-FAIL (demo)" in out
         assert "checks passed" in out
+
+    def test_one_verdict_line_per_check(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0, out
+        assert verdicts(out) == [("PASS", name) for name in VERIFY_CHECKS]
+        assert out.splitlines()[-1] == "verify: 12/12 checks passed"
+
+    def test_one_failing_check_exits_1(self, capsys, monkeypatch):
+        import dataclasses
+
+        import gdwell.cli as cli
+
+        real = cli.region.find_a_c
+        monkeypatch.setattr(cli.region, "find_a_c",
+                            lambda: dataclasses.replace(real(), a_c=0.5))
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL critical-shape-value: a_c = 0.5000, width 2.2e-16" in out.splitlines()
+        assert verdicts(out) == [("FAIL" if name == "critical-shape-value" else "PASS", name)
+                                 for name in VERIFY_CHECKS]
+        assert out.splitlines()[-1] == "verify: 11/12 checks passed"
 
 
 class TestViolationExitCode:

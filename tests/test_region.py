@@ -262,6 +262,15 @@ class TestSection3:
         assert rep.inequality_holds
         assert rep.min_combination > 0.0
 
+    def test_route_match_and_negative_slope_on_the_chain_nodes(self):
+        rep = verify_section3_positivity()
+        x = np.linspace(1e-3, 10.0, 10000)
+        u_prime = eval_u_prime(2.0, x)
+        assert rep.route_mismatch == float(np.max(np.abs(u_prime_a2(x) - u_prime)
+                                                  / np.abs(u_prime)))
+        assert rep.route_mismatch <= 1e-9
+        assert rep.max_u_prime == float(u_prime.max()) < 0.0
+
 
 class TestCriticalValues:
     def test_a_c_bracket_and_width(self):
@@ -368,6 +377,16 @@ class TestCurves:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             trace_curves(resolution=10)
+
+    @pytest.mark.parametrize("resolution", [60.5, True, "60"])
+    def test_non_integer_or_bool_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            trace_curves(resolution=resolution)
+
+    def test_every_curve_has_one_plane(self, report):
+        assert set(region.CURVE_PLANES) == set(report.curves)
+        assert {name for name, plane in region.CURVE_PLANES.items() if plane == "x"} == {
+            "beta_zero", "gamma_zero"}
 
     def test_beta_curve_matches_closed_form(self, report):
         for a, x in report.curves["beta_zero"]:

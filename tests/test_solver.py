@@ -178,6 +178,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol"):
             solve(P12, Grid(4.0, 64), tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, "5"])
+    def test_rejects_non_integer_or_bool_max_iter(self, max_iter):
+        # True would otherwise run one iteration, 2.5 fail inside range()
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            solve(P12, Grid(4.0, 64), max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", ["1e-6", True, None, 1j])
+    def test_rejects_non_real_or_bool_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            solve(P12, Grid(4.0, 64), tol=tol)
+
+    def test_takes_numpy_integer_max_iter_and_float_tol(self):
+        rep = solve(P12, Grid(4.0, 200), max_iter=np.int64(3), tol=np.float32(0.0))
+        assert rep.iterations == 3
+
     def test_rejects_infinite_tol(self):
         with pytest.raises(ValueError, match="finite"):
             solve(P12, Grid(4.0, 64), tol=float("inf"))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import ConvergenceDomainError
+from .errors import ConvergenceDomainError, require_real
 
 __all__ = [
     "find_a_g",
@@ -52,6 +52,7 @@ def find_a_g(g: float) -> float:
     """Shape bound equivalent to a positive mixing coefficient:
     a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2).  Raises ValueError unless g > 0
     is finite, 4 g^2 is finite and nonzero, and a_g itself is finite."""
+    require_real("coupling g", g)
     if not (0.0 < g < math.inf and 0.0 < 4.0 * g * g < math.inf):
         raise ValueError(f"coupling g must be > 0 with 4 g^2 finite and nonzero, got {g}")
     a_g = (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
@@ -80,6 +81,7 @@ class PotentialParams:
         # find_a_g validates g, first; V scales with g^2 and u with a^4, as
         # Python floats, whose powers raise OverflowError rather than give inf
         a_g = find_a_g(self.g)
+        require_real("shape parameter a", self.a)
         a2 = self.a * self.a
         if not (0.0 < self.a < math.inf and a2 * a2 < math.inf):
             raise ValueError(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type rule every
+numeric parameter is held to."""
+
+import numbers
 
 
 class GdwellError(Exception):
@@ -65,3 +68,15 @@ class OutsideRegionWarning(UserWarning):
     """Parameters violate the monotone-convergence region (a <= critical
     shape value); the iteration may still run but convergence is not
     guaranteed."""
+
+
+def require_integer(name, v, error=ValueError):
+    """Raise error unless v is an integer (a Python or numpy one) and no bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise error(f"{name} must be an integer, got {v!r}")
+
+
+def require_real(name, v, error=ValueError):
+    """Raise error unless v is a real number (a Python or numpy one) and no bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise error(f"{name} must be a real number, got {v!r}")

@@ -27,13 +27,12 @@ here touches the trial function or the iteration, which share only
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import PotentialParams, eval_potential
-from .errors import DiscretizationError
+from .errors import DiscretizationError, require_integer, require_real
 
 __all__ = ["OracleConfig", "OracleResult", "oracle_ground_state", "PeakReport", "peak_census"]
 
@@ -57,10 +56,10 @@ class OracleConfig:
     n: int = 4000
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        require_integer("n", self.n)
         if self.n < 500:
             raise ValueError(f"n must be >= 500, got {self.n}")
+        require_real("L", self.L)
         if not self.L > 1.0:
             raise ValueError(f"L must exceed 1, got {self.L}")
 

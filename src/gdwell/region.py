@@ -20,7 +20,6 @@ on every row, so it has exactly one positive root.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .closed_forms import (
     _GAMMA, _coeffs, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
-from .errors import BracketError
+from .errors import BracketError, require_integer
 
 __all__ = [
     "A_C",
@@ -401,8 +400,7 @@ def trace_curves(resolution: int = 200) -> RegionReport:
     root lies below beta's a = (1 - 3 x^2)/2 exactly when gamma is <= 0 at
     a = 1e-9 and > 0 at that a (_ordering_bad).
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    require_integer("resolution", resolution)
     if resolution < 50:
         raise ValueError("resolution must be >= 50 samples per curve")
     curves: dict[str, np.ndarray] = {}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +31,8 @@ from .errors import (
     NonConvergenceWarning,
     OutsideRegionWarning,
     PositivityLossError,
+    require_integer,
+    require_real,
 )
 from .quadrature import integrate_against_phi2, nested_origin, nested_tail
 from .region import A_C
@@ -262,10 +263,8 @@ def solve(
     non-integer or bool max_iter and a non-real or bool tol).  bc is a
     BoundaryCondition or its value, "I" or "II" (ValueError otherwise).
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ValueError(f"tol must be a real number, got {tol!r}")
+    require_integer("max_iter", max_iter)
+    require_real("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (tol >= 0.0 and math.isfinite(tol)):

@@ -15,14 +15,13 @@ per node and all ratios are formed from log differences.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import closed_forms as cf
 from .closed_forms import PotentialParams
-from .errors import GridError, GridMismatchError
+from .errors import GridError, GridMismatchError, require_integer, require_real
 
 __all__ = ["Grid", "TrialFunction", "build_trial"]
 
@@ -46,11 +45,11 @@ class Grid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_real("x_max", self.x_max, GridError)
         if not 1.0 < self.x_max < math.inf:
             raise GridError(f"x_max must be finite and exceed 1, got {self.x_max}")
         n = self.n_per_panel
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise GridError(f"n_per_panel must be an integer, got {n!r}")
+        require_integer("n_per_panel", n, GridError)
         n = int(n)
         object.__setattr__(self, "n_per_panel", n)
         if n < 8 or n % 2 != 0:

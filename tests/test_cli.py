@@ -184,7 +184,11 @@ class TestSolveCommand:
         _, _, psi2, psi_final, _ = columns()
         assert psi2 == cells(solve(p, grid, max_iter=2, tol=0.0).psi_final)
         assert psi_final == cells(solve(p, grid).psi_final)
-        assert psi2 != psi_final
+        # at (1, 2) psi_final is e^{-x^4/4}, and psi2 a distinct column
+        final, second = np.array(psi_final, dtype=float), np.array(psi2, dtype=float)
+        assert second[0] == 1.0
+        assert float(np.max(np.abs(final - np.exp(-grid.nodes**4 / 4.0)))) <= 1e-6
+        assert float(np.max(np.abs(second - final))) > 1e-4
         _, _, psi2, psi_final, _ = columns("--max-iter", "1", "--tol", "0")
         assert psi2 == psi_final == cells(solve(p, grid, max_iter=1, tol=0.0).psi_final)
 
@@ -202,6 +206,14 @@ class TestSolveCommand:
         assert code == 2
         assert "configuration error" in err and "grid spacing too coarse" in err
         assert "use n_per_panel >= " in err
+
+    def test_deep_well_exit_2(self, capsys):
+        # at g = 1e150 no x_max helps; build_trial's psi0 overflow is left aside
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, "solve", "--g", "1e150", "--a", "2")
+        assert code == 2
+        assert "configuration error" in err
+        assert "the steps on [0, 1] need more intervals" in err and "decrease x_max" not in err
 
     @pytest.mark.parametrize("argv", [["--n-points", "100000000000000000000"],
                                       ["--x-max", "50"]])
@@ -284,6 +296,7 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "2", "--out-dir", str(tmp_path))
         assert code == 0
         assert "known-discrepant-reference" in out
+        assert "known-discrepant-reference" in (tmp_path / "table2.csv").read_text()
         worst = float(out.splitlines()[-1].split()[-1])
         assert worst <= 5e-4  # over the reproducible rows
 
@@ -335,6 +348,17 @@ class TestOracleCommand:
         assert text.startswith("E = 1.0000")
         assert "single-at-0" in text
         assert out.exists()
+
+    def test_default_n_writes_the_exact_ground_state(self, capsys, tmp_path):
+        # at (1, 2) psi is e^{-x^4/4} and E = 1
+        out = tmp_path / "o.csv"
+        code, text, _ = run(capsys, "oracle", "--g", "1", "--a", "2", "--out", str(out))
+        assert code == 0
+        assert text.startswith("E = 1.000000 ")
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert len(rows) > 100
+        dev = max(abs(float(r["psi"]) - math.exp(-float(r["x"]) ** 4 / 4.0)) for r in rows)
+        assert dev <= 1e-4
 
     @pytest.mark.parametrize("g,a", [("inf", "2"), ("2", "inf")])
     def test_non_finite_parameter_exit_2(self, capsys, g, a):

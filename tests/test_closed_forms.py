@@ -80,6 +80,18 @@ class TestParams:
         with pytest.raises(ValueError, match="coupling g|overflows at g"):
             PotentialParams(g, math.nan)
 
+    # a bool is no number, and a str is named, not failed in a comparison
+    @pytest.mark.parametrize("g,a,message", [
+        (True, 2.0, "coupling g must be a real number, got True"),
+        ("1", 2.0, "coupling g must be a real number, got '1'"),
+        (2.0, True, "shape parameter a must be a real number, got True"),
+        (2.0, "2", "shape parameter a must be a real number, got '2'")],
+        ids=["bool-g", "str-g", "bool-a", "str-a"])
+    def test_rejects_non_real_or_bool(self, g, a, message):
+        with pytest.raises(ValueError) as exc:
+            PotentialParams(g, a)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("g,a", [(1e150, 2.0), (1e-150, 2.0), (2.0, 1e76), (2.0, 1e-300)])
     def test_accepts_squares_and_fourth_powers_in_range(self, g, a):
         p = PotentialParams(g, a)

@@ -127,9 +127,12 @@ class TestEigensolver:
         with pytest.raises(ValueError):
             OracleConfig(L=0.5)
         # numpy's node arrays need an integer count; a bool is no count
-        for n in (501.0, 4000.0, True):
+        for n in (501.0, 4000.0, True, "4000"):
             with pytest.raises(ValueError, match="integer"):
                 OracleConfig(n=n)
+        for L in (True, "6"):
+            with pytest.raises(ValueError, match="L must be a real number"):
+                OracleConfig(L=L)
 
     def test_discretization_guard(self):
         # a domain that cuts the wells at x ~ 1 trips the domain-extension check

@@ -330,7 +330,7 @@ class TestCriticalValues:
     # from g = 6.7e153 on, g^2 is finite but 4 g^2 is not; below
     # g = 7.5e-155, 2 g^2 is subnormal and a_g overflows
     @pytest.mark.parametrize("g", [math.inf, math.nan, -1.0, 1e200, 1e-200, 7e153, 1.3e154,
-                                   1e-160])
+                                   1e-160, True, "1"])
     def test_a_g_rejects_g_it_cannot_evaluate(self, g):
         with pytest.raises(ValueError, match="g"):
             find_a_g(g)

@@ -65,6 +65,11 @@ class TestGrid:
         with pytest.raises(GridError, match="n_per_panel must be an integer"):
             Grid(4.0, n)
 
+    @pytest.mark.parametrize("x_max", [True, "4"])
+    def test_rejects_a_non_real_length(self, x_max):
+        with pytest.raises(GridError, match="x_max must be a real number"):
+            Grid(x_max, 200)
+
     def test_size_is_bounded(self):
         with pytest.raises(GridError, match=f"at most MAX_N_PER_PANEL = {MAX_N_PER_PANEL}"):
             Grid(4.0, MAX_N_PER_PANEL + 2)

@@ -53,6 +53,8 @@ def find_a_g(g: float) -> float:
     a_g = (1 + sqrt(1 + 4 g^2)) / (2 g^2).  Raises ValueError unless g > 0
     is finite, 4 g^2 is finite and nonzero, and a_g itself is finite."""
     require_real("coupling g", g)
+    # a Python float, so a numpy float32 g computes a_g in double
+    g = float(g)
     if not (0.0 < g < math.inf and 0.0 < 4.0 * g * g < math.inf):
         raise ValueError(f"coupling g must be > 0 with 4 g^2 finite and nonzero, got {g}")
     a_g = (1.0 + math.sqrt(1.0 + 4.0 * g * g)) / (2.0 * g * g)
@@ -82,6 +84,10 @@ class PotentialParams:
         # Python floats, whose powers raise OverflowError rather than give inf
         a_g = find_a_g(self.g)
         require_real("shape parameter a", self.a)
+        # kept as Python floats, so numpy float32 inputs give every derived
+        # constant in double
+        object.__setattr__(self, "g", float(self.g))
+        object.__setattr__(self, "a", float(self.a))
         a2 = self.a * self.a
         if not (0.0 < self.a < math.inf and a2 * a2 < math.inf):
             raise ValueError(

@@ -23,14 +23,10 @@ node weights h_p c_k phi^2(x_k) of that composite rule.  phi^2 = exp(2 log
 phi) is at most 1 by the peak normalization, so they can underflow but never
 overflow.
 
-The nested operators never form phi^2 or 1/phi^2 directly.  They keep one
-trial-only factor per interval, the step ratio up_k = phi^2(x_{k+1}) /
-phi^2(x_k), the exponential of one step of 2 log phi.  Precondition: every
-step is far below B = _SCAN_BAND = 200 in size, which gdwell.solver.solve
-guarantees by rejecting, before it iterates, every grid with a step above
-its STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634, read from log phi.  The step
-ratios and the node weights of the phi^2 integral depend only on the trial
-function: they are built once per TrialFunction, on first use, and kept on it.
+The nested operators never form phi^2 or 1/phi^2 directly.  Precondition:
+every step of 2 log phi is far below B = _SCAN_BAND = 200 in size, which
+gdwell.solver.solve guarantees by rejecting, before it iterates, every grid
+with a step above its STEP_CAP of 2 ln(2 + sqrt 3) ~ 2.634, read from log phi.
 
 The inner integral of the nested operators is split at the phi^2 peak so that
 it is always summed from the side where phi^2 is small, and never formed as a
@@ -40,23 +36,37 @@ the peak, would be amplified by up to e^{+2 g |S0|}):
     right of the peak   suffix(x_k) = integral_{x_k}^{x_max} h phi^2 / phi^2(x_k)
     left of the peak    prefix(x_k) = integral_0^{x_k} h phi^2 / phi^2(x_k)
 
-Both are the running sums above, in units of phi^2 at each node.  The node
-terms (the end terms at x = 0 and x_max, at x = 1 panel 0's closing term
-plus panel 1's opening term) move one node toward the peak, divided or
-multiplied by the step ratio between, are scanned, and the closure at each
-node is added: (h/24)(h_{k-1}/up_{k-1} + 12 h_k - h_{k+1} up_k) for the
-prefix, its mirror for the suffix.  Every phi^2 ratio is a product of at
-most three step ratios, formed where it is used, so it cannot overflow.
+Both are the running sums above, in units of phi^2 at each node: the prefix
+at k sums the terms of the nodes before k, the suffix those after k, and the
+closure at k (its mirror for the suffix) is added.  They are summed in band
+units.  Every node k has the anchor A_k = m B of the band [m B, (m+1) B)
+that 2 log phi_k lies in, and a scanned node holds its sums in units of
+e^{A_k}.  Per scanned node k the rule keeps the term factor hk_k = h_p
+e^{2 log phi_j - A_k}, h_p the step of node j's panel, of the node j = k - 1
+(prefix) or k + 1 (suffix) whose term is summed into k, and the scale
+e^{A_k - 2 log phi_k}; the two sides scan disjoint runs of nodes, so they
+share one array of each.  A call writes the samples times hk into the scan
+buffer, which moves each term one node toward the peak into k's units;
+forms each closure (u_{k-1} + 12 u_k - u_{k+1})/24 from those scaled terms
+before the scan; overwrites, from a few kept stencils on the samples, the
+terms and closures that need more than one step within one panel (the end
+terms at x = 0 and x_max, at x = 1 panel 0's closing term plus panel 1's
+opening term, and the closures at the panel ends, beside x = 1, the peak
+and every band change); scans; adds the closures and multiplies once by the
+scale.
 
-The scans are blocked.  Contiguous runs of nodes whose 2 log phi lies in one
-band [m B, (m+1) B) are summed by one numpy cumsum in the units of e^{m B},
-and the running sum is carried to the next band by a factor e^{+-B}; by the
-precondition adjacent blocks differ by exactly one band.  No exponent the
-scan evaluates exceeds B in size, so none of its factors is subnormal, and
-no partial sum of N terms exceeds N e^{2B} times the largest term, far
-inside the double range, however deep the well.  The only Python loop runs
-over the bands, which is why they are much wider than a step.  The band
-layout and its exponentials are trial-only factors too.
+The scans are blocked.  Contiguous runs of nodes in one band are summed by
+one numpy cumsum, and the running sum is carried to the next band by a
+factor e^{+-B}; by the precondition adjacent blocks differ by exactly one
+band.  hk lies in h_p (e^{-2.7}, e^{202.7}) and the scale in (e^{-200}, 1],
+the stencil coefficients within a few steps of the same range, so no kept
+factor is subnormal or near overflow, and, as the carries are, no partial
+sum of N terms exceeds N e^{2B} times the largest term, far inside the
+double range, however deep the well.  The only Python loop runs over the
+bands, which is why they are much wider than a step.  The node weights of
+the phi^2 integral, hk, the scales, the band layout and the stencils depend
+only on the trial function: they are built once per TrialFunction, on first
+use, and kept on it.
 
 Both nested operators take the two one-sided sums, unsigned, and negate one
 side: nested_tail the prefix and nested_origin the suffix.  That rests on a
@@ -70,15 +80,16 @@ never into one its caller passed in or one the TrialFunction keeps (log_phi,
 psi0, quadrature_factors); _run_scan scans in place the array its caller
 allocated for it.  Within that rule the kernels work in place, with the same
 operations in the same order as the expressions they stand for, so a large
-grid costs few temporaries and no bits.  _factors builds the step ratios,
-the node weights and the scan layouts from one array of 2 log phi with out=;
-build_trial (gdwell.trial) and solver.w_samples form log phi, psi0 and w in
-the arrays the closed forms return.  Grid.nodes is read-only, so a stray
+grid costs few temporaries and no bits.  _factors builds the node weights,
+the term factors, the scales and the scan layouts from one array of 2 log
+phi; build_trial (gdwell.trial) and solver.w_samples form log phi, psi0 and
+w in the arrays the closed forms return.  Grid.nodes is read-only, so a stray
 write into the grid raises.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -121,69 +132,157 @@ def _weights(l2: np.ndarray, grid: Grid) -> np.ndarray:
     return w
 
 
-class _Scan(NamedTuple):
-    """Layout of one blocked scan out_i = sum_{j<=i} c_j exp(l2_j - l2_i):
-    each block shares one anchor A = m B, its band's lower edge, B = _SCAN_BAND."""
-
-    into: np.ndarray  # exp(l2_j - A) of node j's block, in [1, e^B)
-    blocks: list[tuple[int, int, float]]  # (start, stop, exp(A_previous - A))
-
-
-def _scan_layout(l2: np.ndarray) -> _Scan:
-    # the bands, their anchors and then the into factors in one array
-    anchor = np.divide(l2, _SCAN_BAND)
-    np.floor(anchor, out=anchor)
-    starts = np.flatnonzero(np.diff(anchor, prepend=np.nan))  # 0 and each band change
-    stops = [*starts[1:].tolist(), l2.size]
-    anchor *= _SCAN_BAND
-    # adjacent bands differ by one, as every step of 2 log phi is below B by
-    # the precondition; the first block has nothing to carry
-    carry = [0.0, *np.exp(anchor[starts[1:] - 1] - anchor[starts[1:]]).tolist()]
-    into = np.subtract(l2, anchor, out=anchor)
-    np.exp(into, out=into)
-    return _Scan(into, list(zip(starts.tolist(), stops, carry)))
+def _blocks(anchor: np.ndarray) -> list[tuple[int, int, float]]:
+    """The blocks (start, stop, exp(A_previous - A)) of a scan whose nodes
+    have the band anchors A = anchor, in scan order: each block is a run of
+    nodes in one band; the first block has nothing to carry."""
+    if not anchor.size:
+        return []
+    changes = np.flatnonzero(anchor[1:] != anchor[:-1]) + 1
+    starts = [0, *changes.tolist()]
+    carry = [0.0, *np.exp(anchor[changes - 1] - anchor[changes]).tolist()]
+    return list(zip(starts, [*starts[1:], anchor.size], carry))
 
 
-def _run_scan(x: np.ndarray, scan: _Scan) -> None:
-    """The blocked scan of the terms c_j = x_j, in place: x is the caller's
-    own array."""
-    x *= scan.into
+def _run_scan(x: np.ndarray, blocks: list[tuple[int, int, float]]) -> None:
+    """The blocked scan of terms x in band units, in place: x is the
+    caller's own array, and each running sum stays in its node's band."""
     carry = 0.0
-    for start, stop, factor in scan.blocks:
+    for start, stop, factor in blocks:
         seg = x[start:stop]
         seg[0] += carry * factor
         np.cumsum(seg, out=seg)
         carry = seg[-1]
-    x /= scan.into
+
+
+def _closures(x: np.ndarray, out: np.ndarray) -> None:
+    """The closures (x_k + 12 x_{k+1} - x_{k+2}) / 24 of the terms x, in
+    scan order, into out at every node but the last two."""
+    c = out[: x.size - 2]
+    if c.size:
+        np.multiply(12.0, x[1:-1], out=c)
+        c += x[:-2]
+        c -= x[2:]
+        c *= 1.0 / 24.0
+
+
+# the end term (h/24)(12 u_0 + u_1 - u_{-1}) of a panel, with the cubic's
+# ghost value u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3, in units of h/24 on
+# u_0..u_3 counted from that end
+_GHOST_END = (8.0, 7.0, -4.0, 1.0)
 
 
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
-    of the phi^2 integral, the step ratios up, row p for panel p, the phi^2
-    peak node and the layouts of the prefix scan (left of the peak) and of
-    the suffix scan (from the peak on, in reverse node order)."""
+    of the phi^2 integral, row p for panel p, the phi^2 peak node and the
+    scaled terms of the inner integral.  Node k, first <= k < 2n, is
+    scanned: left of the peak it sums the term of node k - 1 (the prefix),
+    from the peak on that of node k + 1 (the suffix, in reverse node order);
+    hk, scale and the scan buffer hold node k at k - first."""
 
     weights: np.ndarray
-    up: np.ndarray  # phi^2(k+1)/phi^2(k), (2, n_per_panel)
     peak: int
-    prefix: _Scan
-    suffix: _Scan
+    first: int  # 1, or 0 for a peak at 0
+    hk: np.ndarray  # h e^{l2_j - A_k} for the term of node j summed into k
+    scale: np.ndarray  # e^{A_k - l2_k}
+    pieces: list[tuple[int, int, int, int]]  # (row, col start, col stop, k - first)
+    prefix: list[tuple[int, int, float]]  # the blocks of the prefix scan
+    suffix: list[tuple[int, int, float]]  # and of the suffix scan
+    gather: tuple[np.ndarray, np.ndarray]  # (rows, cols) of each fix-up's samples
+    coef: np.ndarray  # and their coefficients, in band units
+    term_at: np.ndarray  # the fix-ups of terms, then those of closures,
+    close_at: np.ndarray  # at k - first
+
+
+def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: int,
+             terms: list[tuple[int, int]]):
+    """The stencils on the samples of what the scaled terms cannot give, in
+    band units of their node k, from 2 log phi and the band anchors of the
+    scanned nodes: the terms (j, k) of the nodes j = 0, n and 2n, which are
+    ghost-closed end terms; the closures at x = 1 and, for a peak at 0, at
+    0, ghost-closed too; and the three-node closures at the panel ends,
+    beside x = 1, within two nodes of the peak and wherever a band changes
+    within the closure's reach.  Returns the (rows, cols) of each stencil's
+    samples, their coefficients, and the buffer indices k - first of the
+    terms and then of the closures."""
+    n = grid.n_per_panel
+    hs = np.array([grid.panel_h(0), grid.panel_h(1)])
+    # ghost-closed ends (panel, end node, direction into the panel)
+    ends = {0: [(0, 0, 1)], n: [(0, n, -1), (1, n, 1)], 2 * n: [(1, 2 * n, -1)]}
+    ghosts = [(k, ends[j]) for j, k in terms]
+    ghosts.append((n, ends[n][1:] if n >= peak else ends[n][:1]))
+    if peak == 0:
+        ghosts.append((0, ends[0]))
+    # the band changes between scanned nodes e and e + 1
+    change = np.flatnonzero(anchor[1:] != anchor[:-1]) + first
+    left, right = change[change < peak], change[change >= peak]
+    special = {1, n - 1, n + 1, 2 * n - 1, peak - 2, peak - 1, peak, peak + 1}
+    for nodes in (left - 1, left, right + 1, right + 2):
+        special.update(nodes.tolist())
+    k = np.array(sorted(j for j in special if first <= j < 2 * n and j not in (0, n)),
+                 dtype=np.intp)
+    # each stencil gathers 8 samples (node, panel row, weight in units of
+    # h/24); the unused ones repeat its first sample at weight 0
+    g = len(ghosts)
+    node = np.empty((g + k.size, 8), dtype=np.intp)
+    rows = np.empty_like(node)
+    weight = np.zeros(node.shape)
+    for i, (_, panel_ends) in enumerate(ghosts):
+        nodes = [j0 + c * d for _, j0, d in panel_ends for c in range(4)]
+        panels = [p for p, _, _ in panel_ends for _ in range(4)]
+        node[i] = nodes + nodes[:1] * (8 - len(nodes))
+        rows[i] = panels + panels[:1] * (8 - len(panels))
+        weight[i, : len(nodes)] = _GHOST_END * len(panel_ends)
+    # the closures u_{k-d} + 12 u_k - u_{k+d} on the samples of k's panel,
+    # d = 1 left of the peak and -1 from it on
+    d = np.where(k < peak, 1, -1)[:, None]
+    node[g:, :3] = k[:, None] + d * np.arange(-1, 2)
+    node[g:, 3:] = node[g:, :1]
+    rows[g:] = (k > n)[:, None]
+    weight[g:, :3] = (1.0, 12.0, -1.0)
+    at = np.concatenate([[kg for kg, _ in ghosts], k]) - first
+    coef = weight * (hs[rows] / 24.0)
+    coef *= np.exp(l2[node] - anchor[at][:, None])
+    return (rows, node - n * rows), coef, at[: len(terms)], at[len(terms) :]
 
 
 def _factors(t: TrialFunction) -> _Factors:
     """The trial-only factors of t, built on first use and kept on t."""
     if t.quadrature_factors is None:
+        grid = t.grid
+        n, hs = grid.n_per_panel, (grid.panel_h(0), grid.panel_h(1))
         l2 = np.multiply(2.0, t.log_phi)
-        l2p = t.grid.panels(l2)
-        # the steps of 2 log phi, then their exponentials in place
-        up = np.subtract(l2p[:, 1:], l2p[:, :-1])
-        np.exp(up, out=up)
         peak = int(np.argmax(l2))
-        m = max(peak - 1, 0)
+        first = min(peak, 1)
+        m = peak - first  # the prefix's scanned nodes
+        # the band anchors A_k = m B of the scanned nodes, in the array that
+        # then takes their scales
+        scale = np.divide(l2[first:-1], _SCAN_BAND)
+        np.floor(scale, out=scale)
+        scale *= _SCAN_BAND
+        # the term of node k - 1 left of the peak, of node k + 1 from it on
+        hk = np.empty(scale.size)
+        np.subtract(l2[first - 1 : peak - 1], scale[:m], out=hk[:m])
+        np.subtract(l2[peak + 1 :], scale[m:], out=hk[m:])
+        np.exp(hk, out=hk)
+        blocks = _blocks(scale[:m]), _blocks(scale[m:][::-1])
+        # the sample runs of each panel whose terms are the plain h v_j: the
+        # sources j of the prefix, then of the suffix, split at x = 1, where
+        # panel 1's value only holds the place of a fix-up
+        pieces, terms = [], []
+        for lo, hi, d in [(0, peak - 1, 1), (peak + 1, 2 * n + 1, -1)]:
+            for p, a0, b0 in [(0, lo, min(hi, n)), (1, max(lo, n), hi)]:
+                if a0 < b0:
+                    k0 = a0 + d - first
+                    pieces.append((p, a0 - p * n, b0 - p * n, k0))
+                    hk[k0 : k0 + b0 - a0] *= hs[p]
+            terms += [(j, j + d) for j in (0, n, 2 * n) if lo <= j < hi]
+        fix_ups = _fix_ups(l2, scale, grid, peak, first, terms)
+        np.subtract(scale, l2[first:-1], out=scale)
+        np.exp(scale, out=scale)
         object.__setattr__(t, "quadrature_factors", _Factors(
-            _weights(l2p, t.grid), up, peak,
-            _scan_layout(l2[1 : m + 1]), _scan_layout(l2[peak:-1][::-1])
-        ))
+            _weights(grid.panels(l2), grid), peak, first, hk, scale, pieces,
+            *blocks, *fix_ups))
     return t.quadrature_factors
 
 
@@ -210,81 +309,63 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     """The inner integral in units of the local phi^2 at every node, summed
     from the side where phi^2 is small: prefix(x_k) left of the peak and
     suffix(x_k) from the peak on, both unsigned."""
-    n, peak = grid.n_per_panel, f.peak
-    inner = np.empty(2 * n + 1)  # node terms, moved, scanned, then closed
-    close = np.empty(2 * n + 1)
-    t = np.empty(n - 1)
-    ends = []
-    for p, (v, q) in enumerate(zip(_samples(grid, h_samples), f.up)):
-        h = grid.panel_h(p)
-        np.multiply(h, v[1:-1], out=inner[p * n + 1 : p * n + n])
-        # the closures h (12 v_k + s (v_{k-1} / up_{k-1} - v_{k+1} up_k)) / 24
-        # at the interior nodes, s = +1 left of the peak and -1 from it on
-        c = close[p * n + 1 : p * n + n]
-        np.divide(v[:-2], q[:-1], out=c)
-        c -= np.multiply(v[2:], q[1:], out=t)
-        k = min(max(peak - p * n - 1, 0), n - 1)
-        np.negative(c[k:], out=c[k:])
-        c += np.multiply(12.0, v[1:-1], out=t)
-        c *= h / 24.0
-        # the ghost-closed end terms, in units of phi^2 at their own end node
-        up2, dn2 = q[0] * q[1], q[n - 1] * q[n - 2]
-        ends.append((_ghost_end(h, v[0], v[1] * q[0], v[2] * up2, v[3] * (up2 * q[2])),
-                     _ghost_end(h, v[n], v[n - 1] / q[n - 1], v[n - 2] / dn2,
-                                v[n - 3] / (dn2 * q[n - 3]))))
-    (open0, close0), (open1, close1) = ends
-    inner[0], inner[n], inner[-1] = open0, close0 + open1, close1
-    # at x = 1 panel 0 closes the prefix and panel 1 opens the suffix; a
-    # suffix from a peak at 0 closes with the x = 0 term
-    close[0] = open0 if peak == 0 else 0.0
-    close[n] = close0 if n < peak else open1
-    close[-1] = 0.0
-    # each term moves one node toward the peak, scaled by phi^2 there: a
-    # plain copy, then the step ratio, as an operation into the overlapping
-    # slice would go through a temporary
-    r = f.up.reshape(-1)
-    m = max(peak - 1, 0)
-    inner[1 : m + 1] = inner[:m]
-    inner[1 : m + 1] /= r[:m]
-    inner[peak:-1] = inner[peak + 1 :]
-    inner[peak:-1] *= r[peak:]
-    inner[: min(peak, 1)] = 0.0
+    v = _samples(grid, h_samples)
+    inner = np.empty(2 * grid.n_per_panel + 1)
+    inner[: f.first] = 0.0
     inner[-1] = 0.0
-    _run_scan(inner[1 : m + 1], f.prefix)
-    _run_scan(inner[peak:-1][::-1], f.suffix)
-    inner += close
+    # the scan buffer: every term in the band units of the node it is
+    # summed into, then the fix-ups, the end terms first
+    s = inner[f.first : -1]
+    for p, a, b, k in f.pieces:
+        np.multiply(v[p, a:b], f.hk[k : k + b - a], out=s[k : k + b - a])
+    fixed = np.einsum("ij,ij->i", f.coef, v[f.gather])
+    s[f.term_at] = fixed[: f.term_at.size]
+    close = np.empty(s.size)
+    m = f.peak - f.first
+    _closures(s[:m], close[:m])
+    _closures(s[m:][::-1], close[m:][::-1])
+    close[f.close_at] = fixed[f.term_at.size :]
+    _run_scan(s[:m], f.prefix)
+    _run_scan(s[m:][::-1], f.suffix)
+    s += close
+    s *= f.scale
     return inner
 
 
 def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
     (suffix=True) or from 0 up (suffix=False), on reversed views from x_max:
-    each panel's running sum of node terms plus the closure at each node,
-    then the total of the panel summed first is added to those of the other."""
+    one running sum of the node terms, each moved one node on, across both
+    panels, plus the closure at each node."""
     n = grid.n_per_panel
     out = np.empty(2 * n + 1)
-    hs = [grid.panel_h(0), grid.panel_h(1)]
+    h0, h1 = grid.panel_h(0), grid.panel_h(1)
     u, o = (tt[::-1], out[::-1]) if suffix else (tt, out)
     if suffix:
-        hs.reverse()
+        h0, h1 = h1, h0
+    # the node terms h u_j at node j + 1; the panel ends' terms are the
+    # ghost-closed end terms, at x = 1 the first panel's closing one plus
+    # the second's opening one
     o[0] = 0.0
-    close = np.empty(n)
-    for p, h in enumerate(hs):
-        v, s = u[p * n : p * n + n + 1], o[p * n + 1 : p * n + n + 1]
-        # the node terms, the panel's opening end first, and their running sum
-        np.multiply(h, v[:-1], out=s)
-        s[0] = _ghost_end(h, *v[:4])
-        np.cumsum(s, out=s)
-        # the closures h (v_{b-1} + 12 v_b - v_{b+1}) / 24, ghost-closed at b = n
-        c = close[:-1]
+    np.multiply(h0, u[:n], out=o[1 : n + 1])
+    np.multiply(h1, u[n:-1], out=o[n + 1 :])
+    head, mid, tail = u[:4].tolist(), u[n - 3 : n + 4].tolist(), u[-4:].tolist()
+    close0 = _ghost_end(h0, *mid[3::-1])
+    o[1] = _ghost_end(h0, *head)
+    o[n + 1] = close0 + _ghost_end(h1, *mid[3:])
+    np.cumsum(o, out=o)
+    # the closures h (u_{b-1} + 12 u_b - u_{b+1}) / 24 of each panel, ghost-
+    # closed at its end
+    c = np.empty(n - 1)
+    for p, h in enumerate((h0, h1)):
+        v = u[p * n : p * n + n + 1]
         np.multiply(12.0, v[1:-1], out=c)
         c += v[:-2]
         c -= v[2:]
         c *= h / 24.0
-        close[-1] = _ghost_end(h, *v[:-5:-1])
-        s += close
-        if p:
-            s += o[n]
+        o[p * n + 1 : p * n + n] += c
+    o[n] += close0
+    o[-1] += _ghost_end(h1, *tail[::-1])
     return out
 
 

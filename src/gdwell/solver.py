@@ -323,8 +323,9 @@ def _iterate_rows(
     """The (check, detail, signed margin) rows of f = f_n, n >= 1, with
     f_prev = f_{n-1}, for check_hierarchy."""
     bc_i = bc is BoundaryCondition.I
-    rows = [("iterate-lower-bound", f"f_{n} dips below 1", _margin(f - 1.0)) if bc_i
-            else ("iterate-upper-bound", f"f_{n} exceeds 1", _margin(f - 1.0, -1.0))]
+    # min(f) - 1 is min(f - 1), bit for bit, as x -> fl(x - 1) is monotone
+    rows = [("iterate-lower-bound", f"f_{n} dips below 1", float(f.min()) - 1.0) if bc_i
+            else ("iterate-upper-bound", f"f_{n} exceeds 1", -(float(f.max()) - 1.0))]
     if bc_i and n >= 2:
         rows.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
                      _margin(f - f_prev)))

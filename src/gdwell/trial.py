@@ -100,11 +100,12 @@ class TrialFunction:
     far tail).  Every gdwell.quadrature operator takes its samples and then
     t, whose grid it reads.  quadrature_factors holds what gdwell.quadrature
     derives from log_phi alone (the node weights of the phi^2 integral, the
-    phi^2 step ratios of both panels, the phi^2 peak and the scan layouts);
-    it builds them on first use, so a grid rejected for its step builds none.  build_trial forms log_phi in the array eval_S0
-    returns and psi0 in the one eval_S1 returns, and nothing downstream
-    writes into either (see the ownership rule in gdwell.quadrature).  Trial
-    functions compare and hash by identity.
+    phi^2 peak, the term factors and scales of the inner sums, the scan
+    layouts and the fix-up stencils); it builds them on first use, so a
+    grid rejected for its step builds none.  build_trial forms log_phi in
+    the array eval_S0 returns and psi0 in the one eval_S1 returns, and
+    nothing downstream writes into either (see the ownership rule in
+    gdwell.quadrature).  Trial functions compare and hash by identity.
     """
 
     params: PotentialParams

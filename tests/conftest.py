@@ -65,6 +65,15 @@ def oracle_cache():
     return get
 
 
+def nested_arrays(obj) -> list[np.ndarray]:
+    """Every array in obj, however nested in tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for x in obj for a in nested_arrays(x)]
+    return []
+
+
 def iterates(rep) -> list[np.ndarray]:
     """f_0 = 1, f_1, ..., f_n of a report, rebuilt with the solver's own steps
     (a solve keeps only f_2 and the last iterate)."""

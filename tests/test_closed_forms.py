@@ -21,6 +21,7 @@ from gdwell.closed_forms import (
     eval_S1_prime_quotient,
     eval_u,
     eval_w,
+    find_a_g,
     gamma_poly,
 )
 
@@ -91,6 +92,18 @@ class TestParams:
         with pytest.raises(ValueError) as exc:
             PotentialParams(g, a)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("g,a", [(np.float32(2.0), np.float32(2.0)), (np.float32(2.0), 2),
+                                     (2, np.float32(0.7))])
+    def test_numpy_float32_inputs_give_double_constants(self, g, a):
+        # g and a are kept as Python floats, so every derived constant is the
+        # one the same values as Python floats give, bit for bit
+        p, ref = PotentialParams(g, a), PotentialParams(float(g), float(a))
+        for name in ("g", "a", "E0", "Gamma", "a_g"):
+            assert type(getattr(p, name)) is float
+            assert getattr(p, name) == getattr(ref, name)
+        assert p.a_g == find_a_g(np.float32(g)) == find_a_g(float(g))
+        assert type(find_a_g(np.float32(g))) is float
 
     @pytest.mark.parametrize("g,a", [(1e150, 2.0), (1e-150, 2.0), (2.0, 1e76), (2.0, 1e-300)])
     def test_accepts_squares_and_fourth_powers_in_range(self, g, a):

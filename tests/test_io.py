@@ -46,12 +46,13 @@ def test_dumps_json_is_valid_and_deterministic():
 
 # SHA-256 of the default solve report in schema v3, with the phi^2 integral
 # as one node-weighted sum, 200-wide scan bands, the closed forms free of
-# float powers, u by Horner in x^2, the phi^2 ratios formed from the step
-# ratios and the cumulative integrals as running node sums with ghost-closed
-# ends; its text is the v2 report's with the f_final member dropped and the
-# schema string swapped, byte for byte; any other change to the report's
-# bytes shows here
-DEFAULT_REPORT_SHA256 = "c69c5966e0edfd7d16d28927f3349fbab596b9e149ac6d32613786835a1d2a05"
+# float powers, u by Horner in x^2, the inner sums' terms and closures in
+# band units from kept term factors and scales, and the cumulative integrals
+# as one running node sum across both panels with ghost-closed ends; its
+# text is the v2 report's with the f_final member dropped and the schema
+# string swapped, byte for byte; any other change to the report's bytes
+# shows here
+DEFAULT_REPORT_SHA256 = "6c5b71f5fd004becfff7fbcf1d0d3b8f1ad9c7581b0be5cbd40b2030e1a3d7be"
 # SHA-256 of region.trace_curves(50)'s report, with every coefficient table
 # read by numpy's polyval (Horner in a) and the coefficients in z = s/a
 # scaled by repeated products, not powers

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import nested_arrays
 from gdwell import GridError, GridMismatchError, PotentialParams
 from gdwell.quadrature import (
     integrate_against_phi2,
@@ -85,30 +86,43 @@ def _interval_integrals(y: np.ndarray, grid: Grid, up: np.ndarray | None = None,
     return out
 
 
-def _peak_split(f, out: np.ndarray) -> None:
+def step_ratios(t: TrialFunction) -> np.ndarray:
+    """phi^2(x_{k+1}) / phi^2(x_k) on both panels, (2, n_per_panel), from
+    log phi."""
+    return np.exp(np.diff(2.0 * t.grid.panels(t.log_phi)))
+
+
+def _peak_split(f, log_phi: np.ndarray, out: np.ndarray) -> None:
     """prefix(x_k) at the nodes left of the phi^2 peak and suffix(x_k) from
     the peak on, in place in out, whose entries but the last hold the scaled
     interval integrals of both panels in node order on entry.  The interval
     ending at node k is summed into prefix(x_k) and the one starting there
-    into suffix(x_k), so the prefix terms move one node up first; the
-    interval into the peak enters neither, and out is 0 at x_max and, but
-    for a peak at 0, at 0."""
+    into suffix(x_k), so the prefix terms move one node up first, by the
+    step ratios of log_phi; the interval into the peak enters neither, and
+    out is 0 at x_max and, but for a peak at 0, at 0.  Both sums run in the
+    package's blocked scans, in the band units e^{2 log phi - A} formed here."""
+    l2 = 2.0 * log_phi
     m = max(f.peak - 1, 0)
     out[1 : m + 1] = out[:m]
-    out[1 : m + 1] /= f.up.reshape(-1)[:m]
+    out[1 : m + 1] /= np.exp(np.diff(l2))[:m]
     out[: min(f.peak, 1)] = 0.0
     out[-1] = 0.0
-    _run_scan(out[1 : m + 1], f.prefix)
-    _run_scan(out[f.peak : -1][::-1], f.suffix)
+    into = np.exp(l2 - _SCAN_BAND * np.floor(l2 / _SCAN_BAND))
+    for x, e, blocks in [(out[1 : m + 1], into[1 : m + 1], f.prefix),
+                         (out[f.peak : -1][::-1], into[f.peak : -1][::-1], f.suffix)]:
+        x *= e
+        _run_scan(x, blocks)
+        x /= e
 
 
-def reference_inner(f, grid: Grid, h_samples) -> np.ndarray:
+def reference_inner(t: TrialFunction, h_samples) -> np.ndarray:
     """_inner_scaled by interval integrals: unsigned prefix and suffix."""
+    f, grid = _factors(t), t.grid
     n = grid.n_per_panel
     inner = np.empty(2 * n + 1)
-    _interval_integrals(_samples(grid, h_samples), grid, f.up,
+    _interval_integrals(_samples(grid, h_samples), grid, step_ratios(t),
                         out=inner[: 2 * n].reshape(2, n))
-    _peak_split(f, inner)
+    _peak_split(f, t.log_phi, inner)
     return inner
 
 
@@ -133,7 +147,7 @@ def reference_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray
 def reference_nested(t: TrialFunction, h_samples, tail: bool) -> np.ndarray:
     """nested_tail (tail=True) or nested_origin by interval integrals."""
     f = _factors(t)
-    inner = reference_inner(f, t.grid, h_samples)
+    inner = reference_inner(t, h_samples)
     side = slice(None, f.peak) if tail else slice(f.peak, None)
     inner[side] *= -1.0
     return reference_cumulative(t.grid, inner, suffix=tail)
@@ -218,8 +232,7 @@ class TestIntegrate:
         t = mock_trial(g, -g.nodes / 2.0)
         c = np.polynomial.Polynomial([1.0, 0.5, -1.0, 2.0])
         C = c.integ()
-        f = _factors(t)
-        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, f.up)
+        iv = _interval_integrals(g.panels(c(g.nodes) * np.exp(g.nodes)), g, step_ratios(t))
         x = g.panels(g.nodes)
         anchors = np.exp(2.0 * g.panels(t.log_phi)[:, :-1])  # phi^2(x_k), k < n
         np.testing.assert_allclose(iv * anchors, C(x[:, 1:]) - C(x[:, :-1]),
@@ -250,7 +263,7 @@ class TestIntegrate:
         p = PotentialParams(g, a)
         grid = Grid(4.0, 2000)
         t = build_trial(p, grid)
-        up = _factors(t).up
+        up = step_ratios(t)
         anchors = np.exp(2.0 * grid.panels(t.log_phi)[:, :-1])
         for y in (np.ones((2, grid.n_per_panel + 1)), w_samples(p, grid)):
             ref = float(np.sum(_interval_integrals(y, grid, up) * anchors))
@@ -395,10 +408,10 @@ def test_grid_convergence_of_nested_outputs():
     assert abs(vals[2000] - vals[4000]) <= 1e-7 * max(1.0, abs(vals[4000]))
 
 
-def peak_split(f, iv: np.ndarray) -> np.ndarray:
+def peak_split(t: TrialFunction, iv: np.ndarray) -> np.ndarray:
     """_peak_split of the interval integrals iv (node order), in a new array."""
     out = np.append(iv, np.nan)
-    _peak_split(f, out)
+    _peak_split(_factors(t), t.log_phi, out)
     return out
 
 
@@ -456,39 +469,53 @@ def test_blocked_scan_matches_per_node_recurrence(n, peak, slope_left, slope_rig
     if slope_left > 0.0 and slope_right > 0.0:
         assert f.peak == i_peak
     iv = rng.uniform(0.1, 1.0, n_iv)
-    got = peak_split(f, iv)
+    got = peak_split(t, iv)
     prefix, suffix = reference_scans(log_phi, iv)
     np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
     if min(slope_left, slope_right) == 5.0 and n == 1024:
-        assert len(f.prefix.blocks) + len(f.suffix.blocks) >= 40
+        assert len(f.prefix) + len(f.suffix) >= 40
 
 
 @pytest.mark.parametrize("n", [2000, 16000])
 @pytest.mark.parametrize("g,a", [(20.0, 12.0), (20.0, 100.0)])
 def test_scans_of_strong_coupling_trials_stay_in_range(g, a, n):
-    # 2 log phi spans thousands here; every scaled factor and every scan
+    # 2 log phi spans thousands here; every kept factor and every scan
     # output stays a normal float, the scans match the per-node recurrences,
     # and the blocks are as few as the bands the scan crosses allow
     grid = Grid(4.0, n)
     t = build_trial(PotentialParams(g, a), grid)
     f = _factors(t)
+    hs = [grid.panel_h(0), grid.panel_h(1)]
+    # a term factor is h e^{2 log phi_j - A_k}, node j one step from k, so
+    # its exponent lies within the largest step of the band [0, B) that
+    # 2 log phi_k - A_k lies in: (-2.7, 202.7) on the grids the solver takes;
+    # the scale e^{A_k - 2 log phi_k} lies within one band below 1
+    step = _largest_step(t) + 0.1
+    assert np.all((f.hk > min(hs) * math.exp(-step))
+                  & (f.hk < max(hs) * math.exp(_SCAN_BAND + step)))
+    assert np.all((f.scale > math.exp(-_SCAN_BAND)) & (f.scale <= 1.0))
+    assert f.hk.size == f.scale.size == 2 * n - f.first
     l2 = 2.0 * t.log_phi
     m = max(f.peak - 1, 0)
-    for scan, l2c in [(f.prefix, l2[1 : m + 1]), (f.suffix, l2[f.peak : -1])]:
-        assert np.all((scan.into >= 1.0) & (scan.into < math.exp(_SCAN_BAND)))
+    for blocks, l2c in [(f.prefix, l2[1 : m + 1]), (f.suffix, l2[f.peak : -1])]:
+        assert sum(stop - start for start, stop, _ in blocks) == l2c.size
         if l2c.size:
             span = float(l2c.max() - l2c.min())
-            assert len(scan.blocks) <= math.ceil(span / _SCAN_BAND) + 1
-    iv = _interval_integrals(np.ones((2, n + 1)), grid, f.up).ravel()
-    got = peak_split(f, iv)
+            assert len(blocks) <= math.ceil(span / _SCAN_BAND) + 1
+    iv = _interval_integrals(np.ones((2, n + 1)), grid, step_ratios(t)).ravel()
+    got = peak_split(t, iv)
     for scanned in (got[1 : m + 1], got[f.peak : -1]):
         assert np.all(np.isfinite(scanned))
         assert np.all(np.abs(scanned) >= np.finfo(float).tiny)
     prefix, suffix = reference_scans(t.log_phi, iv)
     np.testing.assert_allclose(got[: f.peak], prefix[: f.peak], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[f.peak :], suffix[f.peak :], rtol=1e-12, atol=0.0)
-
+    # and the kernel's own scaled sums, on an integrand of the iteration's form
+    p = PotentialParams(g, a)
+    w = w_samples(p, grid)
+    inner = _inner_scaled(f, grid, (w - energy_step(t, w, np.ones(grid.n_points))))
+    assert np.all(np.isfinite(inner))
 
 
 def integer_stencils(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +563,7 @@ def assert_matches_reference(t: TrialFunction, h_samples, rtol: float, atol_of_m
     assert tail[-1] == 0.0 and origin[0] == 0.0
     for got, ref in [(tail, reference_nested(t, h_samples, True)),
                      (origin, reference_nested(t, h_samples, False)),
-                     (_inner_scaled(f, t.grid, h_samples), reference_inner(f, t.grid, h_samples))]:
+                     (_inner_scaled(f, t.grid, h_samples), reference_inner(t, h_samples))]:
         np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol_of_max * np.abs(ref).max())
 
 
@@ -578,3 +605,79 @@ def test_running_sums_match_the_interval_reference_for_every_peak(n):
         ref = reference_cumulative(grid, tt, suffix)
         np.testing.assert_allclose(_node_cumulative(grid, tt, suffix), ref,
                                    rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def census_trial(g: float, a: float, n: int) -> tuple[TrialFunction, np.ndarray]:
+    """The census trial function and w samples of (g, a) on Grid(4, n)."""
+    p, grid = PotentialParams(g, a), Grid(4.0, n)
+    return build_trial(p, grid), w_samples(p, grid)
+
+
+@pytest.mark.parametrize("case", ["peak at x=1", "peak right of x=1", "deep well"])
+def test_fix_ups_match_the_interval_reference(case):
+    # one case per fix-up of the kernel's terms and closures that the
+    # census runs above may miss: the two-sided x = 1 node as the peak and
+    # as the first node right of it, and a well whose scans cross 15 bands
+    g, a, n = (20.0, 12.0, 8000) if case == "deep well" else (12.0, 73.282, 200)
+    t, w = census_trial(g, a, n)
+    if case == "peak right of x=1":
+        # phi falls right of x = 1 on every census trial, as S1'(1) > 0 there,
+        # so the node right of it is raised above x = 1 by hand
+        log_phi = t.log_phi.copy()
+        log_phi[n + 1] = log_phi[n] + 0.01
+        log_phi -= log_phi.max()
+        t = TrialFunction(t.params, t.grid, log_phi, np.exp(log_phi))
+    f = _factors(t)
+    if case == "deep well":
+        assert len(f.prefix) + len(f.suffix) - 2 >= 15
+    else:
+        assert f.peak == n + (case == "peak right of x=1")
+    x = t.grid.nodes
+    for fn in (np.ones(x.size), 1.0 + 0.5 * np.cos(3.0 * x), 1.0 / (1.0 + x * x)):
+        h = (w - energy_step(t, w, fn)) * t.grid.panels(fn)
+        assert_matches_reference(t, h, rtol=1e-12, atol_of_max=1e-16)
+
+
+def synthetic_trial(n: int, peak: int) -> TrialFunction:
+    """A trial function on Grid(4, n) whose 2 log phi rises by 1 per step to
+    the node peak and falls by 2 per step after it."""
+    grid = Grid(4.0, n)
+    k = np.arange(grid.n_points - 1)
+    log_phi = np.concatenate([[0.0], np.cumsum(np.where(k < peak, 1.0, -2.0))]) / 2.0
+    log_phi -= log_phi.max()
+    return TrialFunction(P12, grid, log_phi, np.exp(log_phi))
+
+
+@pytest.mark.parametrize("peak", [0, 1, 63, 64, 65, 127, 128])
+def test_pinned_ends_are_zero_bit_for_bit(peak):
+    # F(x_max) of nested_tail and F(0) of nested_origin are +0.0, as are the
+    # inner sums at x_max and, but for a peak at 0, at 0, wherever the peak
+    rng = np.random.default_rng(peak)
+    for t in (synthetic_trial(64, peak), census_trial(3.0, 2.0, 64)[0]):
+        h = zero_total(t, rng.uniform(-1.0, 1.0, t.grid.n_points))
+        inner = _inner_scaled(_factors(t), t.grid, h)
+        zeros = [nested_tail(h, t)[-1], nested_origin(h, t)[0], inner[-1]]
+        if _factors(t).peak > 0:
+            zeros.append(inner[0])
+        assert [np.float64(z).tobytes() for z in zeros] == [np.float64(0.0).tobytes()] * len(zeros)
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(census_trial(1.0, 2.0, 2000)[0], id="(1, 2)"),
+    pytest.param(census_trial(12.0, 73.282, 2000)[0], id="(12, 73.282)"),
+    pytest.param(census_trial(20.0, 100.0, 2000)[0], id="(20, 100)"),
+    pytest.param(synthetic_trial(2000, 0), id="peak at 0"),
+    pytest.param(synthetic_trial(2000, 4000), id="peak at x_max")])
+def test_factors_keep_no_more_node_bytes_than_step_ratios_and_scan_units(t):
+    # the node arrays kept per trial function are the node weights, the term
+    # factors and the scales: no more bytes than the node weights, the step
+    # ratios of both panels and the band units of both scans took; the rest
+    # is the fix-ups, a few per band change
+    f = _factors(t)
+    n = t.grid.n_per_panel
+    node_arrays = [a for a in nested_arrays(f) if a.size >= n]
+    assert [a.shape for a in node_arrays] == [f.weights.shape, f.hk.shape, f.scale.shape]
+    band_units = max(f.peak - 1, 0) + 2 * n - f.peak
+    assert sum(a.nbytes for a in node_arrays) <= 8 * ((2 * n + 2) + 2 * n + band_units)
+    changes = len(f.prefix) + len(f.suffix)
+    assert f.coef.shape[0] == f.term_at.size + f.close_at.size <= 3 + 10 + 4 * changes

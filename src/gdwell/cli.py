@@ -8,6 +8,7 @@ bound for a JSON report among them).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -26,6 +27,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# the defaults of the solve and region keys, read from the library
+_SOLVE = inspect.signature(solve).parameters
+_RESOLUTION = inspect.signature(region.trace_curves).parameters["resolution"].default
 
 
 @dataclass(frozen=True)
@@ -46,12 +51,12 @@ class RunKey:
 RUN_KEYS = {k.name: k for k in (
     RunKey("g", 1.0, (int, float), "float"),
     RunKey("a", 2.0, (int, float), "float"),
-    RunKey("bc", "II", (str,), "str", choices=("I", "II")),
-    RunKey("x_max", 4.0, (int, float), "float"),
-    RunKey("n_points", 2000, (int,), "int",
+    RunKey("bc", _SOLVE["bc"].default.value, (str,), "str", choices=("I", "II")),
+    RunKey("x_max", Grid.x_max, (int, float), "float"),
+    RunKey("n_points", Grid.n_per_panel, (int,), "int",
            help=f"intervals per panel (even, 8 to {MAX_N_PER_PANEL}); the grid has 2n+1 nodes"),
-    RunKey("tol", 1e-6, (int, float), "float"),
-    RunKey("max_iter", 20, (int,), "int"),
+    RunKey("tol", _SOLVE["tol"].default, (int, float), "float"),
+    RunKey("max_iter", _SOLVE["max_iter"].default, (int,), "int"),
     RunKey("out", None, (type(None), str), "str | None", in_preamble=False),
     RunKey("format", "json", (str,), "str", choices=("json", "csv"), in_preamble=False),
 )}
@@ -126,13 +131,15 @@ def _dump_wavefunctions(path: str, cfg: argparse.Namespace, report: SolveReport)
                   np.column_stack(columns))
 
 
-def _solve_row(row: reference.TableRow) -> tuple[SolveReport, float]:
-    """Five iterations at a reference row's (g, a, bc), and the largest cell
-    diff against the row's expected energies (its erratum where it has one)."""
+def _solve_row(row: reference.TableRow) -> tuple[SolveReport, float, bool]:
+    """Five iterations at a reference row's (g, a, bc), the largest cell
+    diff against the row's expected energies (its erratum where it has one),
+    and whether the row passes: that diff within reference.CELL_TOL and no
+    hierarchy violation."""
     rep = solve(PotentialParams(row.g, row.a), Grid(), BoundaryCondition(row.bc),
                 max_iter=5, tol=0.0)
     diff = max(abs(c - r) for c, r in zip(rep.energies[:6], reference.expected_energies(row)))
-    return rep, diff
+    return rep, diff, diff <= reference.CELL_TOL and not rep.violations
 
 
 def cmd_table(args) -> int:
@@ -143,9 +150,13 @@ def cmd_table(args) -> int:
     header = ["row"] + [f"E{i}" for i in range(6)] + ["max_abs_diff", "note"]
     out_rows = []
     worst = 0.0
+    failed = []
     for row in rows:
-        rep, diff = _solve_row(row)
+        rep, diff, ok = _solve_row(row)
         worst = max(worst, diff)
+        if not ok:
+            failed.append(f"{row.label} (max cell diff {diff:.1e}, "
+                          f"violations {len(rep.violations)})")
         cells = [f"{e:.4f}" for e in rep.energies[:6]]
         note = ""
         if (row.origin, row.label) in reference.ERRATA:
@@ -158,7 +169,9 @@ def cmd_table(args) -> int:
     _io.write_csv(path, {"table": which}, header, out_rows)
     print(f"wrote {path}")
     print(f"worst cell diff over all rows: {worst:.2e}")
-    return EXIT_OK
+    for label in failed:
+        print(f"table {which} row failed: {label}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_region(args) -> int:
@@ -221,8 +234,8 @@ def verify_checks() -> list[tuple[str, bool, str]]:
          f"a_c = {ac.a_c:.4f}, width {ac.width:.1e}"),
     ]
     for row in reference.TABLE1:
-        rep, diff = _solve_row(row)
-        rows.append((f"table1-bc{row.bc}", diff <= 5e-4 and not rep.violations,
+        rep, diff, ok = _solve_row(row)
+        rows.append((f"table1-bc{row.bc}", ok,
                      f"max cell diff {diff:.1e}, violations {len(rep.violations)}"))
 
     rep = solve(PotentialParams(1.0, 2.0), Grid(), BoundaryCondition.II, max_iter=8)
@@ -276,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_table)
 
     r = sub.add_parser("region", help="trace convergence-region curves and a_c")
-    r.add_argument("--resolution", type=int, default=200)
+    r.add_argument("--resolution", type=int, default=_RESOLUTION)
     r.add_argument("--out-dir")
     r.set_defaults(fn=cmd_region)
 
     o = sub.add_parser("oracle", help="independent sinc-DVR ground state")
     o.add_argument("--g", type=float, required=True)
     o.add_argument("--a", type=float, required=True)
-    o.add_argument("--L", type=float, default=6.0,
+    o.add_argument("--L", type=float, default=OracleConfig.L,
                    help="cap on the half-domain, otherwise set by the WKB tail")
-    o.add_argument("--n", type=int, default=4000,
+    o.add_argument("--n", type=int, default=OracleConfig.n,
                    help="cap on the node count across the domain (>= 500)")
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)

@@ -48,12 +48,17 @@ e^{A_k - 2 log phi_k}; the two sides scan disjoint runs of nodes, so they
 share one array of each.  A call writes the samples times hk into the scan
 buffer, which moves each term one node toward the peak into k's units;
 forms each closure (u_{k-1} + 12 u_k - u_{k+1})/24 from those scaled terms
-before the scan; overwrites, from a few kept stencils on the samples, the
-terms and closures that need more than one step within one panel (the end
-terms at x = 0 and x_max, at x = 1 panel 0's closing term plus panel 1's
-opening term, and the closures at the panel ends, beside x = 1, the peak
-and every band change); scans; adds the closures and multiplies once by the
-scale.
+before the scan; overwrites, from a few kept stencils on the samples, what
+the scaled terms cannot give; scans; adds the closures and multiplies once
+by the scale.  The stencils give the ghost-closed end terms, of the nodes
+0, n and 2n (at x = 1 panel 0's closing term plus panel 1's opening one),
+and the ghost-closed closures at x = 1 and, for a peak at 0, at 0.  The
+closure at k reads its own entry of the scan buffer and the next two in
+scan order, the terms of the nodes k - 1, k and k + 1.  The fix-up
+condition: a closure is read off the scaled terms only where those three
+entries are plain terms, not ghost-closed ones, lie in its band and lie on
+its side of the peak; every other closure takes a three-node stencil on
+the samples of its panel.
 
 The scans are blocked.  Contiguous runs of nodes in one band are summed by
 one numpy cumsum, and the running sum is carried to the next band by a
@@ -113,9 +118,15 @@ def _samples(grid: Grid, values) -> np.ndarray:
     return values if values.shape == (2, grid.n_per_panel + 1) else grid.panels(values)
 
 
+# the end term (h/24)(12 u_0 + u_1 - u_{-1}) of a panel, with the cubic's
+# ghost value u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3, in units of h/24 on
+# u_0..u_3 counted from that end
+_GHOST_END = (8.0, 7.0, -4.0, 1.0)
+
 # composite node weights of the cubic interval rule, in units of h, on the
-# four end nodes of a panel; every interior node has weight 1
-_END_WEIGHTS = np.array([8.0, 31.0, 20.0, 25.0]) / 24.0
+# four end nodes of a panel: the end term plus the running sum's h on nodes
+# 1 to 3; every interior node has weight 1
+_END_WEIGHTS = (np.array(_GHOST_END) + (0.0, 24.0, 24.0, 24.0)) / 24.0
 
 
 def _weights(l2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -155,21 +166,15 @@ def _run_scan(x: np.ndarray, blocks: list[tuple[int, int, float]]) -> None:
         carry = seg[-1]
 
 
-def _closures(x: np.ndarray, out: np.ndarray) -> None:
-    """The closures (x_k + 12 x_{k+1} - x_{k+2}) / 24 of the terms x, in
-    scan order, into out at every node but the last two."""
+def _closures(x: np.ndarray, out: np.ndarray, factor: float) -> None:
+    """The closures (x_k + 12 x_{k+1} - x_{k+2}) times factor of the values
+    x, in the order x runs, into out at every entry but the last two."""
     c = out[: x.size - 2]
     if c.size:
         np.multiply(12.0, x[1:-1], out=c)
         c += x[:-2]
         c -= x[2:]
-        c *= 1.0 / 24.0
-
-
-# the end term (h/24)(12 u_0 + u_1 - u_{-1}) of a panel, with the cubic's
-# ghost value u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3, in units of h/24 on
-# u_0..u_3 counted from that end
-_GHOST_END = (8.0, 7.0, -4.0, 1.0)
+        c *= factor
 
 
 class _Factors(NamedTuple):
@@ -200,11 +205,10 @@ def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: i
     band units of their node k, from 2 log phi and the band anchors of the
     scanned nodes: the terms (j, k) of the nodes j = 0, n and 2n, which are
     ghost-closed end terms; the closures at x = 1 and, for a peak at 0, at
-    0, ghost-closed too; and the three-node closures at the panel ends,
-    beside x = 1, within two nodes of the peak and wherever a band changes
-    within the closure's reach.  Returns the (rows, cols) of each stencil's
-    samples, their coefficients, and the buffer indices k - first of the
-    terms and then of the closures."""
+    0, ghost-closed too; and every other closure that fails the fix-up
+    condition of the module docstring, by a three-node stencil.  Returns the
+    (rows, cols) of each stencil's samples, their coefficients, and the
+    buffer indices k - first of the terms and then of the closures."""
     n = grid.n_per_panel
     hs = np.array([grid.panel_h(0), grid.panel_h(1)])
     # ghost-closed ends (panel, end node, direction into the panel)
@@ -213,14 +217,20 @@ def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: i
     ghosts.append((n, ends[n][1:] if n >= peak else ends[n][:1]))
     if peak == 0:
         ghosts.append((0, ends[0]))
-    # the band changes between scanned nodes e and e + 1
-    change = np.flatnonzero(anchor[1:] != anchor[:-1]) + first
-    left, right = change[change < peak], change[change >= peak]
-    special = {1, n - 1, n + 1, 2 * n - 1, peak - 2, peak - 1, peak, peak + 1}
-    for nodes in (left - 1, left, right + 1, right + 2):
-        special.update(nodes.tolist())
-    k = np.array(sorted(j for j in special if first <= j < 2 * n and j not in (0, n)),
-                 dtype=np.intp)
+    # the fix-up condition: link[i] holds where the scan buffer's entries i
+    # and i + 1 are plain terms in one band on one side of the peak (as 2
+    # log phi peaks at exactly 0, the side's end is also a band change); a
+    # closure reads its own entry and the next two in scan order, as
+    # _closures does: i to i + 2 left of the peak, i - 2 to i from it on
+    plain = np.ones(anchor.size, dtype=bool)
+    plain[np.array([k for _, k in terms], dtype=np.intp) - first] = False
+    link = plain[:-1] & plain[1:] & (anchor[:-1] == anchor[1:])
+    m = peak - first
+    link[max(m - 1, 0) : m] = False
+    both = link[:-1] & link[1:]
+    read_off = np.concatenate([both[:m], [False, False], both[m:]])
+    k = np.flatnonzero(~read_off) + first
+    k = k[(k != 0) & (k != n)]
     # each stencil gathers 8 samples (node, panel row, weight in units of
     # h/24); the unused ones repeat its first sample at weight 0
     g = len(ghosts)
@@ -302,7 +312,8 @@ def _ghost_end(h: float, a, b, c, d) -> float:
     """The end term (h/24)(12 u_0 + u_1 - u_{-1}) of a panel, with the
     cubic's ghost value u_{-1} = 4 u_0 - 6 u_1 + 4 u_2 - u_3, from the node
     values a, b, c, d of u_0..u_3 counted from that end."""
-    return h * (8.0 * a + 7.0 * b - 4.0 * c + d) / 24.0
+    w0, w1, w2, w3 = _GHOST_END
+    return h * (w0 * a + w1 * b + w2 * c + w3 * d) / 24.0
 
 
 def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
@@ -322,8 +333,8 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     s[f.term_at] = fixed[: f.term_at.size]
     close = np.empty(s.size)
     m = f.peak - f.first
-    _closures(s[:m], close[:m])
-    _closures(s[m:][::-1], close[m:][::-1])
+    _closures(s[:m], close[:m], 1.0 / 24.0)
+    _closures(s[m:][::-1], close[m:][::-1], 1.0 / 24.0)
     close[f.close_at] = fixed[f.term_at.size :]
     _run_scan(s[:m], f.prefix)
     _run_scan(s[m:][::-1], f.suffix)
@@ -358,11 +369,7 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     # closed at its end
     c = np.empty(n - 1)
     for p, h in enumerate((h0, h1)):
-        v = u[p * n : p * n + n + 1]
-        np.multiply(12.0, v[1:-1], out=c)
-        c += v[:-2]
-        c -= v[2:]
-        c *= h / 24.0
+        _closures(u[p * n : p * n + n + 1], c, h / 24.0)
         o[p * n + 1 : p * n + n] += c
     o[n] += close0
     o[-1] += _ghost_end(h1, *tail[::-1])

@@ -14,6 +14,7 @@ import pytest
 
 import gdwell
 from gdwell import Grid, OracleConfig, PotentialParams, oracle_ground_state, solve
+from gdwell import reference
 from gdwell._io import format_float
 from gdwell.closed_forms import find_a_g
 from gdwell.cli import main
@@ -305,6 +306,18 @@ class TestTableCommand:
         assert code == 0
         worst = float(out.splitlines()[-1].split()[-1])
         assert worst <= 5e-4
+
+    def test_row_off_by_more_than_the_cell_tolerance_exit_1(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # row II's expected energies moved by 1e-3, twice reference.CELL_TOL
+        expected = reference.expected_energies
+        monkeypatch.setattr(reference, "expected_energies", lambda row: tuple(
+            e + 1e-3 * (row.label == "II") for e in expected(row)))
+        code, _, err = run(capsys, "table", "1", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("table 1 row failed: II (max cell diff 1.")
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / "table1.csv").exists()
 
     def test_file_as_out_dir_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "taken"

@@ -584,27 +584,38 @@ def test_running_sums_match_the_interval_reference(g, a, n):
         assert_matches_reference(t, h, rtol=1e-12, atol_of_max=1e-16)
 
 
-@pytest.mark.parametrize("n", [8, 12, 64])
-def test_running_sums_match_the_interval_reference_for_every_peak(n):
-    # synthetic trial functions with the phi^2 peak at every node in turn,
-    # steps of 2 log phi up to 3 in size, zero-total random integrands; the
-    # plain cumulatives in both directions too
-    grid = Grid(4.0, n)
-    rng = np.random.default_rng(n)
+def assert_every_peak_matches_reference(grid: Grid, rng: np.random.Generator,
+                                        low: float, high: float):
+    """Synthetic trial functions with the phi^2 peak at every node in turn,
+    steps of 2 log phi drawn from [low, high) in size, and zero-total random
+    integrands, against the interval reference."""
     k = np.arange(grid.n_points - 1)
     for peak in range(grid.n_points):
-        steps = np.where(k < peak, 1.0, -1.0) * rng.uniform(0.1, 3.0, k.size)
+        steps = np.where(k < peak, 1.0, -1.0) * rng.uniform(low, high, k.size)
         log_phi = np.concatenate([[0.0], np.cumsum(steps)]) / 2.0
         log_phi -= log_phi.max()
         t = TrialFunction(P12, grid, log_phi, np.exp(log_phi))
         assert _factors(t).peak == peak
         assert_matches_reference(t, zero_total(t, rng.uniform(-1.0, 1.0, grid.n_points)),
                                  rtol=0.0, atol_of_max=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_running_sums_match_the_interval_reference_for_every_peak(n):
+    # every peak with steps of 2 log phi up to 3 in size, then the plain
+    # cumulatives in both directions; then steps of 20 to 150, far below
+    # the band width yet putting several band changes within one closure's
+    # reach, beside the peak, at x = 1 and at the panel ends, where the
+    # fix-up condition decides which closures take stencils
+    grid = Grid(4.0, n)
+    rng = np.random.default_rng(n)
+    assert_every_peak_matches_reference(grid, rng, 0.1, 3.0)
     tt = rng.uniform(-1.0, 1.0, grid.n_points)
     for suffix in (True, False):
         ref = reference_cumulative(grid, tt, suffix)
         np.testing.assert_allclose(_node_cumulative(grid, tt, suffix), ref,
                                    rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    assert_every_peak_matches_reference(grid, rng, 20.0, 150.0)
 
 
 def census_trial(g: float, a: float, n: int) -> tuple[TrialFunction, np.ndarray]:

@@ -274,6 +274,28 @@ def test_strong_coupling_agrees_with_oracle(g, a, bc, oracle_cache):
     assert abs(rep.energies[-1] - res.energy) <= res.error_estimate + rep.tol
 
 
+# SHA-256 of the energies, curly_energies, f_final bytes and violations of
+# two deep-well solves on Grid(4, 8000): their scans cross many bands, take
+# dozens of fix-ups and run both nested operators, which the default report
+# pin never reaches
+STRONG_RUN_SHA256 = {
+    (12.0, 12.0, "I"): "c7867ec94c8ecd7a049da8fab2998b3ef6fd932cfe1ccdea38fdbac5221d6c5e",
+    (8.0, 6.0, "II"): "312addad0cb6441afe03793b569ea692d61314bd820f226a1d996397c2774a0a",
+}
+
+
+@pytest.mark.parametrize("g,a,bc", list(STRONG_RUN_SHA256))
+def test_strong_coupling_runs_are_pinned(g, a, bc):
+    rep = solve(PotentialParams(g, a), Grid(4.0, 8000), BoundaryCondition(bc))
+    h = hashlib.sha256()
+    for e in rep.energies + rep.curly_energies:
+        h.update(e.hex().encode())
+    h.update(rep.f_final.tobytes())
+    for v in rep.violations:
+        h.update(f"{v.check}|{v.detail}|{v.magnitude.hex()}\n".encode())
+    assert h.hexdigest() == STRONG_RUN_SHA256[(g, a, bc)]
+
+
 # every (g, a) of the built-in tables, and deep double wells
 ZERO_TOTAL_CASES = sorted({(g, a) for g, a, _ in TABLE_CASES}) + [
     (8.0, 12.0), (12.0, 12.0), (20.0, 3.0), (20.0, 6.0)]

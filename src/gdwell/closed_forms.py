@@ -9,8 +9,9 @@ alpha, beta and gamma that build u (``gdwell.region`` reads them here).
 alpha, beta and gamma here, like the curve polynomials of ``gdwell.region``,
 are tables of integer coefficients in (x^2, a), and one function, _coeffs,
 reads every such table: numpy's polyval forms the coefficients of a table's
-polynomial in one variable at fixed values of the other, and polyval again,
-with tensor=False, evaluates that polynomial.
+polynomial in one variable at fixed values of the other.  One evaluator,
+_horner, gives every polynomial value in the package: polyval's Horner steps
+with tensor=False, in the same order, in one array.
 
 All formulas are evaluated in cancellation-safe arrangements:
 
@@ -108,7 +109,8 @@ class PotentialParams:
 
 def _check_nonnegative(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    # one reduction, and NaN fails it: its min is NaN, and NaN >= 0 is false
+    if x.size and not x.min() >= 0.0:
         raise ValueError("x must be >= 0 (the model is evaluated on the half line; "
                          "evenness is the caller's contract)")
     return x
@@ -267,8 +269,22 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
     return c
 
 
+def _horner(s, c):
+    """polyval(s, c, tensor=False), the polynomial with coefficients c (low to
+    high, along the first axis) at s, bit for bit: the same Horner steps,
+    c[-1] + s 0 and then c[i] + acc s down to c[0], in one array of the
+    broadcast shape, not two new arrays a step.  As polyval does, it reads
+    nan at s = inf, where s 0 is nan."""
+    out = np.multiply(s, 0.0, out=np.empty(np.broadcast_shapes(np.shape(s), c[-1].shape)))
+    out += c[-1]
+    for ci in c[-2::-1]:
+        out *= s
+        out += ci
+    return out[()]
+
+
 def _beta(a, x, s) -> np.ndarray:
-    out = polyval(s, _coeffs(_BETA, a), tensor=False)
+    out = _horner(s, _coeffs(_BETA, a))
     out *= x
     out *= np.sqrt(1.0 + np.asarray(a, dtype=float))
     return out
@@ -278,7 +294,7 @@ def alpha(a, x):
     """Even part of the u numerator, with s = x^2:
     15 s^3 + 6 (3a-1) s^2 + (8a^2 + 12a + 7) s + 8a^2 + 2a."""
     x = np.asarray(x, dtype=float)
-    return polyval(x * x, _coeffs(_ALPHA, a), tensor=False)
+    return _horner(x * x, _coeffs(_ALPHA, a))
 
 
 def beta(a, x):
@@ -293,7 +309,7 @@ def gamma_poly(a, x):
     positive for a > 0, the no-pole numerator of u:
     alpha^2 - 64 (x^2+a) beta^2 = (x^2-1)^2 gamma."""
     x = np.asarray(x, dtype=float)
-    return polyval(x * x, _coeffs(_GAMMA, a), tensor=False)
+    return _horner(x * x, _coeffs(_GAMMA, a))
 
 
 def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
@@ -302,21 +318,22 @@ def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
     As even^2 - 64 r^2 odd^2 = (x^2-1)^k gamma, it is taken where the mask
     plus is set in the pole-free form gamma / (8 (x^2+a)^k (even + 8 r odd)),
     and elsewhere as written; the caller picks plus to avoid subtraction.
-    Each form divides only where its mask is set, into one output array."""
-    w = (x2 + a) ** k
+    Each form divides only where its mask is set, in place in the array of
+    its denominator, the plus form's being the output."""
+    w = x2 + a
+    odd8 = np.sqrt(w)
+    w **= k
     w *= 8.0
-    odd8 = np.sqrt(x2 + a)
     odd8 *= 8.0
     odd8 *= odd
-    den = even + odd8
-    den *= w
-    out = np.divide(gamma, den, out=np.empty_like(x2), where=plus)
-    minus = ~plus
-    if minus.any():
-        np.subtract(x2, 1.0, out=den)
+    out = even + odd8
+    out *= w
+    np.divide(gamma, out, out=out, where=plus)
+    if not plus.all():
+        den = np.subtract(x2, 1.0)
         den **= k
-        den *= w
-        np.divide(np.subtract(even, odd8, out=odd8), den, out=out, where=minus)
+        w *= den
+        np.divide(np.subtract(even, odd8, out=odd8), w, out=out, where=~plus)
     return out
 
 
@@ -336,7 +353,8 @@ def eval_u(p: PotentialParams, x):
     x = np.atleast_1d(x)
     a, s = p.a, x * x
     b = _beta(a, x, s)
-    out = pole_free_quotient(a, s, alpha(a, x), b, gamma_poly(a, x), 2, b >= 0.0)
+    out = pole_free_quotient(a, s, _horner(s, _coeffs(_ALPHA, a)), b,
+                             _horner(s, _coeffs(_GAMMA, a)), 2, b >= 0.0)
     return out[0] if scalar else out
 
 

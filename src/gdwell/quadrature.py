@@ -56,9 +56,11 @@ and the ghost-closed closures at x = 1 and, for a peak at 0, at 0.  The
 closure at k reads its own entry of the scan buffer and the next two in
 scan order, the terms of the nodes k - 1, k and k + 1.  The fix-up
 condition: a closure is read off the scaled terms only where those three
-entries are plain terms, not ghost-closed ones, lie in its band and lie on
-its side of the peak; every other closure takes a three-node stencil on
-the samples of its panel.
+entries are plain terms, not ghost-closed ones, and lie in its band;
+every other closure takes a three-node stencil on the samples of its
+panel.  The band keeps them on its side of the peak too: 2 log phi peaks
+at exactly 0, at its first maximum, so the peak's band is [0, B) and node
+peak - 1 lies below it.
 
 The scans are blocked.  Contiguous runs of nodes in one band are summed by
 one numpy cumsum, and the running sum is carried to the next band by a
@@ -162,7 +164,7 @@ def _run_scan(x: np.ndarray, blocks: list[tuple[int, int, float]]) -> None:
     for start, stop, factor in blocks:
         seg = x[start:stop]
         seg[0] += carry * factor
-        np.cumsum(seg, out=seg)
+        seg.cumsum(out=seg)
         carry = seg[-1]
 
 
@@ -208,41 +210,47 @@ def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: i
     0, ghost-closed too; and every other closure that fails the fix-up
     condition of the module docstring, by a three-node stencil.  Returns the
     (rows, cols) of each stencil's samples, their coefficients, and the
-    buffer indices k - first of the terms and then of the closures."""
+    buffer indices k - first of the terms and then of the closures.
+
+    Precondition: 2 log phi peaks at exactly 0, as TrialFunction's does, and
+    peak is its first maximum, so the peak lies in band [0, B) and node
+    peak - 1 below it, in band [-B, 0): the band condition alone keeps every
+    closure that would read across the peak off the scaled terms."""
     n = grid.n_per_panel
     hs = np.array([grid.panel_h(0), grid.panel_h(1)])
-    # ghost-closed ends (panel, end node, direction into the panel)
-    ends = {0: [(0, 0, 1)], n: [(0, n, -1), (1, n, 1)], 2 * n: [(1, 2 * n, -1)]}
-    ghosts = [(k, ends[j]) for j, k in terms]
-    ghosts.append((n, ends[n][1:] if n >= peak else ends[n][:1]))
+    # the ghost-closed ends (panel, end node, direction into the panel): x =
+    # 0, x = 1 closing panel 0 and opening panel 1, and x_max; each stencil
+    # sums two of them, a lone end named twice
+    ends = np.array([(0, 0, 1), (0, n, -1), (1, n, 1), (1, 2 * n, -1)])
+    pair = {0: (0, 0), n: (1, 2), 2 * n: (3, 3)}
+    ghosts = [(k, pair[j]) for j, k in terms]
+    ghosts.append((n, (2, 2) if n >= peak else (1, 1)))
     if peak == 0:
-        ghosts.append((0, ends[0]))
+        ghosts.append((0, pair[0]))
     # the fix-up condition: link[i] holds where the scan buffer's entries i
-    # and i + 1 are plain terms in one band on one side of the peak (as 2
-    # log phi peaks at exactly 0, the side's end is also a band change); a
-    # closure reads its own entry and the next two in scan order, as
-    # _closures does: i to i + 2 left of the peak, i - 2 to i from it on
+    # and i + 1 are plain terms in one band; a closure reads its own entry
+    # and the next two in scan order, as _closures does: i to i + 2 left of
+    # the peak, i - 2 to i from it on
     plain = np.ones(anchor.size, dtype=bool)
     plain[np.array([k for _, k in terms], dtype=np.intp) - first] = False
     link = plain[:-1] & plain[1:] & (anchor[:-1] == anchor[1:])
     m = peak - first
-    link[max(m - 1, 0) : m] = False
     both = link[:-1] & link[1:]
     read_off = np.concatenate([both[:m], [False, False], both[m:]])
     k = np.flatnonzero(~read_off) + first
     k = k[(k != 0) & (k != n)]
     # each stencil gathers 8 samples (node, panel row, weight in units of
-    # h/24); the unused ones repeat its first sample at weight 0
+    # h/24), each one it does not use at weight 0
     g = len(ghosts)
     node = np.empty((g + k.size, 8), dtype=np.intp)
     rows = np.empty_like(node)
     weight = np.zeros(node.shape)
-    for i, (_, panel_ends) in enumerate(ghosts):
-        nodes = [j0 + c * d for _, j0, d in panel_ends for c in range(4)]
-        panels = [p for p, _, _ in panel_ends for _ in range(4)]
-        node[i] = nodes + nodes[:1] * (8 - len(nodes))
-        rows[i] = panels + panels[:1] * (8 - len(panels))
-        weight[i, : len(nodes)] = _GHOST_END * len(panel_ends)
+    pairs = np.array([e for _, e in ghosts])
+    two = ends[pairs]
+    node[:g] = (two[..., 1:2] + two[..., 2:3] * np.arange(4)).reshape(g, 8)
+    rows[:g] = two[..., 0].repeat(4, axis=1)
+    weight[:g, :4] = _GHOST_END
+    weight[:g, 4:] = np.where(pairs[:, :1] != pairs[:, 1:], _GHOST_END, 0.0)
     # the closures u_{k-d} + 12 u_k - u_{k+d} on the samples of k's panel,
     # d = 1 left of the peak and -1 from it on
     d = np.where(k < peak, 1, -1)[:, None]

@@ -7,7 +7,7 @@ and each pair satisfies a difference-of-squares identity that cancels the
 (x^2-1) pole/zero so signs can be read off polynomial loci.  The u
 polynomials come from ``gdwell.closed_forms``; the curve polynomials are
 integer tables in (x^2, a), read, like those of alpha, beta and gamma, by
-closed_forms._coeffs, and every polynomial value is numpy's polyval.  This
+closed_forms._coeffs, and every polynomial value is closed_forms._horner.  This
 module traces their zero curves as companion-matrix eigenvalues, verifies
 the a=2 positivity chain, and computes the critical shape value a_c below
 which u' turns positive somewhere, as a root of a discriminant factor.  That
@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .closed_forms import (
-    _GAMMA, _coeffs, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
+    _GAMMA, _coeffs, _horner, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
 from .errors import BracketError, require_integer
 
 __all__ = [
@@ -80,14 +79,13 @@ _GAMMA_TILDE = np.array([[0, 0, 0, 64, -192, 0, 256],
 def _alpha_tilde(a, x):
     """Even-weight part of the u' numerator; odd in x."""
     x = np.asarray(x, dtype=float)
-    return x * polyval(x * x, _coeffs(_ALPHA_TILDE, a), tensor=False)
+    return x * _horner(x * x, _coeffs(_ALPHA_TILDE, a))
 
 
 def _beta_tilde(a, x):
     """Square-root-weighted part of the u' numerator; even in x."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * polyval(
-        x2, _coeffs(_BETA_TILDE, a), tensor=False)
+    return np.sqrt(np.asarray(a, dtype=float) + 1.0) * _horner(x2, _coeffs(_BETA_TILDE, a))
 
 
 def gamma_tilde_coeffs(a) -> np.ndarray:
@@ -98,7 +96,7 @@ def gamma_tilde_coeffs(a) -> np.ndarray:
 
 
 def gamma_tilde(a, x):
-    return polyval(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a), tensor=False)
+    return _horner(np.asarray(x, dtype=float) ** 2, gamma_tilde_coeffs(a))
 
 
 def identity_residuals(a, x) -> tuple[float, float, float]:
@@ -128,14 +126,16 @@ def identity_residuals(a, x) -> tuple[float, float, float]:
 
 # ---- a = 2 positivity chain -------------------------------------------------
 
-_C1_COEFFS = [-1152.0, 2880.0, 34008.0, 77952.0, 83706.0, 49880.0, 16740.0, 3000.0, 250.0]
-_C2_COEFFS = [1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0]
+_A_COEFFS = np.array([12.0, 21.0, 10.0, 5.0])
+_C1_COEFFS = np.array([-1152.0, 2880.0, 34008.0, 77952.0, 83706.0, 49880.0, 16740.0, 3000.0,
+                       250.0])
+_C2_COEFFS = np.array([1152.0, 4800.0, 8904.0, 9672.0, 6322.0, 2236.0, 322.0])
 
 
 def _poly_A(x):
     """a=2 denominator polynomial 5x^6 + 10x^4 + 21x^2 + 12."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return polyval(x2, [12.0, 21.0, 10.0, 5.0])
+    return _horner(x2, _A_COEFFS)
 
 
 def _poly_B(x):
@@ -147,13 +147,13 @@ def _poly_B(x):
 def _poly_C1(x):
     """Odd numerator polynomial of -u' at a=2 (only its x term is negative)."""
     x = np.asarray(x, dtype=float)
-    return x * polyval(x * x, _C1_COEFFS)
+    return x * _horner(x * x, _C1_COEFFS)
 
 
 def _poly_C2(x):
     """Even numerator polynomial of -u' at a=2, times 8 sqrt(3); positive."""
     x2 = np.asarray(x, dtype=float) ** 2
-    return 8.0 * math.sqrt(3.0) * polyval(x2, _C2_COEFFS)
+    return 8.0 * math.sqrt(3.0) * _horner(x2, _C2_COEFFS)
 
 
 def u_prime_a2(x):
@@ -373,7 +373,7 @@ def _ordering_bad(c: np.ndarray, a_beta: np.ndarray) -> np.ndarray:
     exactly when gamma(1e-9) <= 0 < gamma(a_beta).  That sign pattern is
     checked in every column; a column without it is bad."""
     one_root = (c[0] < 0.0) & (c[2:] > 0.0).all(axis=0)
-    return ~(one_root & (polyval(1e-9, c) <= 0.0) & (polyval(a_beta, c, tensor=False) > 0.0))
+    return ~(one_root & (_horner(1e-9, c) <= 0.0) & (_horner(a_beta, c) > 0.0))
 
 
 # the plane of each traced curve, (x, a) or (z, a), named by its root coordinate
@@ -433,7 +433,7 @@ def trace_curves(resolution: int = 200) -> RegionReport:
         misses[name] = int(np.count_nonzero(~found))
         # just above the outermost root the region sign must hold
         a_up = 1.05 * a[found]
-        probe = polyval(a_up * _largest(roots[found]), _coeffs(table, a_up), tensor=False)
+        probe = _horner(a_up * _largest(roots[found]), _coeffs(table, a_up))
         sign_violations[name] = int((probe * sign_above < 0.0).sum())
 
     # geometry of the (x, a) curves: beta curve above gamma curve

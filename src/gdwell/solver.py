@@ -144,12 +144,15 @@ def w_samples(p: PotentialParams, grid: Grid) -> np.ndarray:
 
 def energy_step(t: TrialFunction, w: np.ndarray, f_prev: np.ndarray) -> float:
     """curly_E = integral(w phi^2 f_prev) / integral(phi^2 f_prev)."""
-    den = integrate_against_phi2(f_prev, t)
+    # one panel view of f_prev for both integrals, the one
+    # integrate_against_phi2 would take of the node values
+    f_panels = t.grid.panels(f_prev)
+    den = integrate_against_phi2(f_panels, t)
     if not den > 0.0:
         raise DegenerateDenominatorError(
             f"normalization integral is {den:.3e}; iteration state is corrupted"
         )
-    num = integrate_against_phi2(w * t.grid.panels(f_prev), t)
+    num = integrate_against_phi2(w * f_panels, t)
     return num / den
 
 
@@ -186,8 +189,10 @@ def f_step(
 
 def _largest_step(t: TrialFunction, stop: int | None = None) -> float:
     """max |2 log phi(k+1) - 2 log phi(k)| over the nodes before stop:
-    doubling is exact, so bit for bit."""
-    return 2.0 * float(np.abs(np.diff(t.log_phi[:stop])).max())
+    doubling and negation are exact, so bit for bit."""
+    lp = t.log_phi[:stop]
+    d = np.subtract(lp[1:], lp[:-1])
+    return 2.0 * max(float(d.max()), -float(d.min()))
 
 
 def _tail_error(t: TrialFunction, w: np.ndarray, lam: float) -> str:
@@ -326,17 +331,20 @@ def _iterate_rows(
     # min(f) - 1 is min(f - 1), bit for bit, as x -> fl(x - 1) is monotone
     rows = [("iterate-lower-bound", f"f_{n} dips below 1", float(f.min()) - 1.0) if bc_i
             else ("iterate-upper-bound", f"f_{n} exceeds 1", -(float(f.max()) - 1.0))]
+    # every difference in one array, the slopes as np.diff forms them
+    d = np.empty(f.size)
     if bc_i and n >= 2:
         rows.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
-                     _margin(f - f_prev)))
+                     _margin(np.subtract(f, f_prev, out=d))))
     rows.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
-                 _margin(np.diff(f), -1.0)))
+                 _margin(np.subtract(f[1:], f[:-1], out=d[:-1]), -1.0)))
     # f_1/f_0 is f_1 itself, whose slope is checked above
     if n >= 2:
         slope = -1.0 if bc_i or n % 2 == 1 else 1.0
+        ratio = f / f_prev
         rows.append(("ratio-monotonicity",
                      f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
-                     _margin(np.diff(f / f_prev), slope)))
+                     _margin(np.subtract(ratio[1:], ratio[:-1], out=d[:-1]), slope)))
     return rows
 
 

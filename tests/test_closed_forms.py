@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from conftest import central_diff, central_diff2
 from gdwell import ConvergenceDomainError, PotentialParams, region
+from gdwell import closed_forms as cf
 from gdwell.closed_forms import (
     alpha,
     beta,
@@ -312,3 +316,82 @@ class TestGhatAndW:
         p = PotentialParams(1.0, 1.8)
         for seg in (np.linspace(0.0, 1.0, 2000), np.linspace(1.0 + 1e-9, 6.0, 2000)):
             assert float(np.diff(eval_w(p, seg)).max()) < 0.0
+
+
+# the half-line check of every closed form that takes x >= 0
+HALF_LINE = ["eval_S0", "eval_S0_mirror", "eval_S0_prime", "eval_S1", "eval_S1_prime",
+             "eval_S1_prime_quotient", "eval_u", "eval_ghat", "eval_w"]
+
+
+class TestHalfLine:
+    @pytest.mark.parametrize("name", HALF_LINE)
+    @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan], [0.5, math.nan], -0.5,
+                                   [2.0, -1e-300]])
+    def test_rejects_nan_and_negative(self, name, x):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            getattr(cf, name)(P12, x)
+
+    @pytest.mark.parametrize("name", HALF_LINE)
+    def test_takes_negative_zero_and_empty(self, name):
+        assert math.isfinite(float(getattr(cf, name)(P12, -0.0)))
+        assert getattr(cf, name)(P12, np.array([])).shape == (0,)
+
+
+# every table whose values _horner gives, with the variable its coefficients
+# are formed in by _coeffs ("s": a polynomial in s = x^2 at fixed a, "a": one
+# in a at fixed s), and the fixed coefficient lists of the a = 2 chain
+HORNER_TABLES = [(cf._ALPHA, "s"), (cf._BETA, "s"), (cf._GAMMA, "s"), (cf._GAMMA, "a"),
+                 (region._ALPHA_TILDE, "s"), (region._BETA_TILDE, "s"),
+                 (region._GAMMA_TILDE, "s")]
+HORNER_FIXED = [region._A_COEFFS, region._C1_COEFFS, region._C2_COEFFS]
+# finite s >= 0: 0, the model's range, and values near overflow, where the
+# polynomials overflow to inf
+HORNER_S = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1.7976931348623157e308),
+                     st.floats(1e300, 1.7976931348623157e308))
+HORNER_T = st.one_of(st.floats(1e-6, 1e3), st.floats(0.0, 1e300))
+
+
+def same_bits(got, ref) -> bool:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestHorner:
+    """_horner is numpy's polyval with tensor=False, bit for bit, which stays
+    here as the reference.  Neither is asked for s = inf: there s 0 is nan,
+    so polyval reads nan, and no caller passes inf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(HORNER_TABLES) - 1),
+           st.lists(st.tuples(HORNER_S, HORNER_T), min_size=1, max_size=6))
+    @example(0, [(0.0, 2.0)])
+    @example(6, [(1.7976931348623157e308, 1e3), (0.0, 0.5)])
+    def test_matches_polyval_on_every_table(self, i, points):
+        table, var = HORNER_TABLES[i]
+        s = np.array([p[0] for p in points])
+        t = np.array([p[1] for p in points])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # array s at scalar t, scalar s at scalar t, and s and t pointwise
+            c = cf._coeffs(table, t[0], var)
+            assert same_bits(cf._horner(s, c), polyval(s, c, tensor=False))
+            assert same_bits(cf._horner(s[0], c), polyval(s[0], c, tensor=False))
+            c = cf._coeffs(table, t, var)
+            assert same_bits(cf._horner(s, c), polyval(s, c, tensor=False))
+            # a scalar s against many coefficient columns, as _ordering_bad asks
+            assert same_bits(cf._horner(1e-9, c), polyval(1e-9, c, tensor=False))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, len(HORNER_FIXED) - 1), st.lists(HORNER_S, min_size=1, max_size=6))
+    def test_matches_polyval_on_the_a2_chain(self, i, s):
+        c = HORNER_FIXED[i]
+        s = np.array(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(cf._horner(s, c), polyval(s, c))
+            assert same_bits(cf._horner(s[0], c), polyval(s[0], c))
+
+    def test_writes_only_into_its_own_array(self):
+        s, c = np.linspace(0.0, 4.0, 9), cf._coeffs(cf._GAMMA, 2.0)
+        s0, c0 = s.copy(), c.copy()
+        out = cf._horner(s, c)
+        assert same_bits(s, s0) and same_bits(c, c0)
+        assert not np.shares_memory(out, s) and not np.shares_memory(out, c)

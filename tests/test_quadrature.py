@@ -692,3 +692,47 @@ def test_factors_keep_no_more_node_bytes_than_step_ratios_and_scan_units(t):
     assert sum(a.nbytes for a in node_arrays) <= 8 * ((2 * n + 2) + 2 * n + band_units)
     changes = len(f.prefix) + len(f.suffix)
     assert f.coef.shape[0] == f.term_at.size + f.close_at.size <= 3 + 10 + 4 * changes
+
+
+def flat_topped_trial(n: int, lo: int, hi: int) -> TrialFunction:
+    """A trial function on Grid(4, n) whose 2 log phi rises by 1 per step to
+    the node lo, stays at its maximum 0 to the node hi and falls by 2 per
+    step after it: its peak, the first maximum, shares its band with the
+    nodes of the flat top after it."""
+    grid = Grid(4.0, n)
+    k = np.arange(grid.n_points - 1)
+    steps = np.select([k < lo, k < hi], [1.0, 0.0], -2.0)
+    log_phi = np.concatenate([[0.0], np.cumsum(steps)]) / 2.0
+    log_phi -= log_phi.max()
+    return TrialFunction(P12, grid, log_phi, np.exp(log_phi))
+
+
+def assert_band_separates_the_peak(t: TrialFunction) -> None:
+    """2 log phi peaks at exactly 0, in band [0, B), and the node before the
+    peak lies in band [-B, 0), so the band condition alone makes the
+    closures whose three scan entries reach across the peak take stencils."""
+    f = _factors(t)
+    l2 = 2.0 * t.log_phi
+    anchor = np.floor(l2 / _SCAN_BAND) * _SCAN_BAND
+    assert l2[f.peak] == 0.0 and anchor[f.peak] == 0.0
+    assert f.peak >= 2 and anchor[f.peak - 1] == -_SCAN_BAND
+    m = f.peak - f.first
+    assert {max(m - 2, 0), m - 1, m, m + 1} <= set(f.close_at.tolist())
+
+
+@pytest.mark.parametrize("n", [2000, 8000, 16000])
+def test_band_alone_separates_the_peak_on_the_census(n):
+    # every trial function of the strong-coupling census lattice
+    for g in (3.0, 5.0, 8.0, 12.0, 20.0):
+        for a in (1.0, 3.0, 6.0, 12.0):
+            assert_band_separates_the_peak(build_trial(PotentialParams(g, a), Grid(4.0, n)))
+
+
+@pytest.mark.parametrize("lo, hi", [(40, 80), (63, 66), (2, 120)])
+def test_band_alone_separates_the_peak_of_a_flat_top(lo, hi):
+    t = flat_topped_trial(64, lo, hi)
+    assert _factors(t).peak == lo
+    assert_band_separates_the_peak(t)
+    rng = np.random.default_rng(lo)
+    assert_matches_reference(t, zero_total(t, rng.uniform(-1.0, 1.0, t.grid.n_points)),
+                             rtol=0.0, atol_of_max=1e-13)

@@ -272,9 +272,10 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
 def _horner(s, c):
     """polyval(s, c, tensor=False), the polynomial with coefficients c (low to
     high, along the first axis) at s, bit for bit: the same Horner steps,
-    c[-1] + s 0 and then c[i] + acc s down to c[0], in one array of the
-    broadcast shape, not two new arrays a step.  As polyval does, it reads
-    nan at s = inf, where s 0 is nan."""
+    c[-1] + s*0 and then c[i] + acc*s down to c[0], in one array of the
+    broadcast shape, not two new arrays a step, and a numpy float where
+    that shape is ().  As polyval does, it reads nan at s = inf, where s*0
+    is nan."""
     out = np.multiply(s, 0.0, out=np.empty(np.broadcast_shapes(np.shape(s), c[-1].shape)))
     out += c[-1]
     for ci in c[-2::-1]:

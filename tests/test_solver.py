@@ -284,16 +284,49 @@ STRONG_RUN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("g,a,bc", list(STRONG_RUN_SHA256))
-def test_strong_coupling_runs_are_pinned(g, a, bc):
-    rep = solve(PotentialParams(g, a), Grid(4.0, 8000), BoundaryCondition(bc))
-    h = hashlib.sha256()
+def hash_run(h, rep) -> None:
+    """Feed a solve's energies, curly_energies, f_final bytes and violations
+    into the hash h."""
     for e in rep.energies + rep.curly_energies:
         h.update(e.hex().encode())
     h.update(rep.f_final.tobytes())
     for v in rep.violations:
         h.update(f"{v.check}|{v.detail}|{v.magnitude.hex()}\n".encode())
+
+
+@pytest.mark.parametrize("g,a,bc", list(STRONG_RUN_SHA256))
+def test_strong_coupling_runs_are_pinned(g, a, bc):
+    rep = solve(PotentialParams(g, a), Grid(4.0, 8000), BoundaryCondition(bc))
+    h = hashlib.sha256()
+    hash_run(h, rep)
     assert h.hexdigest() == STRONG_RUN_SHA256[(g, a, bc)]
+
+
+# SHA-256 of hash_run over a census of small and mid-size solves, in order:
+# the table cases at tol = 0 and max_iter = 5 and the 24 lattice draws at the
+# default tol, all on Grid(4, 2000), then (1, 2, I) and (1, 2, II) on
+# Grid(4, 200) and Grid(4, 800)
+CENSUS_SHA256 = "d488854b4486941a95289b505f4ff55292e5134ad5b0e3957d2dee6e6d8e9db4"
+
+
+def census_runs():
+    """(params, grid, bc, max_iter, tol) of every solve the census pins."""
+    runs = [(PotentialParams(g, a), Grid(4.0, 2000), bc, 5, 0.0) for g, a, bc in TABLE_CASES]
+    for g in np.linspace(0.88, 3.0, 4):
+        a_g = cf.find_a_g(float(g))
+        for a in np.linspace(max(1.8, 1.05 * a_g), 3.0, 3):
+            runs += [(PotentialParams(float(g), float(a)), Grid(4.0, 2000), bc, 20, 1e-6)
+                     for bc in ("I", "II")]
+    runs += [(P12, Grid(4.0, n), bc, 20, 1e-6) for n in (200, 800) for bc in ("I", "II")]
+    return runs
+
+
+def test_solve_census_is_pinned():
+    h = hashlib.sha256()
+    for p, grid, bc, max_iter, tol in census_runs():
+        hash_run(h, solve(p, grid, BoundaryCondition(bc), max_iter=max_iter, tol=tol))
+        h.update(b"--\n")
+    assert h.hexdigest() == CENSUS_SHA256
 
 
 # every (g, a) of the built-in tables, and deep double wells

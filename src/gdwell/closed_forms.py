@@ -109,11 +109,19 @@ class PotentialParams:
 
 def _check_nonnegative(x):
     x = np.asarray(x, dtype=float)
-    # one reduction, and NaN fails it: its min is NaN, and NaN >= 0 is false
-    if x.size and not x.min() >= 0.0:
-        raise ValueError("x must be >= 0 (the model is evaluated on the half line; "
-                         "evenness is the caller's contract)")
+    # NaN fails both reductions: its min and max are NaN, and every
+    # comparison with NaN is false
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+        raise ValueError("x must be >= 0 and finite (the model is evaluated on the half "
+                         "line; evenness is the caller's contract)")
     return x
+
+
+def _half_line_scalar(x):
+    """x itself if it is a Python float on the half line, for the closed
+    forms that are plain arithmetic in x; otherwise _check_nonnegative(x),
+    which raises unless x is finite and >= 0."""
+    return x if type(x) is float and 0.0 <= x < math.inf else _check_nonnegative(x)
 
 
 def eval_potential(p: PotentialParams, x):
@@ -149,6 +157,13 @@ def _s0_raw(a: float, x):
     return out[0] if scalar else out
 
 
+def _s0_at_zero(a: float) -> float:
+    """_s0_raw(a, 0.0), bit for bit: at x = 0 every term but the last is
+    +0.0 and r = sqrt(a), so it is 0 - log(r) (a c), with numpy's log, whose
+    rounding may differ from the math module's."""
+    return 0.0 - float(np.log(math.sqrt(a))) * (a * (a / 8.0 + 0.5))
+
+
 def eval_S0(p: PotentialParams, x):
     """Leading phase integral S0(x), closed form, for x >= 0."""
     return _s0_raw(p.a, _check_nonnegative(x))
@@ -166,7 +181,7 @@ def eval_S0_mirror(p: PotentialParams, x):
 
 def eval_S0_prime(p: PotentialParams, x):
     """S0'(x) = (x^2-1) sqrt(x^2+a)."""
-    x = _check_nonnegative(x)
+    x = _half_line_scalar(x)
     return (x * x - 1.0) * np.sqrt(x * x + p.a)
 
 
@@ -211,7 +226,7 @@ def eval_S1_prime(p: PotentialParams, x):
     whose denominator is provably positive for x >= 0, a > 0.  At x=1 this
     gives the removable-point value (a+3)/(2(a+1)).
     """
-    x = _check_nonnegative(x)
+    x = _half_line_scalar(x)
     a = p.a
     x2 = x * x
     r = np.sqrt(x2 + a)
@@ -260,7 +275,18 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if var == "a":
         return polyval(t, table)
-    c = polyval(t, table.T)
+    if t.ndim:
+        c = polyval(t, table.T)
+    else:
+        # polyval's Horner steps on each row in Python floats, whose IEEE
+        # products and sums round as numpy's do, without its per-call cost
+        tf, c = float(t), []
+        for row in table.tolist():
+            acc = row[-1] + tf * 0.0
+            for r in row[-2::-1]:
+                acc = r + acc * tf
+            c.append(acc)
+        c = np.array(c)
     if var == "z":
         # coefficient i times t, i times over: IEEE products round alike on
         # every CPU, where a vectorized power need not
@@ -276,7 +302,7 @@ def _horner(s, c):
     broadcast shape, not two new arrays a step, and a numpy float where
     that shape is ().  As polyval does, it reads nan at s = inf, where s*0
     is nan."""
-    out = np.multiply(s, 0.0, out=np.empty(np.broadcast_shapes(np.shape(s), c[-1].shape)))
+    out = np.multiply(s, 0.0, out=np.empty(np.broadcast(s, c[-1]).shape))
     out += c[-1]
     for ci in c[-2::-1]:
         out *= s
@@ -373,17 +399,18 @@ def eval_ghat(p: PotentialParams, x):
     x = np.atleast_1d(x)
     # c rho / (1 + Gamma rho), c = g E0 2 Gamma, in place in the array S0
     # returns, in the order that expression evaluates; nodes beyond x = 1
-    # are evaluated at x = 0 and then zeroed
+    # are evaluated at x = 0, where the value is positive, and then zeroed
+    # by a product with the mask
     inner = x <= 1.0
     out = _s0_raw(p.a, np.where(inner, x, 0.0))
-    out -= _s0_raw(p.a, 0.0)
+    out -= _s0_at_zero(p.a)
     out *= 2.0 * p.g
     np.exp(out, out=out)
     den = np.multiply(p.Gamma, out)
     den += 1.0
     out *= p.g * p.E0 * 2.0 * p.Gamma
     out /= den
-    out[~inner] = 0.0
+    out *= inner
     return out[0] if scalar else out
 
 

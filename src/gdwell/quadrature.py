@@ -152,6 +152,8 @@ def _blocks(anchor: np.ndarray) -> list[tuple[int, int, float]]:
     if not anchor.size:
         return []
     changes = np.flatnonzero(anchor[1:] != anchor[:-1]) + 1
+    if not changes.size:
+        return [(0, anchor.size, 0.0)]
     starts = [0, *changes.tolist()]
     carry = [0.0, *np.exp(anchor[changes - 1] - anchor[changes]).tolist()]
     return list(zip(starts, [*starts[1:], anchor.size], carry))
@@ -168,17 +170,6 @@ def _run_scan(x: np.ndarray, blocks: list[tuple[int, int, float]]) -> None:
         carry = seg[-1]
 
 
-def _closures(x: np.ndarray, out: np.ndarray, factor: float) -> None:
-    """The closures (x_k + 12 x_{k+1} - x_{k+2}) times factor of the values
-    x, in the order x runs, into out at every entry but the last two."""
-    c = out[: x.size - 2]
-    if c.size:
-        np.multiply(12.0, x[1:-1], out=c)
-        c += x[:-2]
-        c -= x[2:]
-        c *= factor
-
-
 class _Factors(NamedTuple):
     """Everything the rule needs from one trial function: the node weights
     of the phi^2 integral, row p for panel p, the phi^2 peak node and the
@@ -192,13 +183,33 @@ class _Factors(NamedTuple):
     first: int  # 1, or 0 for a peak at 0
     hk: np.ndarray  # h e^{l2_j - A_k} for the term of node j summed into k
     scale: np.ndarray  # e^{A_k - l2_k}
-    pieces: list[tuple[int, int, int, int]]  # (row, col start, col stop, k - first)
+    pieces: list[tuple[int, slice, slice]]  # (row, its columns, their k - first)
     prefix: list[tuple[int, int, float]]  # the blocks of the prefix scan
     suffix: list[tuple[int, int, float]]  # and of the suffix scan
-    gather: tuple[np.ndarray, np.ndarray]  # (rows, cols) of each fix-up's samples
+    gather: np.ndarray  # each fix-up's samples, as flat indices into a panel array
     coef: np.ndarray  # and their coefficients, in band units
     term_at: np.ndarray  # the fix-ups of terms, then those of closures,
     close_at: np.ndarray  # at k - first
+
+
+# Every fix-up is a stencil on 8 samples, the nodes b + o for the offsets o
+# of its kind, on the panel row of its base node b (the next row where far
+# is 1), at weights in units of h/24; a sample it does not use repeats its
+# first node at weight 0.  The kinds: a lone ghost-closed end read upward
+# (x = 0) and downward (x_max, and x = 1 closing panel 0); x = 1 opening
+# panel 1; the pair at x = 1, panel 0's closing end term plus panel 1's
+# opening one; and the closure u_{k-d} + 12 u_k - u_{k+d} at b = k, for
+# d = 1 left of the peak and d = -1 from it on
+_STENCIL_OFFSET = np.array([[0, 1, 2, 3, 0, 1, 2, 3],
+                            [0, -1, -2, -3, 0, -1, -2, -3],
+                            [0, 1, 2, 3, 0, 1, 2, 3],
+                            [0, -1, -2, -3, 0, 1, 2, 3],
+                            [-1, 0, 1, -1, -1, -1, -1, -1],
+                            [1, 0, -1, 1, 1, 1, 1, 1]])
+_STENCIL_FAR = np.array([[0] * 8, [0] * 8, [1] * 8, [0] * 4 + [1] * 4, [0] * 8, [0] * 8])
+_STENCIL_WEIGHT = np.array([[*_GHOST_END, 0.0, 0.0, 0.0, 0.0]] * 3
+                           + [[*_GHOST_END, *_GHOST_END]]
+                           + [[1.0, 12.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2)
 
 
 def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: int,
@@ -209,59 +220,48 @@ def _fix_ups(l2: np.ndarray, anchor: np.ndarray, grid: Grid, peak: int, first: i
     ghost-closed end terms; the closures at x = 1 and, for a peak at 0, at
     0, ghost-closed too; and every other closure that fails the fix-up
     condition of the module docstring, by a three-node stencil.  Returns the
-    (rows, cols) of each stencil's samples, their coefficients, and the
-    buffer indices k - first of the terms and then of the closures.
+    flat indices of each stencil's samples in a C-order panel array, their
+    coefficients, and the buffer indices k - first of the terms and then of
+    the closures.
 
     Precondition: 2 log phi peaks at exactly 0, as TrialFunction's does, and
     peak is its first maximum, so the peak lies in band [0, B) and node
     peak - 1 below it, in band [-B, 0): the band condition alone keeps every
     closure that would read across the peak off the scaled terms."""
-    n = grid.n_per_panel
-    hs = np.array([grid.panel_h(0), grid.panel_h(1)])
-    # the ghost-closed ends (panel, end node, direction into the panel): x =
-    # 0, x = 1 closing panel 0 and opening panel 1, and x_max; each stencil
-    # sums two of them, a lone end named twice
-    ends = np.array([(0, 0, 1), (0, n, -1), (1, n, 1), (1, 2 * n, -1)])
-    pair = {0: (0, 0), n: (1, 2), 2 * n: (3, 3)}
-    ghosts = [(k, pair[j]) for j, k in terms]
-    ghosts.append((n, (2, 2) if n >= peak else (1, 1)))
-    if peak == 0:
-        ghosts.append((0, pair[0]))
-    # the fix-up condition: link[i] holds where the scan buffer's entries i
-    # and i + 1 are plain terms in one band; a closure reads its own entry
-    # and the next two in scan order, as _closures does: i to i + 2 left of
-    # the peak, i - 2 to i from it on
-    plain = np.ones(anchor.size, dtype=bool)
-    plain[np.array([k for _, k in terms], dtype=np.intp) - first] = False
-    link = plain[:-1] & plain[1:] & (anchor[:-1] == anchor[1:])
-    m = peak - first
-    both = link[:-1] & link[1:]
-    read_off = np.concatenate([both[:m], [False, False], both[m:]])
-    k = np.flatnonzero(~read_off) + first
-    k = k[(k != 0) & (k != n)]
-    # each stencil gathers 8 samples (node, panel row, weight in units of
-    # h/24), each one it does not use at weight 0
-    g = len(ghosts)
-    node = np.empty((g + k.size, 8), dtype=np.intp)
-    rows = np.empty_like(node)
-    weight = np.zeros(node.shape)
-    pairs = np.array([e for _, e in ghosts])
-    two = ends[pairs]
-    node[:g] = (two[..., 1:2] + two[..., 2:3] * np.arange(4)).reshape(g, 8)
-    rows[:g] = two[..., 0].repeat(4, axis=1)
-    weight[:g, :4] = _GHOST_END
-    weight[:g, 4:] = np.where(pairs[:, :1] != pairs[:, 1:], _GHOST_END, 0.0)
-    # the closures u_{k-d} + 12 u_k - u_{k+d} on the samples of k's panel,
-    # d = 1 left of the peak and -1 from it on
-    d = np.where(k < peak, 1, -1)[:, None]
-    node[g:, :3] = k[:, None] + d * np.arange(-1, 2)
-    node[g:, 3:] = node[g:, :1]
-    rows[g:] = (k > n)[:, None]
-    weight[g:, :3] = (1.0, 12.0, -1.0)
-    at = np.concatenate([[kg for kg, _ in ghosts], k]) - first
-    coef = weight * (hs[rows] / 24.0)
+    n, size, m = grid.n_per_panel, anchor.size, peak - first
+    # the fix-up condition: brk[i + 1] is unset where the scan buffer's
+    # entries i and i + 1 are plain terms in one band, and set for the links
+    # past its ends; a closure reads its own entry and the next two in scan
+    # order, as _inner_scaled forms it: i to i + 2 left of the peak, i - 2
+    # to i from it on, so it fails where either link it spans is broken
+    brk = np.ones(size + 2, dtype=bool)
+    np.not_equal(anchor[:-1], anchor[1:], out=brk[1:size])
+    brk[[k - first + e for _, k in terms for e in (0, 1)]] = True
+    fail = np.ones(size, dtype=bool)
+    np.logical_or(brk[1 : m + 1], brk[2 : m + 2], out=fail[:m])
+    np.logical_or(brk[m + 1 : -3], brk[m + 2 : -2], out=fail[m + 2 :])
+    # the closures at x = 1 and, for a peak at 0, at 0 are ghost-closed
+    fail[n - first] = False
+    if not first:
+        fail[0] = False
+    # every stencil as (k - first, base node, kind): the ghost-closed terms
+    # and closures, then the three-node closures
+    end = {0: (0, 0), n: (n, 3), 2 * n: (2 * n, 1)}
+    rows = [(k - first, *end[j]) for j, k in terms]
+    rows.append((n - first, n, 2 if n >= peak else 1))
+    if not peak:
+        rows.append((0, 0, 0))
+    rows += [(i, i + first, 4 if i < m else 5) for i in np.flatnonzero(fail).tolist()]
+    at, b, kind = np.array(rows).T
+    node = _STENCIL_OFFSET[kind]
+    node += b[:, None]
+    far = _STENCIL_FAR[kind]
+    far += (b > n)[:, None]
+    coef = _STENCIL_WEIGHT[kind]
+    coef *= np.array([grid.panel_h(0) / 24.0, grid.panel_h(1) / 24.0])[far]
     coef *= np.exp(l2[node] - anchor[at][:, None])
-    return (rows, node - n * rows), coef, at[: len(terms)], at[len(terms) :]
+    node += far
+    return node, coef, at[: len(terms)], at[len(terms) :]
 
 
 def _factors(t: TrialFunction) -> _Factors:
@@ -292,8 +292,9 @@ def _factors(t: TrialFunction) -> _Factors:
             for p, a0, b0 in [(0, lo, min(hi, n)), (1, max(lo, n), hi)]:
                 if a0 < b0:
                     k0 = a0 + d - first
-                    pieces.append((p, a0 - p * n, b0 - p * n, k0))
-                    hk[k0 : k0 + b0 - a0] *= hs[p]
+                    into = slice(k0, k0 + b0 - a0)
+                    pieces.append((p, slice(a0 - p * n, b0 - p * n), into))
+                    hk[into] *= hs[p]
             terms += [(j, j + d) for j in (0, n, 2 * n) if lo <= j < hi]
         fix_ups = _fix_ups(l2, scale, grid, peak, first, terms)
         np.subtract(scale, l2[first:-1], out=scale)
@@ -333,16 +334,27 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
     inner[: f.first] = 0.0
     inner[-1] = 0.0
     # the scan buffer: every term in the band units of the node it is
-    # summed into, then the fix-ups, the end terms first
+    # summed into, then the fix-ups, the end terms first; the gather copies
+    # samples that are not one C-order panel array, such as node values
     s = inner[f.first : -1]
-    for p, a, b, k in f.pieces:
-        np.multiply(v[p, a:b], f.hk[k : k + b - a], out=s[k : k + b - a])
-    fixed = np.einsum("ij,ij->i", f.coef, v[f.gather])
+    for p, cols, into in f.pieces:
+        np.multiply(v[p, cols], f.hk[into], out=s[into])
+    fixed = np.einsum("ij,ij->i", f.coef, v.take(f.gather))
     s[f.term_at] = fixed[: f.term_at.size]
+    # the closures (u_{k-1} + 12 u_k - u_{k+1}) / 24 of the scaled terms, in
+    # scan order: of the entries k to k + 2 left of the peak (m) and k - 2
+    # to k from it on, on forward views; the four entries between, which
+    # the fix-ups give, start at 0
     close = np.empty(s.size)
     m = f.peak - f.first
-    _closures(s[:m], close[:m], 1.0 / 24.0)
-    _closures(s[m:][::-1], close[m:][::-1], 1.0 / 24.0)
+    lo, hi = max(m - 2, 0), m + 2
+    np.multiply(12.0, s[1 : lo + 1], out=close[:lo])
+    np.multiply(12.0, s[hi - 1 : -1], out=close[hi:])
+    close[lo:hi] = 0.0
+    close += s
+    np.subtract(close[:lo], s[2 : lo + 2], out=close[:lo])
+    np.subtract(close[hi:], s[hi - 2 : -2], out=close[hi:])
+    close *= 1.0 / 24.0
     close[f.close_at] = fixed[f.term_at.size :]
     _run_scan(s[:m], f.prefix)
     _run_scan(s[m:][::-1], f.suffix)
@@ -353,12 +365,21 @@ def _inner_scaled(f: _Factors, grid: Grid, h_samples) -> np.ndarray:
 
 def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     """Cumulative integral of a continuous node function, from x_max down
-    (suffix=True) or from 0 up (suffix=False), on reversed views from x_max:
-    one running sum of the node terms, each moved one node on, across both
-    panels, plus the closure at each node."""
+    (suffix=True) or from 0 up (suffix=False): one running sum of the node
+    terms, each moved one node on, across both panels, on reversed views
+    from x_max, plus the closure at each node, formed in node order."""
     n = grid.n_per_panel
-    out = np.empty(2 * n + 1)
     h0, h1 = grid.panel_h(0), grid.panel_h(1)
+    # the closures h_p (u_{b-1} + 12 u_b - u_{b+1}) / 24 of the interior
+    # nodes b, the neighbour before b in scan order added first; the closure
+    # at x = 1 is the ghost-closed one below
+    c = np.empty(2 * n - 1)
+    np.multiply(12.0, tt[1:-1], out=c)
+    c += tt[2:] if suffix else tt[:-2]
+    c -= tt[:-2] if suffix else tt[2:]
+    c[: n - 1] *= h0 / 24.0
+    c[n:] *= h1 / 24.0
+    out = np.empty(2 * n + 1)
     u, o = (tt[::-1], out[::-1]) if suffix else (tt, out)
     if suffix:
         h0, h1 = h1, h0
@@ -369,17 +390,11 @@ def _node_cumulative(grid: Grid, tt: np.ndarray, suffix: bool) -> np.ndarray:
     np.multiply(h0, u[:n], out=o[1 : n + 1])
     np.multiply(h1, u[n:-1], out=o[n + 1 :])
     head, mid, tail = u[:4].tolist(), u[n - 3 : n + 4].tolist(), u[-4:].tolist()
-    close0 = _ghost_end(h0, *mid[3::-1])
+    c[n - 1] = close0 = _ghost_end(h0, *mid[3::-1])
     o[1] = _ghost_end(h0, *head)
     o[n + 1] = close0 + _ghost_end(h1, *mid[3:])
     np.cumsum(o, out=o)
-    # the closures h (u_{b-1} + 12 u_b - u_{b+1}) / 24 of each panel, ghost-
-    # closed at its end
-    c = np.empty(n - 1)
-    for p, h in enumerate((h0, h1)):
-        _closures(u[p * n : p * n + n + 1], c, h / 24.0)
-        o[p * n + 1 : p * n + n] += c
-    o[n] += close0
+    out[1:-1] += c
     o[-1] += _ghost_end(h1, *tail[::-1])
     return out
 

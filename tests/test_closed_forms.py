@@ -324,9 +324,10 @@ HALF_LINE = ["eval_S0", "eval_S0_mirror", "eval_S0_prime", "eval_S1", "eval_S1_p
 
 
 class TestHalfLine:
+    # +inf is rejected too: the closed forms read nan there, and ghat 0
     @pytest.mark.parametrize("name", HALF_LINE)
     @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan], [0.5, math.nan], -0.5,
-                                   [2.0, -1e-300]])
+                                   [2.0, -1e-300], math.inf, [0.5, math.inf]])
     def test_rejects_nan_and_negative(self, name, x):
         with pytest.raises(ValueError, match="x must be >= 0"):
             getattr(cf, name)(P12, x)

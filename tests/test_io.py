@@ -61,16 +61,19 @@ TRACE_50_REPORT_SHA256 = "c841b1f1fef650fe9097292035bbdda6b936a3f6f7e3ed6c6e15c1
 TRACE_200_REPORT_SHA256 = "2fd8e1167557730dcc25880b5e32a9a5f0010e919bafbf5faa3bdcb5f985e3c1"
 
 
+@pytest.mark.pins
 def test_default_solve_report_bytes_are_pinned(solve_cache):
     text = dumps_json(solve_cache(1.0, 2.0, "II").to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
+@pytest.mark.pins
 def test_trace_curves_report_bytes_are_pinned():
     text = dumps_json(region.trace_curves(50).to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_50_REPORT_SHA256
 
 
+@pytest.mark.pins
 def test_default_resolution_trace_curves_report_bytes_are_pinned():
     text = dumps_json(region.trace_curves(200).to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_200_REPORT_SHA256

@@ -294,6 +294,7 @@ def hash_run(h, rep) -> None:
         h.update(f"{v.check}|{v.detail}|{v.magnitude.hex()}\n".encode())
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize("g,a,bc", list(STRONG_RUN_SHA256))
 def test_strong_coupling_runs_are_pinned(g, a, bc):
     rep = solve(PotentialParams(g, a), Grid(4.0, 8000), BoundaryCondition(bc))
@@ -321,6 +322,7 @@ def census_runs():
     return runs
 
 
+@pytest.mark.pins
 def test_solve_census_is_pinned():
     h = hashlib.sha256()
     for p, grid, bc, max_iter, tol in census_runs():
@@ -790,6 +792,7 @@ class TestHierarchy:
         assert [v.check for v in rep.violations] == checks
         assert all(v.detail.startswith("f_1") for v in rep.violations)
 
+    @pytest.mark.pins
     def test_violation_lists_are_pinned(self, solve_cache):
         """Every check name, detail string, magnitude bit pattern and their
         order, over natural runs that break the iterate relations and two

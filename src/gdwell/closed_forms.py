@@ -313,7 +313,7 @@ def _horner(s, c):
 def _beta(a, x, s) -> np.ndarray:
     out = _horner(s, _coeffs(_BETA, a))
     out *= x
-    out *= np.sqrt(1.0 + np.asarray(a, dtype=float))
+    out *= math.sqrt(1.0 + a) if type(a) is float else np.sqrt(1.0 + np.asarray(a, dtype=float))
     return out
 
 
@@ -355,8 +355,10 @@ def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
     odd8 *= odd
     out = even + odd8
     out *= w
-    np.divide(gamma, out, out=out, where=plus)
-    if not plus.all():
+    # unmasked where every entry takes the plus form, as for every a >= 1/2
+    every = plus.all()
+    np.divide(gamma, out, out=out, where=True if every else plus)
+    if not every:
         den = np.subtract(x2, 1.0)
         den **= k
         w *= den

@@ -9,7 +9,8 @@ alpha, beta and gamma that build u (``gdwell.region`` reads them here).
 alpha, beta and gamma here, like the curve polynomials of ``gdwell.region``,
 are tables of integer coefficients in (x^2, a), and one function, _coeffs,
 reads every such table: numpy's polyval forms the coefficients of a table's
-polynomial in one variable at fixed values of the other.  One evaluator,
+polynomial in one variable at fixed values of the other, and at one scalar
+value polyval's Horner steps run in Python floats.  One evaluator,
 _horner, gives every polynomial value in the package: polyval's Horner steps
 with tensor=False, in the same order, in one array.
 

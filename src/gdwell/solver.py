@@ -325,44 +325,30 @@ def _margin(values: np.ndarray, sign: float = 1.0) -> float:
     return float(values.min()) if sign > 0 else -float(values.max())
 
 
-# the detail of each iterate row, as check_hierarchy shows it for a
-# violation: n and p are the indices of f_n and f_{n-1}
-_ROW_DETAILS = {
-    "iterate-lower-bound": "f_{n} dips below 1",
-    "iterate-upper-bound": "f_{n} exceeds 1",
-    "iterate-ascending": "f_{n} < f_{p} somewhere",
-    "iterate-nonincreasing-in-x": "f_{n} increases in x",
-    "ratio-monotonicity": "f_{n}/f_{p} not {trend}",
-}
-
-
 def _iterate_rows(
     bc: BoundaryCondition, n: int, f_prev: np.ndarray, f: np.ndarray
 ) -> list[tuple[str, str, float]]:
     """The (check, detail, signed margin) rows of f = f_n, n >= 1, with
-    f_prev = f_{n-1}, for check_hierarchy.  A detail is formatted only where
-    the margin fails, the one place check_hierarchy reads it; elsewhere it
-    is ""."""
+    f_prev = f_{n-1}, for check_hierarchy."""
     bc_i = bc is BoundaryCondition.I
     # min(f) - 1 is min(f - 1), bit for bit, as x -> fl(x - 1) is monotone
-    margins = [("iterate-lower-bound", float(f.min()) - 1.0) if bc_i
-               else ("iterate-upper-bound", -(float(f.max()) - 1.0))]
+    rows = [("iterate-lower-bound", f"f_{n} dips below 1", float(f.min()) - 1.0) if bc_i
+            else ("iterate-upper-bound", f"f_{n} exceeds 1", -(float(f.max()) - 1.0))]
     # every difference in one array, the slopes as np.diff forms them
     d = np.empty(f.size)
     if bc_i and n >= 2:
-        margins.append(("iterate-ascending", _margin(np.subtract(f, f_prev, out=d))))
-    margins.append(("iterate-nonincreasing-in-x",
-                    _margin(np.subtract(f[1:], f[:-1], out=d[:-1]), -1.0)))
+        rows.append(("iterate-ascending", f"f_{n} < f_{n - 1} somewhere",
+                     _margin(np.subtract(f, f_prev, out=d))))
+    rows.append(("iterate-nonincreasing-in-x", f"f_{n} increases in x",
+                 _margin(np.subtract(f[1:], f[:-1], out=d[:-1]), -1.0)))
     # f_1/f_0 is f_1 itself, whose slope is checked above
-    slope = -1.0 if bc_i or n % 2 == 1 else 1.0
     if n >= 2:
+        slope = -1.0 if bc_i or n % 2 == 1 else 1.0
         ratio = f / f_prev
-        margins.append(("ratio-monotonicity",
-                        _margin(np.subtract(ratio[1:], ratio[:-1], out=d[:-1]), slope)))
-    return [(check, _ROW_DETAILS[check].format(
-                n=n, p=n - 1, trend="decreasing" if slope < 0 else "increasing")
-             if margin < -HIERARCHY_TOL else "", margin)
-            for check, margin in margins]
+        rows.append(("ratio-monotonicity",
+                     f"f_{n}/f_{n - 1} not {'decreasing' if slope < 0 else 'increasing'}",
+                     _margin(np.subtract(ratio[1:], ratio[:-1], out=d[:-1]), slope)))
+    return rows
 
 
 def check_hierarchy(

@@ -396,3 +396,20 @@ class TestHorner:
         out = cf._horner(s, c)
         assert same_bits(s, s0) and same_bits(c, c0)
         assert not np.shares_memory(out, s) and not np.shares_memory(out, c)
+
+
+class TestScalarPaths:
+    """The scalar forms a solve takes at one a or one x equal the array
+    forms bit for bit: S0(0) in ghat, S0' and S1' at a Python float."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e4))
+    def test_s0_at_zero_is_s0_raw_at_zero(self, a):
+        assert cf._s0_at_zero(a).hex() == float(cf._s0_raw(a, np.zeros(1))[0]).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 20.0), st.floats(0.01, 100.0), st.floats(0.0, 50.0))
+    def test_slopes_at_a_float_are_the_array_slopes(self, g, a, x):
+        p = PotentialParams(g, a)
+        for f in (eval_S0_prime, eval_S1_prime):
+            assert float(f(p, x)).hex() == float(f(p, np.array([x]))[0]).hex()

@@ -398,6 +398,43 @@ class TestHorner:
         assert not np.shares_memory(out, s) and not np.shares_memory(out, c)
 
 
+COEFF_TABLES = [cf._ALPHA, cf._BETA, cf._GAMMA,
+                region._ALPHA_TILDE, region._BETA_TILDE, region._GAMMA_TILDE]
+# any finite t: the model's a and s, values near overflow, where coefficients
+# overflow to inf, and negative values, which no caller passes
+COEFF_T = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, 1e3),
+                    st.floats(-1e300, 1e300))
+
+
+def z_reference(c, t):
+    """The "z" coefficients from the "s" ones: entry i times t, i times."""
+    c = np.array(c, dtype=float)
+    for i in range(1, c.shape[0]):
+        for _ in range(i):
+            c[i] *= t
+    return c
+
+
+class TestCoeffs:
+    """_coeffs forms each table's coefficient vectors as numpy's polyval
+    does, bit for bit, at a scalar t and at an array t; polyval stays here
+    as the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(COEFF_TABLES) - 1), st.lists(COEFF_T, min_size=1, max_size=6))
+    @example(2, [2.0])
+    @example(5, [1e300, 0.5])
+    def test_matches_polyval_on_every_table(self, i, ts):
+        table = COEFF_TABLES[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (ts[0], np.array(ts)):
+                s = polyval(t, table.T)
+                assert same_bits(cf._coeffs(table, t, "s"), s)
+                assert same_bits(cf._coeffs(table, t), s)
+                assert same_bits(cf._coeffs(table, t, "a"), polyval(t, table))
+                assert same_bits(cf._coeffs(table, t, "z"), z_reference(s, t))
+
+
 class TestScalarPaths:
     """The scalar forms a solve takes at one a or one x equal the array
     forms bit for bit: S0(0) in ghat, S0' and S1' at a Python float."""

@@ -8,11 +8,13 @@ alpha, beta and gamma that build u (``gdwell.region`` reads them here).
 
 alpha, beta and gamma here, like the curve polynomials of ``gdwell.region``,
 are tables of integer coefficients in (x^2, a), and one function, _coeffs,
-reads every such table: numpy's polyval forms the coefficients of a table's
-polynomial in one variable at fixed values of the other, and at one scalar
-value polyval's Horner steps run in Python floats.  One evaluator,
-_horner, gives every polynomial value in the package: polyval's Horner steps
-with tensor=False, in the same order, in one array.
+reads every such table: it forms the coefficients of a table's polynomial in
+one variable at fixed values of the other.  One evaluator, _horner, runs
+every Horner step in the package, for those coefficients and for every
+polynomial value: numpy's polynomial-module Horner steps, in the same order,
+in one array.  One check, _check_nonnegative, holds every closed form that
+takes x to the half line, and sqrt(1+a) is PotentialParams.E0 wherever the
+parameters are at hand.
 
 All formulas are evaluated in cancellation-safe arrangements:
 
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConvergenceDomainError, require_real
 
@@ -109,20 +110,18 @@ class PotentialParams:
 
 
 def _check_nonnegative(x):
+    """x itself if it is a Python float on the half line, else x as a float
+    array; raises ValueError unless every entry is finite and >= 0."""
+    if type(x) is float and 0.0 <= x < math.inf:
+        return x
     x = np.asarray(x, dtype=float)
     # NaN fails both reductions: its min and max are NaN, and every
     # comparison with NaN is false
-    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+    if x.size and not (np.minimum.reduce(x, None) >= 0.0
+                       and np.maximum.reduce(x, None) < math.inf):
         raise ValueError("x must be >= 0 and finite (the model is evaluated on the half "
                          "line; evenness is the caller's contract)")
     return x
-
-
-def _half_line_scalar(x):
-    """x itself if it is a Python float on the half line, for the closed
-    forms that are plain arithmetic in x; otherwise _check_nonnegative(x),
-    which raises unless x is finite and >= 0."""
-    return x if type(x) is float and 0.0 <= x < math.inf else _check_nonnegative(x)
 
 
 def eval_potential(p: PotentialParams, x):
@@ -161,7 +160,8 @@ def _s0_raw(a: float, x):
 def _s0_at_zero(a: float) -> float:
     """_s0_raw(a, 0.0), bit for bit: at x = 0 every term but the last is
     +0.0 and r = sqrt(a), so it is 0 - log(r) (a c), with numpy's log, whose
-    rounding may differ from the math module's."""
+    rounding may differ from the math module's.  A scalar expression, not
+    _s0_raw at a one-node array: that call measured eval_ghat 27 -> 39 us."""
     return 0.0 - float(np.log(math.sqrt(a))) * (a * (a / 8.0 + 0.5))
 
 
@@ -182,7 +182,7 @@ def eval_S0_mirror(p: PotentialParams, x):
 
 def eval_S0_prime(p: PotentialParams, x):
     """S0'(x) = (x^2-1) sqrt(x^2+a)."""
-    x = _half_line_scalar(x)
+    x = _check_nonnegative(x)
     return (x * x - 1.0) * np.sqrt(x * x + p.a)
 
 
@@ -191,10 +191,9 @@ def eval_S1(p: PotentialParams, x):
     log((x+1) sqrt(r)) + log((sa1 r + a + x) / (sa1 r + a - x)) / 2 with
     r = sqrt(x^2+a), sa1 = sqrt(a+1)."""
     x = _check_nonnegative(x)
-    scalar = x.ndim == 0
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(x)
-    a = p.a
-    sa1 = math.sqrt(a + 1.0)
+    a, sa1 = p.a, p.E0
     # in place in three arrays, in the order the expression above evaluates
     r = x * x
     r += a
@@ -227,12 +226,12 @@ def eval_S1_prime(p: PotentialParams, x):
     whose denominator is provably positive for x >= 0, a > 0.  At x=1 this
     gives the removable-point value (a+3)/(2(a+1)).
     """
-    x = _half_line_scalar(x)
+    x = _check_nonnegative(x)
     a = p.a
     x2 = x * x
     r = np.sqrt(x2 + a)
     num = 9.0 * x2 * x2 + (12.0 * a + 3.0) * x2 + 4.0 * a * (a + 1.0)
-    den = 2.0 * (x2 + a) * (x * (3.0 * x2 + 2.0 * a - 1.0) + 2.0 * math.sqrt(1.0 + a) * r)
+    den = 2.0 * (x2 + a) * (x * (3.0 * x2 + 2.0 * a - 1.0) + 2.0 * p.E0 * r)
     return num / den
 
 
@@ -245,7 +244,7 @@ def eval_S1_prime_quotient(p: PotentialParams, x):
     a = p.a
     x2 = x * x
     r = np.sqrt(x2 + a)
-    return (x * (3.0 * x2 + 2.0 * a - 1.0) - 2.0 * math.sqrt(1.0 + a) * r) / (
+    return (x * (3.0 * x2 + 2.0 * a - 1.0) - 2.0 * p.E0 * r) / (
         2.0 * (x2 - 1.0) * (x2 + a)
     )
 
@@ -271,23 +270,11 @@ _GAMMA = np.array([[0, 0, 4, 32, 64],
 def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
     """Coefficients (low to high) of the polynomial whose coefficient of
     s^i a^j is table[i, j]: in s at a = t, in z = s/a at a = t, or in a at
-    s = t, each by Horner in t down the table.  The result has shape
+    s = t, each by _horner in t down the table.  The result has shape
     (degree + 1,) + t.shape."""
     t = np.asarray(t, dtype=float)
-    if var == "a":
-        return polyval(t, table)
-    if t.ndim:
-        c = polyval(t, table.T)
-    else:
-        # polyval's Horner steps on each row in Python floats, whose IEEE
-        # products and sums round as numpy's do, without its per-call cost
-        tf, c = float(t), []
-        for row in table.tolist():
-            acc = row[-1] + tf * 0.0
-            for r in row[-2::-1]:
-                acc = r + acc * tf
-            c.append(acc)
-        c = np.array(c)
+    c = table if var == "a" else table.T
+    c = _horner(t, c.reshape(c.shape + (1,) * t.ndim))
     if var == "z":
         # coefficient i times t, i times over: IEEE products round alike on
         # every CPU, where a vectorized power need not
@@ -297,12 +284,12 @@ def _coeffs(table: np.ndarray, t, var: str = "s") -> np.ndarray:
 
 
 def _horner(s, c):
-    """polyval(s, c, tensor=False), the polynomial with coefficients c (low to
-    high, along the first axis) at s, bit for bit: the same Horner steps,
-    c[-1] + s*0 and then c[i] + acc*s down to c[0], in one array of the
-    broadcast shape, not two new arrays a step, and a numpy float where
-    that shape is ().  As polyval does, it reads nan at s = inf, where s*0
-    is nan."""
+    """The polynomial with coefficients c (low to high, along the first
+    axis) at s, bit for bit as numpy.polynomial's evaluator gives it with
+    tensor=False: the same Horner steps, c[-1] + s*0 and then c[i] + acc*s
+    down to c[0], in one array of the broadcast shape, not two new arrays a
+    step, and a numpy float where that shape is ().  As numpy's does, it
+    reads nan at s = inf, where s*0 is nan."""
     out = np.multiply(s, 0.0, out=np.empty(np.broadcast(s, c[-1]).shape))
     out += c[-1]
     for ci in c[-2::-1]:
@@ -311,10 +298,11 @@ def _horner(s, c):
     return out[()]
 
 
-def _beta(a, x, s) -> np.ndarray:
+def _beta(a, x, s, e0) -> np.ndarray:
+    """beta at x, s = x^2, with its factor e0 = sqrt(1+a) from the caller."""
     out = _horner(s, _coeffs(_BETA, a))
     out *= x
-    out *= math.sqrt(1.0 + a) if type(a) is float else np.sqrt(1.0 + np.asarray(a, dtype=float))
+    out *= e0
     return out
 
 
@@ -329,7 +317,7 @@ def beta(a, x):
     """Odd part of the u numerator, which carries the sqrt(x^2+a) weight:
     sqrt(1+a) x (3x^2 + 2a - 1)."""
     x = np.asarray(x, dtype=float)
-    return _beta(a, x, x * x)
+    return _beta(a, x, x * x, np.sqrt(1.0 + np.asarray(a, dtype=float)))
 
 
 def gamma_poly(a, x):
@@ -356,7 +344,9 @@ def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
     odd8 *= odd
     out = even + odd8
     out *= w
-    # unmasked where every entry takes the plus form, as for every a >= 1/2
+    # unmasked where every entry takes the plus form, as for every a >= 1/2:
+    # it skips the masked pass over every node, and a path for every case
+    # measured about 5 us a call slower at n <= 2000
     every = plus.all()
     np.divide(gamma, out, out=out, where=True if every else plus)
     if not every:
@@ -379,10 +369,10 @@ def eval_u(p: PotentialParams, x):
     nan from x ~ 1.7e38, where gamma overflows too.  No grid reaches such x.
     """
     x = _check_nonnegative(x)
-    scalar = x.ndim == 0
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(x)
     a, s = p.a, x * x
-    b = _beta(a, x, s)
+    b = _beta(a, x, s, p.E0)
     out = pole_free_quotient(a, s, _horner(s, _coeffs(_ALPHA, a)), b,
                              _horner(s, _coeffs(_GAMMA, a)), 2, b >= 0.0)
     return out[0] if scalar else out
@@ -398,7 +388,7 @@ def eval_ghat(p: PotentialParams, x):
     """
     p.require_mixing_positive()
     x = _check_nonnegative(x)
-    scalar = x.ndim == 0
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(x)
     # c rho / (1 + Gamma rho), c = g E0 2 Gamma, in place in the array S0
     # returns, in the order that expression evaluates; nodes beyond x = 1

@@ -152,8 +152,6 @@ def _blocks(anchor: np.ndarray) -> list[tuple[int, int, float]]:
     if not anchor.size:
         return []
     changes = np.flatnonzero(anchor[1:] != anchor[:-1]) + 1
-    if not changes.size:
-        return [(0, anchor.size, 0.0)]
     starts = [0, *changes.tolist()]
     carry = [0.0, *np.exp(anchor[changes - 1] - anchor[changes]).tolist()]
     return list(zip(starts, [*starts[1:], anchor.size], carry))

@@ -167,8 +167,7 @@ def f_step(
     integral of (w - curly_e) f_prev, tail-normalized for I and
     origin-normalized for II.  The endpoint value is exactly 1 in both cases
     by construction of the cumulatives."""
-    if not isinstance(bc, BoundaryCondition):
-        bc = BoundaryCondition(bc)
+    bc = BoundaryCondition(bc)
     h = w - curly_e
     h *= t.grid.panels(f_prev)
     # curly_e zeroes the total of h phi^2 up to rounding: the precondition of

@@ -262,9 +262,17 @@ def peak_census(x: np.ndarray, psi: np.ndarray) -> PeakReport:
     relative prominence floor of 1e-3, which absorbs eigenvector rounding
     noise on flat tops.  A lone peak at |x| < 0.3 classifies as single-at-0;
     a peak with 0.5 < |x| < 1.5 classifies as double-near-1 (the mirror image
-    is implied by evenness).
+    is implied by evenness).  Raises ValueError unless x and psi are 1-D, of
+    equal length, with a node at x >= 0.
     """
+    x, psi = np.asarray(x), np.asarray(psi)
+    if x.ndim != 1 or psi.ndim != 1:
+        raise ValueError(f"x and psi must be 1-D, got shapes {x.shape} and {psi.shape}")
+    if x.size != psi.size:
+        raise ValueError(f"x and psi must have equal length, got {x.size} and {psi.size}")
     keep = x >= 0.0
+    if not keep.any():
+        raise ValueError("peak_census needs a node at x >= 0")
     xs = x[keep]
     ys = np.abs(psi[keep])
     order = np.argsort(xs)

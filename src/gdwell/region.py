@@ -26,7 +26,7 @@ import numpy as np
 
 from .closed_forms import (
     _GAMMA, _coeffs, _horner, alpha, beta, find_a_g, gamma_poly, pole_free_quotient)
-from .errors import BracketError, require_integer
+from .errors import BracketError, require_integer, require_real
 
 __all__ = [
     "A_C",
@@ -177,8 +177,12 @@ def eval_u_prime(a, x):
     vanishes, so the pole-free plus form is used wherever alpha_tilde and
     beta_tilde share a sign (their sum is then subtraction-free) or x^2 is
     within 1e-3 of 1; elsewhere the minus combination is itself
-    subtraction-free and x is away from 1.
+    subtraction-free and x is away from 1.  Raises ValueError unless a is a
+    real number with 0 < a < inf.
     """
+    require_real("shape parameter a", a)
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"shape parameter a must be > 0 and finite, got {a}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)

@@ -265,6 +265,19 @@ class TestPeakCensus:
         psi = np.where(np.isin(x, [2.125, 2.5, 2.875]), 1.0, 0.5)
         assert peak_census(x, psi).peaks == [(2.125, 1.0)]
 
+    @pytest.mark.parametrize("x,psi,message", [
+        (np.linspace(-2.0, -0.1, 20), np.ones(20), "node at x >= 0"),
+        (np.array([]), np.array([]), "node at x >= 0"),
+        (np.linspace(0.0, 2.0, 20), np.ones(19), "equal length"),
+        (np.linspace(0.0, 2.0, 20), np.ones(21), "equal length"),
+        (np.linspace(0.0, 2.0, 20), np.ones((2, 20)), "1-D"),
+        (np.linspace(0.0, 2.0, 20).reshape(4, 5), np.ones((4, 5)), "1-D"),
+        (0.5, 1.0, "1-D"),
+    ])
+    def test_rejects_malformed_input(self, x, psi, message):
+        with pytest.raises(ValueError, match=message):
+            peak_census(x, psi)
+
     def test_half_line_input(self, solve_cache):
         rep = solve_cache(1.0, 2.0, "II")
         census = peak_census(rep.grid.nodes, rep.psi_final)

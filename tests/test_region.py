@@ -249,6 +249,18 @@ class TestUPrime:
         x = np.linspace(1e-3, 5.0, 4000)
         assert float(eval_u_prime(a, x).max()) > 0.0
 
+    # u' of the model needs a real a with 0 < a < inf; each of these read nan
+    # or numbers without a check
+    @pytest.mark.parametrize("a", [-0.5, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                                   np.float64(math.nan), True, "2", np.array([2.0]), None])
+    def test_rejects_a_outside_the_model(self, a):
+        with pytest.raises(ValueError, match="shape parameter a"):
+            eval_u_prime(a, np.linspace(0.0, 2.0, 5))
+
+    @pytest.mark.parametrize("a", [1e-300, np.float32(2.0), 2, 1e3])
+    def test_takes_every_positive_finite_real(self, a):
+        assert eval_u_prime(a, np.array([0.5, 2.0])).shape == (2,)
+
 
 class TestSection3:
     def test_endpoint_values(self):

@@ -345,7 +345,7 @@ def pole_free_quotient(a, x2, even, odd, gamma, k: int, plus):
     out = even + odd8
     out *= w
     # unmasked where every entry takes the plus form, as for every a >= 1/2:
-    # it skips the masked pass over every node, and a path for every case
+    # that skips the masked pass over every node, and masking always
     # measured about 5 us a call slower at n <= 2000
     every = plus.all()
     np.divide(gamma, out, out=out, where=True if every else plus)
